@@ -40,7 +40,12 @@ from .exterior import (
     pair,
     wedge,
 )
-from .flows import FlowConfig, conservation_report, integrate_hamiltonian
+from .flows import (
+    DivergentFlowError,
+    FlowConfig,
+    conservation_report,
+    integrate_hamiltonian,
+)
 from .model import ModelError, ModelFile, parse_model
 from .modular import (
     VolumeSpec,

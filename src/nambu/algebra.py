@@ -647,9 +647,17 @@ class ExactMatrix:
                 break
         return pivots, work, transform
 
-    def rank(self) -> int:
+    def pivot_columns(self) -> list[int]:
+        """Ascending pivot columns of the reduced row echelon form.
+
+        Column j is a pivot exactly when it is independent of columns 0..j-1,
+        so the pivots are the greedy left-to-right choice of a column basis.
+        """
         pivots, _, _ = self._rref()
-        return len(pivots)
+        return pivots
+
+    def rank(self) -> int:
+        return len(self.pivot_columns())
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Exact basis of the kernel; empty list when the kernel is trivial.
@@ -689,17 +697,6 @@ class ExactMatrix:
         for row_pos, pivot_col in enumerate(pivots):
             x[pivot_col] = tb[row_pos]
         return LinearSolveResult(solution=tuple(x), certificate=None)
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts disagree")
-        out = ExactMatrix(self.rows, self.cols + other.cols)
-        for i in range(self.rows):
-            merged = dict(self._rows[i])
-            for j, v in other._rows[i].items():
-                merged[self.cols + j] = v
-            out._rows[i] = merged
-        return out
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self._rows[i].get(j, ZERO) for i in range(self.rows))

@@ -26,7 +26,12 @@ from .cohomology import (
     subcomplex_check,
 )
 from .exterior import format_tensor
-from .flows import FlowConfig, conservation_report, integrate_hamiltonian
+from .flows import (
+    DivergentFlowError,
+    FlowConfig,
+    conservation_report,
+    integrate_hamiltonian,
+)
 from .model import ModelError, ModelFile, parse_model
 from .modular import (
     VolumeSpec,
@@ -366,14 +371,21 @@ def _cmd_flow(model: ModelFile, args) -> Report:
     start = tuple(float(part) for part in args.start.split(","))
     config = FlowConfig(start=start, step=args.step, steps=args.steps,
                         tolerance=args.tolerance)
-    trajectory = integrate_hamiltonian(structure, scalars, config)
     probes = []
     if args.probes:
         for group in args.probes.split(","):
             probes.append(tuple(model.scalar(name) for name in group.split(":")))
-    report = conservation_report(trajectory, structure, scalars, probes,
-                                 tolerance=args.tolerance)
+    inputs = {"scalars": args.scalars, "start": args.start,
+              "step": args.step, "steps": args.steps}
     lines = [f"flow: {args.steps} steps of size {args.step}"]
+    try:
+        trajectory = integrate_hamiltonian(structure, scalars, config)
+        report = conservation_report(trajectory, structure, scalars, probes,
+                                     tolerance=args.tolerance)
+    except DivergentFlowError as exc:
+        lines.append(f"diverged: {exc}")
+        return Report("flow", inputs, {"passed": False, "diverged": True, "reason": str(exc)},
+                      exit_code=EXIT_MATH_FAILURE, lines=lines)
     for name, drift in zip(args.scalars.split(","), report.hamiltonian_drifts):
         lines.append(f"drift of {name}: {drift:.3e}")
     for i, drift in enumerate(report.probe_drifts):
@@ -384,8 +396,7 @@ def _cmd_flow(model: ModelFile, args) -> Report:
               "hamiltonian_drifts": list(report.hamiltonian_drifts),
               "probe_drifts": list(report.probe_drifts),
               "final_point": list(trajectory[-1])}
-    return Report("flow", {"scalars": args.scalars, "start": args.start,
-                           "step": args.step, "steps": args.steps},
+    return Report("flow", inputs,
                   result, exit_code=EXIT_OK if report.passed else EXIT_MATH_FAILURE,
                   lines=lines)
 

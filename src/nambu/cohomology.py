@@ -11,6 +11,7 @@ assertions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,19 +51,20 @@ def _rank_of_vectors(vectors: list[list[Fraction]], length: int) -> int:
 
 
 def _span_rank_extension(base: list[list[Fraction]], candidates: list[list[Fraction]],
-                         length: int) -> list[int]:
-    """Indices of candidates that extend the rank of the base span, greedily."""
-    chosen: list[int] = []
-    current = list(base)
-    rank = _rank_of_vectors(current, length)
-    for pos, vec in enumerate(candidates):
-        trial = current + [vec]
-        trial_rank = _rank_of_vectors(trial, length)
-        if trial_rank > rank:
-            chosen.append(pos)
-            current = trial
-            rank = trial_rank
-    return chosen
+                         length: int) -> tuple[int, list[int]]:
+    """Rank of the base span and the indices of candidates that extend it greedily.
+
+    One elimination of [base | candidates] answers both: a column is a pivot
+    exactly when it is independent of every column before it.
+    """
+    pivots = matrix_from_columns(base + candidates, length).pivot_columns()
+    base_rank = bisect_left(pivots, len(base))
+    return base_rank, [pos - len(base) for pos in pivots[base_rank:]]
+
+
+def _annihilates(matrix: ExactMatrix, vectors: list[list[Fraction]]) -> bool:
+    """Whether the matrix sends every vector to zero, as one sparse product."""
+    return not any((matrix @ matrix_from_columns(vectors, matrix.cols)).row_dicts())
 
 
 # -- foliated cohomology -------------------------------------------------------
@@ -93,11 +95,10 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
         cocycle_op = TruncatedOperator.build(
             domain, codomain,
             lambda form: sharp(structure, degree + 1, ext_d(form)))
-        cocycles = [list(v) for v in cocycle_op.matrix.nullspace()]
+        cocycle_dimension = len(cocycle_op.matrix.nullspace())
     else:
         cocycle_op = None
-        cocycles = [list(ExactMatrix.identity(len(domain)).column(j))
-                    for j in range(len(domain))]
+        cocycle_dimension = len(domain)
 
     boundary_vectors: list[list[Fraction]] = []
     if degree >= 1:
@@ -111,13 +112,11 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
         lambda form: sharp(structure, degree, form))
     boundary_vectors.extend(list(v) for v in kernel_op.matrix.nullspace())
 
-    if cocycle_op is not None:
-        for vec in boundary_vectors:
-            if any(v != 0 for v in cocycle_op.matrix.apply(vec)):
-                raise RuntimeError("coboundary vector escapes the cocycle space; "
-                                   "degree bookkeeping is inconsistent")
+    if cocycle_op is not None and not _annihilates(cocycle_op.matrix, boundary_vectors):
+        raise RuntimeError("coboundary vector escapes the cocycle space; "
+                           "degree bookkeeping is inconsistent")
 
-    return len(cocycles) - _rank_of_vectors(boundary_vectors, len(domain))
+    return cocycle_dimension - _rank_of_vectors(boundary_vectors, len(domain))
 
 
 def foliated_cohomology_dim(structure: NambuStructure, degree: int,
@@ -186,14 +185,12 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
         if sum(exponent) == 0:
             continue
         generator = differential(chart, Polynomial.monomial(chart.coordinates, exponent))
-        vector = domain.to_coordinates(generator.scale(f_scalar))
-        # every coboundary is a cocycle; assert rather than assume
-        if any(v != 0 for v in cocycle_op.matrix.apply(vector)):
-            raise RuntimeError("coboundary f*dg fails the cocycle condition")
-        coboundaries.append(vector)
+        coboundaries.append(domain.to_coordinates(generator.scale(f_scalar)))
+    # every coboundary is a cocycle; assert rather than assume
+    if not _annihilates(cocycle_op.matrix, coboundaries):
+        raise RuntimeError("coboundary f*dg fails the cocycle condition")
 
-    boundary_rank = _rank_of_vectors(coboundaries, len(domain))
-    chosen = _span_rank_extension(coboundaries, cocycles, len(domain))
+    boundary_rank, chosen = _span_rank_extension(coboundaries, cocycles, len(domain))
     representatives = tuple(domain.from_coordinates(cocycles[pos]) for pos in chosen)
     dimension = len(cocycles) - boundary_rank
     if len(representatives) != dimension:

@@ -15,6 +15,13 @@ from .exterior import GradedTensor
 from .structures import NambuStructure, hamiltonian_vf, nambu_bracket
 
 
+class DivergentFlowError(ArithmeticError):
+    """The trajectory, or a value along it, left the floating-point range.
+
+    This is a mathematical outcome of the flow, not a usage error.
+    """
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     start: tuple[float, ...]
@@ -48,8 +55,9 @@ def integrate_hamiltonian(structure: NambuStructure, scalars, config: FlowConfig
                           ) -> list[tuple[float, ...]]:
     """Classical fourth-order trajectory of the Hamiltonian field.
 
-    Returns steps+1 points, the start included.  Raises on non-finite values,
-    which is the honest outcome for a diverging trajectory.
+    Returns steps+1 points, the start included.  Raises DivergentFlowError
+    on values that overflow or turn non-finite, which is the honest outcome
+    for a diverging trajectory.
     """
     scalars = list(scalars)
     rhs = _lower(hamiltonian_vf(structure, *scalars))
@@ -59,16 +67,19 @@ def integrate_hamiltonian(structure: NambuStructure, scalars, config: FlowConfig
     h = config.step
     point = [float(v) for v in config.start]
     trajectory = [tuple(point)]
-    for _ in range(config.steps):
-        k1 = rhs(point)
-        k2 = rhs([p + 0.5 * h * v for p, v in zip(point, k1)])
-        k3 = rhs([p + 0.5 * h * v for p, v in zip(point, k2)])
-        k4 = rhs([p + h * v for p, v in zip(point, k3)])
-        point = [p + h / 6.0 * (a + 2 * b + 2 * c + d)
-                 for p, a, b, c, d in zip(point, k1, k2, k3, k4)]
-        if not all(math.isfinite(v) for v in point):
-            raise ValueError("non-finite values encountered during integration")
-        trajectory.append(tuple(point))
+    try:
+        for _ in range(config.steps):
+            k1 = rhs(point)
+            k2 = rhs([p + 0.5 * h * v for p, v in zip(point, k1)])
+            k3 = rhs([p + 0.5 * h * v for p, v in zip(point, k2)])
+            k4 = rhs([p + h * v for p, v in zip(point, k3)])
+            point = [p + h / 6.0 * (a + 2 * b + 2 * c + d)
+                     for p, a, b, c, d in zip(point, k1, k2, k3, k4)]
+            if not all(math.isfinite(v) for v in point):
+                raise DivergentFlowError("non-finite values encountered during integration")
+            trajectory.append(tuple(point))
+    except OverflowError as exc:
+        raise DivergentFlowError("field values overflow during integration") from exc
     return trajectory
 
 
@@ -108,10 +119,14 @@ def conservation_report(trajectory, structure: NambuStructure, scalars,
         first = values[0]
         return max(abs(v - first) for v in values)
 
-    hamiltonian_drifts = tuple(
-        max_drift([f.evaluate_float(list(p)) for p in points]) for f in scalars)
-    probe_drifts = []
-    for probe in probes:
-        value = nambu_bracket(structure, *probe)
-        probe_drifts.append(max_drift([value.evaluate_float(list(p)) for p in points]))
+    try:
+        hamiltonian_drifts = tuple(
+            max_drift([f.evaluate_float(list(p)) for p in points]) for f in scalars)
+        probe_drifts = []
+        for probe in probes:
+            value = nambu_bracket(structure, *probe)
+            probe_drifts.append(max_drift([value.evaluate_float(list(p)) for p in points]))
+    except OverflowError as exc:
+        raise DivergentFlowError("Hamiltonian or probe values overflow "
+                                 "along the trajectory") from exc
     return ConservationReport(tolerance, hamiltonian_drifts, tuple(probe_drifts))

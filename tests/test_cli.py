@@ -150,6 +150,22 @@ def test_flow_pass(capsys):
     assert "conservation: pass" in out
 
 
+@pytest.mark.parametrize("start, step, steps", [
+    ("100,0,1", "1", "50"),    # the field evaluation overflows
+    ("1,0,0", "10", "5"),      # the integrator produces non-finite values
+])
+def test_divergent_flow_is_math_failure(capsys, start, step, steps):
+    argv = ["flow", SINGULAR, "--scalars", "r2,h", "--start", start,
+            "--step", step, "--steps", steps]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert "diverged:" in out
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["result"]["passed"] is False
+    assert report["result"]["diverged"] is True
+
+
 def test_check_fails_on_invalid_structure(tmp_path, capsys):
     model = tmp_path / "invalid.nmb"
     model.write_text("""\

@@ -6,9 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nambu.algebra import Polynomial, variables
+from nambu.algebra import ExactMatrix, Polynomial, variables
 from nambu.cohomology import (
+    _annihilates,
+    _span_rank_extension,
     canonical_homology_dim,
     duality_report,
     foliated_cohomology_dim,
@@ -467,6 +471,65 @@ def test_foliated_matches_leafwise_oracle_r4():
         for bound in (2, 3):
             expected = _leafwise_dim(degree, bound)
             assert foliated_cohomology_dim(structure, degree, bound).dimension == expected
+
+
+def _naive_rank(vectors):
+    """Rank by plain Gaussian elimination on the vectors taken as rows."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _greedy_rank_extension(base, candidates):
+    """Reference: re-rank the span once per candidate, keeping those that grow it."""
+    current = list(base)
+    chosen = []
+    for pos, vec in enumerate(candidates):
+        if _naive_rank(current + [vec]) > _naive_rank(current):
+            chosen.append(pos)
+            current.append(vec)
+    return _naive_rank(base), chosen
+
+
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def column_sets(draw):
+    length = draw(st.integers(0, 5))
+    column = st.lists(sparse_entries, min_size=length, max_size=length)
+    return length, draw(st.lists(column, max_size=4)), draw(st.lists(column, max_size=6))
+
+
+F = Fraction
+
+
+@given(column_sets())
+@example((3, [], [[F(1), F(0), F(0)], [F(2), F(0), F(0)], [F(0), F(1), F(0)]]))
+@example((3, [[F(1), F(0), F(0)], [F(0), F(0), F(0)]], []))
+@example((2, [], []))
+@settings(max_examples=80, deadline=None)
+def test_span_rank_extension_matches_greedy_rerank(case):
+    length, base, candidates = case
+    assert _span_rank_extension(base, candidates, length) == \
+        _greedy_rank_extension(base, candidates)
+
+
+def test_annihilates_is_the_containment_check():
+    matrix = ExactMatrix.from_dense([[1, -1], [2, -2]])
+    assert _annihilates(matrix, [])
+    assert _annihilates(matrix, [[F(1), F(1)], [F(-3), F(-3)]])
+    assert not _annihilates(matrix, [[F(1), F(1)], [F(1), F(0)]])
 
 
 # -- duality -------------------------------------------------------------------------------

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from nambu.flows import FlowConfig, conservation_report, integrate_hamiltonian
+from nambu.flows import (
+    DivergentFlowError,
+    FlowConfig,
+    conservation_report,
+    integrate_hamiltonian,
+)
 from support import R3, coords, singular_r3
 
 x1, x2, x3 = coords(R3)
@@ -63,7 +68,7 @@ def test_huge_step_reports_failure_not_silence():
     config = FlowConfig(start=(1.0, 0.0, 0.0), step=10.0, steps=5)
     try:
         trajectory = integrate_hamiltonian(structure, hams, config)
-    except ValueError:
+    except DivergentFlowError:
         return  # non-finite blow-up is an acceptable loud failure
     report = conservation_report(trajectory, structure, hams, tolerance=1e-6)
     assert not report.passed
@@ -95,3 +100,9 @@ def test_wrong_start_dimension():
     config = FlowConfig(start=(1.0, 0.0), step=0.1, steps=5)
     with pytest.raises(ValueError):
         integrate_hamiltonian(structure, (x1, x2), config)
+
+
+def test_overflowing_hamiltonian_is_divergence():
+    structure = singular_r3()
+    with pytest.raises(DivergentFlowError):
+        conservation_report([(1e200, 0.0, 0.0)], structure, (x1 * x1, x3))
