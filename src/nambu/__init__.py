@@ -12,8 +12,6 @@ from .algebra import (
     LinearSolveResult,
     Polynomial,
     RationalFunction,
-    nullspace,
-    solve_linear,
     variables,
 )
 from .cohomology import (

@@ -725,11 +725,3 @@ def matrix_from_columns(columns: Sequence[Sequence[Fraction]], nrows: int) -> Ex
             if v != 0:
                 out._rows[i][j] = v
     return out
-
-
-def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    return matrix.nullspace()
-
-
-def solve_linear(matrix: ExactMatrix, rhs: Sequence[int | Fraction]) -> LinearSolveResult:
-    return matrix.solve(rhs)

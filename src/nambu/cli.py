@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .algebra import Polynomial
 from .cohomology import (
@@ -34,7 +35,6 @@ from .flows import (
 )
 from .model import ModelError, ModelFile, parse_model
 from .modular import (
-    VolumeSpec,
     basic_volume,
     delta,
     modular_potential,
@@ -93,27 +93,20 @@ def _component_text(variance: str, chart_names, index) -> str:
     return "^".join(f"@{i + 1}" for i in index)
 
 
-def _certificate_json(chart_names, certificate, variance="mv"):
-    return [{"component": _component_text(variance, chart_names, label[0]),
-             "monomial": _monomial_text(chart_names, label[1]),
-             "weight": str(weight)}
-            for label, weight in certificate]
+def _certificate_report(report: Report, chart_names, certificate) -> Report:
+    """Attach a labelled certificate functional: one JSON entry and one line per weight."""
+    report.certificates = [{"component": _component_text("mv", chart_names, label[0]),
+                            "monomial": _monomial_text(chart_names, label[1]),
+                            "weight": str(weight)}
+                           for label, weight in certificate]
+    report.lines.extend(f"  {entry['weight']} * <{entry['component']}, {entry['monomial']}>"
+                        for entry in report.certificates)
+    return report
 
 
 def _family(model: ModelFile, choice: str):
     include_quadratics = choice != "coords"
     return default_function_family(model.chart, include_quadratics)
-
-
-def _volume_of(model: ModelFile, name: str | None) -> VolumeSpec:
-    if name:
-        return model.binding(name, "volume")
-    volumes = [b for b in model.bindings.values() if b.kind == "volume"]
-    if len(volumes) == 1:
-        return volumes[0].value
-    if not volumes:
-        return VolumeSpec.standard(model.chart)
-    raise KeyError("model defines several volumes; pass --volume NAME")
 
 
 def _scalars_of(model: ModelFile, listing: str) -> list[Polynomial]:
@@ -125,8 +118,7 @@ def _scalars_of(model: ModelFile, listing: str) -> list[Polynomial]:
 
 # -- command handlers ------------------------------------------------------------
 
-def _cmd_check(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_check(model: ModelFile, args, structure) -> Report:
     family = _family(model, args.family)
     identity = check_fundamental_identity(structure, family)
     shape = check_decomposability(structure)
@@ -154,8 +146,7 @@ def _cmd_check(model: ModelFile, args) -> Report:
                   lines=lines)
 
 
-def _cmd_sharp(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_sharp(model: ModelFile, args, structure) -> Report:
     form = model.binding(args.form, "form")
     image = sharp(structure, form.degree, form)
     text = format_tensor(image)
@@ -163,8 +154,7 @@ def _cmd_sharp(model: ModelFile, args) -> Report:
                   {"image": text}, lines=[f"sharp({args.form}) = {text}"])
 
 
-def _cmd_hamiltonian(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_hamiltonian(model: ModelFile, args, structure) -> Report:
     scalars = _scalars_of(model, args.scalars)
     field_tensor = hamiltonian_vf(structure, *scalars)
     text = format_tensor(field_tensor)
@@ -172,8 +162,7 @@ def _cmd_hamiltonian(model: ModelFile, args) -> Report:
                   lines=[f"hamiltonian field of ({args.scalars}) = {text}"])
 
 
-def _cmd_bracket(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_bracket(model: ModelFile, args, structure) -> Report:
     left = model.binding(args.left, "form")
     right = model.binding(args.right, "form")
     value = leibniz_bracket(structure, left, right)
@@ -183,39 +172,30 @@ def _cmd_bracket(model: ModelFile, args) -> Report:
                   lines=[f"[[{args.left}, {args.right}]] = {text}"])
 
 
-def _cmd_modular(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
-    volume = _volume_of(model, args.volume)
+def _cmd_modular(model: ModelFile, args, structure, volume) -> Report:
     tensor = modular_tensor(structure, volume)
     text = format_tensor(tensor)
     return Report("modular", {"volume": str(volume)}, {"tensor": text},
                   lines=[f"modular tensor = {text}"])
 
 
-def _cmd_potential(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
-    volume = _volume_of(model, args.volume)
+def _cmd_potential(model: ModelFile, args, structure, volume) -> Report:
     outcome = modular_potential(structure, volume, args.degree_bound)
-    names = model.chart.coordinates
     if outcome.feasible:
         text = str(outcome.potential)
         return Report("potential", {"volume": str(volume)},
                       {"feasible": True, "potential": text},
                       degree_bound=args.degree_bound,
                       lines=[f"potential found at degree bound {args.degree_bound}: {text}"])
-    certificate = _certificate_json(names, outcome.certificate)
-    lines = [f"infeasible at degree bound {args.degree_bound}",
-             "certificate functional (annihilates every candidate, not the tensor):"]
-    lines.extend(f"  {entry['weight']} * <{entry['component']}, {entry['monomial']}>"
-                 for entry in certificate)
-    return Report("potential", {"volume": str(volume)}, {"feasible": False},
-                  certificates=certificate, degree_bound=args.degree_bound,
-                  exit_code=EXIT_MATH_FAILURE, lines=lines)
+    return _certificate_report(
+        Report("potential", {"volume": str(volume)}, {"feasible": False},
+               degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
+               lines=[f"infeasible at degree bound {args.degree_bound}",
+                      "certificate functional (annihilates every candidate, not the tensor):"]),
+        model.chart.coordinates, outcome.certificate)
 
 
-def _cmd_basic_volume(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
-    volume = _volume_of(model, args.volume)
+def _cmd_basic_volume(model: ModelFile, args, structure, volume) -> Report:
     weight = model.scalar(args.weight) if args.weight \
         else model.chart.zero_polynomial()
     try:
@@ -224,14 +204,13 @@ def _cmd_basic_volume(model: ModelFile, args) -> Report:
         return Report("basic-volume", {"volume": str(volume)},
                       {"exists": False, "reason": str(exc)},
                       exit_code=EXIT_MATH_FAILURE,
-                      lines=[f"no basic volume: {exc}"])
+                      lines=[str(exc)])
     return Report("basic-volume", {"volume": str(volume)},
                   {"exists": True, "form": str(mu)},
                   lines=[f"basic volume = {mu}"])
 
 
-def _cmd_delta(model: ModelFile, args) -> Report:
-    volume = _volume_of(model, args.volume)
+def _cmd_delta(model: ModelFile, args, volume) -> Report:
     tensor = model.binding(args.mv, "mv")
     image = delta(volume, tensor)
     text = format_tensor(image)
@@ -239,8 +218,7 @@ def _cmd_delta(model: ModelFile, args) -> Report:
                   {"boundary": text}, lines=[f"boundary({args.mv}) = {text}"])
 
 
-def _cmd_h1_top(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_h1_top(model: ModelFile, args, structure) -> Report:
     report = np_h1_top(structure.top_coefficient(), args.degree_bound)
     reps = [format_tensor(r) for r in report.representatives]
     lines = [f"first cohomology at degree bound {args.degree_bound}: "
@@ -256,8 +234,7 @@ def _cmd_h1_top(model: ModelFile, args) -> Report:
                   degree_bound=args.degree_bound, lines=lines)
 
 
-def _cmd_foliated(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_foliated(model: ModelFile, args, structure) -> Report:
     outcome = foliated_cohomology_dim(structure, args.degree, args.degree_bound)
     stab = "stable" if outcome.stabilized else "not yet stable"
     lines = [f"foliated cohomology degree {args.degree} at bound {args.degree_bound}: "
@@ -269,9 +246,7 @@ def _cmd_foliated(model: ModelFile, args) -> Report:
                   degree_bound=args.degree_bound, lines=lines)
 
 
-def _cmd_canonical(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
-    volume = _volume_of(model, args.volume)
+def _cmd_canonical(model: ModelFile, args, structure, volume) -> Report:
     dimension = canonical_homology_dim(structure, volume, args.degree, args.degree_bound)
     lines = [f"canonical homology degree {args.degree} at bound {args.degree_bound}: "
              f"dimension {dimension}"]
@@ -279,32 +254,23 @@ def _cmd_canonical(model: ModelFile, args) -> Report:
                   {"dimension": dimension}, degree_bound=args.degree_bound, lines=lines)
 
 
-def _cmd_subcomplex(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
-    volume = _volume_of(model, args.volume)
+def _cmd_subcomplex(model: ModelFile, args, structure, volume) -> Report:
     outcome = subcomplex_check(structure, volume, args.degree_bound)
-    names = model.chart.coordinates
     if outcome.is_subcomplex:
         witness = format_tensor(outcome.witness)
         return Report("subcomplex", {"volume": str(volume)},
                       {"is_subcomplex": True, "witness": witness},
                       degree_bound=args.degree_bound,
                       lines=[f"yes: modular tensor = sharp({witness})"])
-    certificate = _certificate_json(names, outcome.certificate)
-    lines = [f"no: the modular tensor is not in the bundle image at bound "
-             f"{args.degree_bound}",
-             "certificate functional:"]
-    lines.extend(f"  {entry['weight']} * <{entry['component']}, {entry['monomial']}>"
-                 for entry in certificate)
-    return Report("subcomplex", {"volume": str(volume)},
-                  {"is_subcomplex": False}, certificates=certificate,
-                  degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
-                  lines=lines)
+    return _certificate_report(
+        Report("subcomplex", {"volume": str(volume)}, {"is_subcomplex": False},
+               degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
+               lines=[f"no: the modular tensor is not in the bundle image at bound "
+                      f"{args.degree_bound}", "certificate functional:"]),
+        model.chart.coordinates, outcome.certificate)
 
 
-def _cmd_duality(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
-    volume = _volume_of(model, args.volume)
+def _cmd_duality(model: ModelFile, args, structure, volume) -> Report:
     report = duality_report(structure, volume, args.degree_bound)
     lines = [f"duality comparison at degree bound {args.degree_bound}",
              "degree | NP cohomology | foliated | canonical homology (dual degree)"]
@@ -365,8 +331,7 @@ def _cmd_naka_triple(model: ModelFile, args) -> Report:
                   result, lines=lines)
 
 
-def _cmd_flow(model: ModelFile, args) -> Report:
-    structure = model.structure(args.structure)
+def _cmd_flow(model: ModelFile, args, structure) -> Report:
     scalars = _scalars_of(model, args.scalars)
     start = tuple(float(part) for part in args.start.split(","))
     config = FlowConfig(start=start, step=args.step, steps=args.steps,
@@ -401,31 +366,81 @@ def _cmd_flow(model: ModelFile, args) -> Report:
                   lines=lines)
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "sharp": _cmd_sharp,
-    "hamiltonian": _cmd_hamiltonian,
-    "bracket": _cmd_bracket,
-    "modular": _cmd_modular,
-    "potential": _cmd_potential,
-    "basic-volume": _cmd_basic_volume,
-    "delta": _cmd_delta,
-    "h1-top": _cmd_h1_top,
-    "foliated": _cmd_foliated,
-    "canonical-homology": _cmd_canonical,
-    "subcomplex": _cmd_subcomplex,
-    "duality": _cmd_duality,
-    "naka-pair": _cmd_naka_pair,
-    "naka-triple": _cmd_naka_triple,
-    "flow": _cmd_flow,
+# -- the command table -------------------------------------------------------------
+
+FLAGS = {
+    "lambda": {"dest": "structure", "default": None,
+               "help": "structure binding (default: the unique one)"},
+    "volume": {"default": None,
+               "help": "volume binding (default: the unique one, else std)"},
+    "degree-bound": {"type": int, "required": True, "help": "coefficient degree bound"},
+    "degree": {"type": int, "required": True},
+    "scalars": {"required": True, "help": "comma-separated scalar names"},
+    "family": {"choices": ["coords", "quadratics"], "default": "quadratics"},
+    "weight": {"default": None, "help": "scalar binding used as potential"},
+    "start": {"required": True, "help": "comma-separated start point"},
+    "step": {"type": float, "default": 1e-3},
+    "steps": {"type": int, "default": 1000},
+    "tolerance": {"type": float, "default": 1e-8},
+    "probes": {"default": None, "help": "comma-separated colon-joined scalar tuples"},
 }
 
 
-def run_command(model: ModelFile, command: str, args) -> Report:
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        raise KeyError(f"unknown command {command!r}")
-    return handler(model, args)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    Positional names fill ``slots`` in order, and the first ``required`` of
+    them must be given; a flag with the same destination wins over a name.
+    ``flags`` are keys of ``FLAGS``.  With ``lambda`` among them the handler
+    gets the resolved ``structure``, with ``volume`` the resolved ``volume``.
+    """
+
+    handler: Callable[..., Report]
+    help: str
+    slots: tuple[str, ...] = ()
+    required: int = 0
+    flags: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "check": Command(_cmd_check, "fundamental identity and decomposability",
+                     ("structure",), flags=("lambda", "family")),
+    "sharp": Command(_cmd_sharp, "contract a form into the structure",
+                     ("form", "structure"), 1, ("lambda",)),
+    "hamiltonian": Command(_cmd_hamiltonian, "Hamiltonian vector field",
+                           flags=("lambda", "scalars")),
+    "bracket": Command(_cmd_bracket, "algebroid bracket of two forms",
+                       ("left", "right", "structure"), 2, ("lambda",)),
+    "modular": Command(_cmd_modular, "modular tensor",
+                       ("structure", "volume"), flags=("lambda", "volume")),
+    "potential": Command(_cmd_potential, "modular potential search",
+                         ("structure", "volume"),
+                         flags=("lambda", "volume", "degree-bound")),
+    "basic-volume": Command(_cmd_basic_volume, "basic volume from a potential",
+                            ("structure", "volume"), flags=("lambda", "volume", "weight")),
+    "delta": Command(_cmd_delta, "homology boundary of a multivector",
+                     ("mv", "volume"), 1, ("volume",)),
+    "h1-top": Command(_cmd_h1_top, "truncated first cohomology, top order",
+                      ("structure",), flags=("lambda", "degree-bound")),
+    "foliated": Command(_cmd_foliated, "truncated foliated cohomology dimension",
+                        ("structure",), flags=("lambda", "degree-bound", "degree")),
+    "canonical-homology": Command(_cmd_canonical, "truncated canonical homology",
+                                  ("structure", "volume"),
+                                  flags=("lambda", "volume", "degree-bound", "degree")),
+    "subcomplex": Command(_cmd_subcomplex, "modular tensor membership in the image",
+                          ("structure", "volume"),
+                          flags=("lambda", "volume", "degree-bound")),
+    "duality": Command(_cmd_duality, "cohomology/homology comparison table",
+                       ("structure", "volume"), flags=("lambda", "volume", "degree-bound")),
+    "naka-pair": Command(_cmd_naka_pair, "two-variable polynomial decomposition",
+                         ("p", "q"), 2),
+    "naka-triple": Command(_cmd_naka_triple, "three-variable polynomial decomposition",
+                           ("a", "b", "c"), 3),
+    "flow": Command(_cmd_flow, "integrate a Hamiltonian field numerically",
+                    flags=("lambda", "scalars", "start", "step", "steps", "tolerance",
+                           "probes")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,142 +448,35 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nambu",
         description="Exact Nambu-Poisson calculus on polynomial coordinate charts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, volume=True, bound=False, structure=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("model", help="model file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", help="write the report to a file")
-        if structure:
-            p.add_argument("--lambda", dest="structure", default=None,
-                           help="structure binding (default: the unique one)")
-        if volume:
-            p.add_argument("--volume", default=None,
-                           help="volume binding (default: the unique one, else std)")
-        if bound:
-            p.add_argument("--degree-bound", type=int, required=True,
-                           help="coefficient degree bound")
-
-    p = sub.add_parser("check", help="fundamental identity and decomposability")
-    common(p, volume=False)
-    p.add_argument("names", nargs="*", help="optional structure name")
-    p.add_argument("--family", choices=["coords", "quadratics"], default="quadratics")
-
-    p = sub.add_parser("sharp", help="contract a form into the structure")
-    common(p, volume=False)
-    p.add_argument("names", nargs="*", help="form name [structure name]")
-
-    p = sub.add_parser("hamiltonian", help="Hamiltonian vector field")
-    common(p, volume=False)
-    p.add_argument("--scalars", required=True, help="comma-separated scalar names")
-
-    p = sub.add_parser("bracket", help="algebroid bracket of two forms")
-    common(p, volume=False)
-    p.add_argument("names", nargs="*", help="left form, right form [structure]")
-
-    p = sub.add_parser("modular", help="modular tensor")
-    common(p)
-    p.add_argument("names", nargs="*", help="[structure] [volume]")
-
-    p = sub.add_parser("potential", help="modular potential search")
-    common(p, bound=True)
-    p.add_argument("names", nargs="*", help="[structure] [volume]")
-
-    p = sub.add_parser("basic-volume", help="basic volume from a potential")
-    common(p)
-    p.add_argument("names", nargs="*", help="[structure] [volume]")
-    p.add_argument("--weight", default=None, help="scalar binding used as potential")
-
-    p = sub.add_parser("delta", help="homology boundary of a multivector")
-    common(p, structure=False)
-    p.add_argument("names", nargs="*", help="multivector name [volume]")
-
-    p = sub.add_parser("h1-top", help="truncated first cohomology, top order")
-    common(p, volume=False, bound=True)
-    p.add_argument("names", nargs="*", help="[structure]")
-
-    p = sub.add_parser("foliated", help="truncated foliated cohomology dimension")
-    common(p, volume=False, bound=True)
-    p.add_argument("names", nargs="*", help="[structure]")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("canonical-homology", help="truncated canonical homology")
-    common(p, bound=True)
-    p.add_argument("names", nargs="*", help="[structure] [volume]")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("subcomplex", help="modular tensor membership in the image")
-    common(p, bound=True)
-    p.add_argument("names", nargs="*", help="[structure] [volume]")
-
-    p = sub.add_parser("duality", help="cohomology/homology comparison table")
-    common(p, bound=True)
-    p.add_argument("names", nargs="*", help="[structure] [volume]")
-
-    p = sub.add_parser("naka-pair", help="two-variable polynomial decomposition")
-    common(p, volume=False, structure=False)
-    p.add_argument("names", nargs="*", help="P name, Q name")
-
-    p = sub.add_parser("naka-triple", help="three-variable polynomial decomposition")
-    common(p, volume=False, structure=False)
-    p.add_argument("names", nargs="*", help="A name, B name, C name")
-
-    p = sub.add_parser("flow", help="integrate a Hamiltonian field numerically")
-    common(p, volume=False)
-    p.add_argument("--scalars", required=True, help="comma-separated scalar names")
-    p.add_argument("--start", required=True, help="comma-separated start point")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--probes", default=None,
-                   help="comma-separated colon-joined scalar tuples")
+        for flag in command.flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        if command.slots:
+            p.add_argument("names", nargs="*", help=" ".join(
+                slot if i < command.required else f"[{slot}]"
+                for i, slot in enumerate(command.slots)))
     return parser
 
 
-_POSITIONAL_SLOTS = {
-    "check": ("structure",),
-    "sharp": ("form", "structure"),
-    "bracket": ("left", "right", "structure"),
-    "modular": ("structure", "volume"),
-    "potential": ("structure", "volume"),
-    "basic-volume": ("structure", "volume"),
-    "delta": ("mv", "volume"),
-    "h1-top": ("structure",),
-    "foliated": ("structure",),
-    "canonical-homology": ("structure", "volume"),
-    "subcomplex": ("structure", "volume"),
-    "duality": ("structure", "volume"),
-    "naka-pair": ("p", "q"),
-    "naka-triple": ("a", "b", "c"),
-}
-
-_REQUIRED_SLOTS = {
-    "sharp": ("form",),
-    "bracket": ("left", "right"),
-    "delta": ("mv",),
-    "naka-pair": ("p", "q"),
-    "naka-triple": ("a", "b", "c"),
-}
-
-
-def _assign_positionals(args) -> None:
-    slots = _POSITIONAL_SLOTS.get(args.command, ())
-    names = getattr(args, "names", []) or []
-    if len(names) > len(slots):
-        raise KeyError(f"too many positional names for {args.command}")
-    for slot, value in zip(slots, names):
+def _assign_operands(name: str, command: Command, args) -> None:
+    names = getattr(args, "names", [])
+    if len(names) > len(command.slots):
+        raise KeyError(f"too many positional names for {name}")
+    for i, slot in enumerate(command.slots):
         if getattr(args, slot, None) is None:
-            setattr(args, slot, value)
-    for slot in slots:
-        if not hasattr(args, slot):
-            setattr(args, slot, None)
-    for slot in _REQUIRED_SLOTS.get(args.command, ()):
+            setattr(args, slot, names[i] if i < len(names) else None)
+    for slot in command.slots[:command.required]:
         if getattr(args, slot) is None:
-            raise KeyError(f"{args.command} needs a {slot} operand")
+            raise KeyError(f"{name} needs a {slot} operand")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     started = time.perf_counter()
     try:
         with open(args.model, encoding="utf-8") as handle:
@@ -578,8 +486,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         model = parse_model(text)
-        _assign_positionals(args)
-        report = run_command(model, args.command, args)
+        _assign_operands(args.command, command, args)
+        resolved = {}
+        if "lambda" in command.flags:
+            resolved["structure"] = model.structure(args.structure)
+        if "volume" in command.flags:
+            resolved["volume"] = model.volume(args.volume)
+        report = command.handler(model, args, **resolved)
     except (ModelError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -587,8 +500,12 @@ def main(argv=None) -> int:
     timing_ms = int(round((time.perf_counter() - started) * 1000))
     rendered = report.to_json(timing_ms) + "\n" if args.json else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return report.exit_code

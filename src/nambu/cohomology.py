@@ -33,12 +33,12 @@ from .modular import VolumeSpec, delta, modular_tensor
 from .structures import NambuStructure, leibniz_bracket, sharp
 from .truncation import (
     Label,
-    LabelledSystem,
     TruncatedBasis,
     TruncatedOperator,
     ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
+    solve_labelled,
 )
 
 
@@ -262,6 +262,12 @@ def _tangent_chain_vectors(structure: NambuStructure, degree: int, bound: int,
     return domain, [list(v) for v in stacked.nullspace()]
 
 
+def _check_homology_volume(volume: VolumeSpec) -> None:
+    if not volume.weight.is_zero() or not volume.coefficient.is_constant():
+        raise ValueError("truncated homology needs a constant-coefficient, "
+                         "weight-free volume")
+
+
 def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
                            degree: int, bound: int) -> int:
     """Truncated homology of the boundary on tangent multivectors.
@@ -274,12 +280,22 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
     n = structure.order
     if not 0 <= degree <= n:
         raise ValueError("homology degree out of range 0..n")
-    if not volume.weight.is_zero() or not volume.coefficient.is_constant():
-        raise ValueError("truncated homology needs a constant-coefficient, "
-                         "weight-free volume")
-    chart = structure.chart
+    _check_homology_volume(volume)
     annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound))
+    above_annihilators = []
+    if degree < n:
+        above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
+    return _canonical_dimension_at(structure, volume, degree, bound,
+                                   annihilators, above_annihilators)
 
+
+def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
+                            degree: int, bound: int, annihilators: list[GradedTensor],
+                            above_annihilators: list[GradedTensor]) -> int:
+    """Canonical homology at one degree, given the reduced annihilator 1-forms
+    at ``bound`` and (used below the top degree) at ``bound + 1``."""
+    n = structure.order
+    chart = structure.chart
     domain, chains = _tangent_chain_vectors(structure, degree, bound, annihilators)
     if degree >= 1:
         target = TruncatedBasis.build(chart, MULTIVECTOR, degree - 1, max(bound - 1, 0))
@@ -291,7 +307,6 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
 
     incoming_rank = 0
     if degree + 1 <= n:
-        above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
         above, above_chains = _tangent_chain_vectors(structure, degree + 1, bound + 1,
                                                      above_annihilators)
         incoming: list[list[Fraction]] = []
@@ -339,6 +354,26 @@ def subcomplex_check(structure: NambuStructure, volume: VolumeSpec,
 
 # -- polynomial decomposition helpers (two- and three-variable) -------------------
 
+def _equation_labels(polys: list[Polynomial]) -> dict[Label, Fraction]:
+    return {((eq_index,), exponent): coeff for eq_index, poly in enumerate(polys)
+            for exponent, coeff in poly.terms.items()}
+
+
+def _solve_equations(equations, unknown_count: int,
+                     targets: list[Polynomial]) -> list[Fraction] | None:
+    """Solve equations(values) == targets for a map linear in the unknowns.
+
+    Each unknown's column is the image of its unit vector.
+    """
+    columns = []
+    for pos in range(unknown_count):
+        probe = [Fraction(0)] * unknown_count
+        probe[pos] = Fraction(1)
+        columns.append(_equation_labels(equations(probe)))
+    solution, _ = solve_labelled(columns, _equation_labels(targets))
+    return None if solution is None else list(solution)
+
+
 @dataclass(frozen=True)
 class PairDecomposition:
     applicable: bool
@@ -376,40 +411,16 @@ def naka_pair(p: Polynomial, q: Polynomial) -> PairDecomposition:
         qt = Polynomial(names, dict(zip(monomials, values[2 + half:2 + 2 * half])))
         return a, b, pt, qt
 
-    columns = []
-    targets = [p, q, Polynomial.zero(names)]
-
     def equation_vector(a, b, pt, qt):
         return [a * v1 + b * v2 + radius * pt,
                 -b * v1 + a * v2 + radius * qt,
                 pt.diff(1) - qt.diff(0)]
 
-    unknown_count = 2 + 2 * len(monomials)
-    for pos in range(unknown_count):
-        probe = [Fraction(0)] * unknown_count
-        probe[pos] = Fraction(1)
-        columns.append(equation_vector(*unknown_split(probe)))
-
-    system = LabelledSystem()
-    rhs_rows: dict[int, Fraction] = {}
-    for eq_index, target in enumerate(targets):
-        for exponent, coeff in target.terms.items():
-            rhs_rows[system.row(((eq_index,), exponent))] = coeff
-    column_entries = []
-    for column in columns:
-        entries = {}
-        for eq_index, poly in enumerate(column):
-            for exponent, coeff in poly.terms.items():
-                entries[system.row(((eq_index,), exponent))] = coeff
-        column_entries.append(entries)
-    matrix = ExactMatrix(len(system.labels), unknown_count)
-    for j, entries in enumerate(column_entries):
-        for i, coeff in entries.items():
-            matrix.set(i, j, coeff)
-    outcome = matrix.solve([rhs_rows.get(i, Fraction(0)) for i in range(len(system.labels))])
-    if not outcome.feasible:
+    solution = _solve_equations(lambda values: equation_vector(*unknown_split(values)),
+                                2 + 2 * len(monomials), [p, q, Polynomial.zero(names)])
+    if solution is None:
         raise RuntimeError("decomposition solve failed although the hypothesis holds")
-    a, b, pt, qt = unknown_split(list(outcome.solution))
+    a, b, pt, qt = unknown_split(solution)
     checks = equation_vector(a, b, pt, qt)
     if checks[0] != p or checks[1] != q or not checks[2].is_zero():
         raise RuntimeError("decomposition re-substitution mismatch")
@@ -472,30 +483,11 @@ def naka_triple(a_poly: Polynomial, b_poly: Polynomial,
                 bt.diff(2) - ct.diff(1)]
 
     zero = Polynomial.zero(names)
-    targets = [a_poly, b_poly, c_poly, zero, zero, zero]
-    unknown_count = 1 + 3 * block
-    system = LabelledSystem()
-    rhs_rows: dict[int, Fraction] = {}
-    for eq_index, target in enumerate(targets):
-        for exponent, coeff in target.terms.items():
-            rhs_rows[system.row(((eq_index,), exponent))] = coeff
-    column_entries = []
-    for pos in range(unknown_count):
-        probe = [Fraction(0)] * unknown_count
-        probe[pos] = Fraction(1)
-        entries = {}
-        for eq_index, poly in enumerate(equation_vector(*unknown_split(probe))):
-            for exponent, coeff in poly.terms.items():
-                entries[system.row(((eq_index,), exponent))] = coeff
-        column_entries.append(entries)
-    matrix = ExactMatrix(len(system.labels), unknown_count)
-    for j, entries in enumerate(column_entries):
-        for i, coeff in entries.items():
-            matrix.set(i, j, coeff)
-    outcome = matrix.solve([rhs_rows.get(i, Fraction(0)) for i in range(len(system.labels))])
-    if not outcome.feasible:
+    solution = _solve_equations(lambda values: equation_vector(*unknown_split(values)),
+                                1 + 3 * block, [a_poly, b_poly, c_poly, zero, zero, zero])
+    if solution is None:
         raise RuntimeError("decomposition solve failed although the relations hold")
-    a, at, bt, ct = unknown_split(list(outcome.solution))
+    a, at, bt, ct = unknown_split(solution)
     checks = equation_vector(a, at, bt, ct)
     expected = [a_poly, b_poly, c_poly]
     if checks[:3] != expected or any(not r.is_zero() for r in checks[3:]):
@@ -549,15 +541,21 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
     compared.  Degree zero always agrees with the foliated value because both
     kernels are cut out by the same annihilator condition.
     """
+    if bound < 0:
+        raise ValueError("coefficient bound must be non-negative")
+    _check_homology_volume(volume)
     n = structure.order
     constant_structure = all(v.as_polynomial().is_constant()
                              for v in structure.tensor.components.values())
+    annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound))
+    above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
     rows = []
     holds = True
     for degree in range(n + 1):
-        foliated = foliated_cohomology_dim(structure, degree, bound).dimension
+        foliated = _foliated_dimension_at(structure, degree, bound)
         canonical_degree = n - degree
-        canonical = canonical_homology_dim(structure, volume, canonical_degree, bound)
+        canonical = _canonical_dimension_at(structure, volume, canonical_degree, bound,
+                                            annihilators, above_annihilators)
         np_dim: int | None
         if degree == 0:
             np_dim = foliated

@@ -122,7 +122,12 @@ class ModelFile:
         return self.binding(name, "lambda") if name else self._unique("lambda")
 
     def volume(self, name: str | None = None) -> VolumeSpec:
-        return self.binding(name, "volume") if name else self._unique("volume")
+        """The named volume; unnamed, the unique one, or the standard volume if none is bound."""
+        if name:
+            return self.binding(name, "volume")
+        if not any(b.kind == "volume" for b in self.bindings.values()):
+            return VolumeSpec.standard(self.chart)
+        return self._unique("volume")
 
     def scalar(self, name: str) -> Polynomial:
         return self.binding(name, "scalar")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import ExactMatrix, Polynomial, grlex_key
 from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor
@@ -135,40 +135,45 @@ class TruncatedOperator:
                     matrix.set(at, j, coeff)
         return cls(domain, codomain, matrix)
 
-    def compose(self, inner: "TruncatedOperator") -> "TruncatedOperator":
-        """self after inner; matrices multiply in the same order."""
-        if inner.codomain is not self.domain and inner.codomain != self.domain:
-            raise ValueError("operators are not composable")
-        return TruncatedOperator(inner.domain, self.codomain,
-                                 self.matrix.matmul(inner.matrix))
-
-    def apply(self, tensor: GradedTensor) -> GradedTensor:
-        vec = self.domain.to_coordinates(tensor)
-        return self.codomain.from_coordinates(self.matrix.apply(vec))
-
 
 Label = tuple[Index, Exponent]
+Certificate = tuple[tuple[Label, Fraction], ...]
 
 
-class LabelledSystem:
-    """Linear system whose rows are (component index, monomial) equations."""
+def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label, Fraction],
+                   ) -> tuple[tuple[Fraction, ...] | None, Certificate | None]:
+    """Solve target = sum c_j columns_j exactly, one equation per label.
 
-    def __init__(self):
-        self.labels: list[Label] = []
-        self.positions: dict[Label, int] = {}
-
-    def row(self, label: Label) -> int:
-        pos = self.positions.get(label)
-        if pos is None:
-            pos = len(self.labels)
-            self.positions[label] = pos
-            self.labels.append(label)
-        return pos
+    Rows are numbered in first-seen order: the target's labels, then each
+    column's in turn; certificates list their labels in that order.  Columns
+    are read once, so a generator keeps only the assembled matrix alive.
+    Returns (coefficients, None) when solvable, else (None, certificate)
+    with a labelled left-kernel functional separating the target from the span.
+    """
+    positions = {label: i for i, label in enumerate(target)}
+    rows: list[dict[int, Fraction]] = [{} for _ in positions]
+    width = 0
+    for column in columns:
+        for label, coeff in column.items():
+            i = positions.setdefault(label, len(rows))
+            if i == len(rows):
+                rows.append({})
+            rows[i][width] = coeff
+        width += 1
+    rhs = [target.get(label, Fraction(0)) for label in positions]
+    matrix = ExactMatrix(len(rows), width, rows)
+    del rows  # the matrix holds its own copy; free ours before eliminating
+    outcome = matrix.solve(rhs)
+    if outcome.feasible:
+        return outcome.solution, None
+    assert outcome.certificate is not None
+    return None, tuple((label, weight) for label, weight
+                       in zip(positions, outcome.certificate) if weight != 0)
 
 
 def solve_in_span(images: Sequence[GradedTensor],
                   target: GradedTensor) -> tuple[tuple[Fraction, ...] | None,
-                                                 tuple[tuple[Label, Fraction], ...] | None]:
+                                                 Certificate | None]:
     """Solve target = sum c_i images_i exactly.
 
     Images must be polynomial; the target may have rational-function
@@ -177,38 +182,23 @@ def solve_in_span(images: Sequence[GradedTensor],
     (None, certificate) with a labelled left-kernel functional separating
     the target from the span.
     """
-    system = LabelledSystem()
-    denominators: dict[Index, Polynomial] = {}
-    target_rows: dict[int, Fraction] = {}
-    for idx, value in target.components.items():
-        denominators[idx] = value.denominator
-        for exponent, coeff in value.numerator.terms.items():
-            target_rows[system.row((idx, exponent))] = coeff
+    denominators = {idx: value.denominator for idx, value in target.components.items()}
+    labelled_target = {(idx, exponent): coeff
+                       for idx, value in target.components.items()
+                       for exponent, coeff in value.numerator.terms.items()}
 
-    columns: list[dict[int, Fraction]] = []
-    for image in images:
-        entries: dict[int, Fraction] = {}
+    def column(image: GradedTensor) -> dict[Label, Fraction]:
+        entries: dict[Label, Fraction] = {}
         for idx, value in image.components.items():
             poly = value.as_polynomial()
             den = denominators.get(idx)
             if den is not None and not den.is_one():
                 poly = poly * den
             for exponent, coeff in poly.terms.items():
-                entries[system.row((idx, exponent))] = coeff
-        columns.append(entries)
+                entries[(idx, exponent)] = coeff
+        return entries
 
-    matrix = ExactMatrix(len(system.labels), len(columns))
-    for j, entries in enumerate(columns):
-        for i, coeff in entries.items():
-            matrix.set(i, j, coeff)
-    rhs = [target_rows.get(i, Fraction(0)) for i in range(len(system.labels))]
-    outcome = matrix.solve(rhs)
-    if outcome.feasible:
-        return outcome.solution, None
-    assert outcome.certificate is not None
-    certificate = tuple((label, weight) for label, weight
-                        in zip(system.labels, outcome.certificate) if weight != 0)
-    return None, certificate
+    return solve_labelled(map(column, images), labelled_target)
 
 
 def ker_sharp_basis(structure: NambuStructure, degree: int,

@@ -13,8 +13,6 @@ from nambu.algebra import (
     Polynomial,
     RationalFunction,
     matrix_from_columns,
-    nullspace,
-    solve_linear,
     variables,
 )
 
@@ -182,11 +180,6 @@ def test_matmul_matches_dense():
     a = ExactMatrix.from_dense([[1, 2], [3, 4]])
     b = ExactMatrix.from_dense([[0, 1], [1, 0]])
     assert (a @ b).to_dense() == [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]
-
-def test_module_level_wrappers():
-    matrix = ExactMatrix.from_dense([[1, 1]])
-    assert nullspace(matrix) == matrix.nullspace()
-    assert solve_linear(matrix, [2]).feasible
 
 def test_matrix_from_columns():
     matrix = matrix_from_columns([(Fraction(1), Fraction(0)), (Fraction(2), Fraction(5))], 2)

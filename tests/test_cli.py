@@ -244,6 +244,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["command"] == "modular"
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    code = main(["modular", SINGULAR, "--out", str(tmp_path / "missing" / "report.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.out == ""
+
+
 def test_missing_model_file_is_usage_error(capsys):
     code = main(["check", "/nonexistent/path.nmb"])
     capsys.readouterr()
