@@ -30,7 +30,6 @@ from .exterior import (
     Chart,
     GradedTensor,
     contract_form,
-    contract_vector,
     ext_d,
     interior_form,
     lie_form,

@@ -15,16 +15,21 @@ representative.
 The matrix layer is a sparse row-dict Gauss-Jordan elimination with an
 attached transform, which yields exact nullspace bases and, for inconsistent
 systems, an explicit infeasibility certificate (a left-kernel row ``y`` with
-``y*A = 0`` and ``y*b != 0``).
+``y*A = 0`` and ``y*b != 0``).  A column or coordinate vector is a
+``SparseVector``: a map from position to its non-zero ``Fraction``; zeros are
+never stored.  Nullspace bases are returned in this format and
+``matrix_from_columns`` reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
+
+SparseVector = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -507,7 +512,11 @@ class LinearSolveResult:
 
 
 class ExactMatrix:
-    """Sparse exact rational matrix with row-dict storage."""
+    """Sparse exact rational matrix with row-dict storage.
+
+    The matrix owns the row dicts it is given: callers hand them over and do
+    not change them afterwards.
+    """
 
     __slots__ = ("rows", "cols", "_rows")
 
@@ -522,7 +531,7 @@ class ExactMatrix:
         else:
             if len(row_dicts) != rows:
                 raise ValueError("row count mismatch")
-            self._rows = [dict(r) for r in row_dicts]
+            self._rows = row_dicts
 
     @classmethod
     def from_dense(cls, entries: Sequence[Sequence[int | Fraction]]) -> "ExactMatrix":
@@ -537,13 +546,6 @@ class ExactMatrix:
                 v = _as_fraction(value)
                 if v != 0:
                     out._rows[i][j] = v
-        return out
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        out = cls(n, n)
-        for i in range(n):
-            out._rows[i][i] = ONE
         return out
 
     def get(self, i: int, j: int) -> Fraction:
@@ -581,14 +583,6 @@ class ExactMatrix:
         return out
 
     __matmul__ = matmul
-
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self._rows:
-            out.append(sum((c * vector[j] for j, c in row.items()), ZERO))
-        return out
 
     def _rref(self, with_transform: bool = False):
         """Gauss-Jordan elimination.
@@ -659,7 +653,7 @@ class ExactMatrix:
     def rank(self) -> int:
         return len(self.pivot_columns())
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
+    def nullspace(self) -> list[SparseVector]:
         """Exact basis of the kernel; empty list when the kernel is trivial.
 
         rank + len(result) == cols always holds.  Basis vectors are indexed by
@@ -667,17 +661,12 @@ class ExactMatrix:
         """
         pivots, reduced, _ = self._rref()
         pivot_set = set(pivots)
-        free_cols = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for free in free_cols:
-            vec = [ZERO] * self.cols
-            vec[free] = ONE
-            for row_pos, pivot_col in enumerate(pivots):
-                coeff = reduced[row_pos].get(free)
-                if coeff:
-                    vec[pivot_col] = -coeff
-            basis.append(tuple(vec))
-        return basis
+        basis = {free: {free: ONE} for free in range(self.cols) if free not in pivot_set}
+        for row, pivot_col in zip(reduced, pivots):
+            for free, coeff in row.items():
+                if free != pivot_col:
+                    basis[free][pivot_col] = -coeff
+        return list(basis.values())
 
     def solve(self, rhs: Sequence[int | Fraction]) -> LinearSolveResult:
         """Solve ``A*x = b`` exactly, or certify that no solution exists."""
@@ -698,12 +687,9 @@ class ExactMatrix:
             x[pivot_col] = tb[row_pos]
         return LinearSolveResult(solution=tuple(x), certificate=None)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self._rows[i].get(j, ZERO) for i in range(self.rows))
-
     def row_dicts(self) -> list[dict[int, Fraction]]:
-        """Copies of the sparse rows, for stacking matrices."""
-        return [dict(r) for r in self._rows]
+        """The sparse rows themselves, not copies; callers must not change them."""
+        return self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -715,13 +701,14 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def matrix_from_columns(columns: Sequence[Sequence[Fraction]], nrows: int) -> ExactMatrix:
-    """Assemble a matrix whose j-th column is ``columns[j]``."""
-    out = ExactMatrix(nrows, len(columns))
-    for j, col in enumerate(columns):
-        if len(col) != nrows:
-            raise ValueError("column length mismatch")
-        for i, v in enumerate(col):
-            if v != 0:
-                out._rows[i][j] = v
-    return out
+def matrix_from_columns(columns: Iterable[SparseVector], nrows: int) -> ExactMatrix:
+    """Assemble a matrix whose j-th column is the j-th sparse vector given."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    width = 0
+    for column in columns:
+        for i, value in column.items():
+            if not 0 <= i < nrows:
+                raise ValueError(f"row index {i} outside 0..{nrows - 1}")
+            rows[i][width] = value
+        width += 1
+    return ExactMatrix(nrows, width, rows)

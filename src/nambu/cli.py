@@ -391,7 +391,8 @@ class Command:
     """One subcommand.
 
     Positional names fill ``slots`` in order, and the first ``required`` of
-    them must be given; a flag with the same destination wins over a name.
+    them must be given; a slot filled both by a name and by the flag with the
+    same destination is a usage error.
     ``flags`` are keys of ``FLAGS``.  With ``lambda`` among them the handler
     gets the resolved ``structure``, with ``volume`` the resolved ``volume``.
     """
@@ -467,7 +468,11 @@ def _assign_operands(name: str, command: Command, args) -> None:
     if len(names) > len(command.slots):
         raise KeyError(f"too many positional names for {name}")
     for i, slot in enumerate(command.slots):
-        if getattr(args, slot, None) is None:
+        flagged = getattr(args, slot, None)
+        if flagged is not None and i < len(names):
+            flag = next(f for f in command.flags if FLAGS[f].get("dest", f) == slot)
+            raise KeyError(f"{slot} given both as {names[i]!r} and by --{flag}")
+        if flagged is None:
             setattr(args, slot, names[i] if i < len(names) else None)
     for slot in command.slots[:command.required]:
         if getattr(args, slot) is None:

@@ -15,7 +15,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ExactMatrix, Polynomial, RationalFunction, matrix_from_columns
+from .algebra import (
+    ONE,
+    ExactMatrix,
+    Polynomial,
+    RationalFunction,
+    SparseVector,
+    matrix_from_columns,
+)
 from .exterior import (
     FORM,
     MULTIVECTOR,
@@ -44,13 +51,13 @@ from .truncation import (
 
 # -- shared linear-algebra helpers --------------------------------------------
 
-def _rank_of_vectors(vectors: list[list[Fraction]], length: int) -> int:
+def _rank_of_vectors(vectors: list[SparseVector], length: int) -> int:
     if not vectors:
         return 0
     return matrix_from_columns(vectors, length).rank()
 
 
-def _span_rank_extension(base: list[list[Fraction]], candidates: list[list[Fraction]],
+def _span_rank_extension(base: list[SparseVector], candidates: list[SparseVector],
                          length: int) -> tuple[int, list[int]]:
     """Rank of the base span and the indices of candidates that extend it greedily.
 
@@ -62,7 +69,7 @@ def _span_rank_extension(base: list[list[Fraction]], candidates: list[list[Fract
     return base_rank, [pos - len(base) for pos in pivots[base_rank:]]
 
 
-def _annihilates(matrix: ExactMatrix, vectors: list[list[Fraction]]) -> bool:
+def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
     """Whether the matrix sends every vector to zero, as one sparse product."""
     return not any((matrix @ matrix_from_columns(vectors, matrix.cols)).row_dicts())
 
@@ -100,7 +107,7 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
         cocycle_op = None
         cocycle_dimension = len(domain)
 
-    boundary_vectors: list[list[Fraction]] = []
+    boundary_vectors: list[SparseVector] = []
     if degree >= 1:
         previous = TruncatedBasis.build(chart, FORM, degree - 1, bound + 1)
         for j in range(len(previous)):
@@ -110,7 +117,7 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
         domain,
         TruncatedBasis.build(chart, MULTIVECTOR, n - degree, bound + spread),
         lambda form: sharp(structure, degree, form))
-    boundary_vectors.extend(list(v) for v in kernel_op.matrix.nullspace())
+    boundary_vectors.extend(kernel_op.matrix.nullspace())
 
     if cocycle_op is not None and not _annihilates(cocycle_op.matrix, boundary_vectors):
         raise RuntimeError("coboundary vector escapes the cocycle space; "
@@ -177,9 +184,9 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     codomain = TruncatedBasis.build(chart, FORM, 2, bound + max(deg_f - 1, 0))
     cocycle_op = TruncatedOperator.build(
         domain, codomain, lambda form: np_cocycle_check_top(coefficient, form))
-    cocycles = [list(v) for v in cocycle_op.matrix.nullspace()]
+    cocycles = cocycle_op.matrix.nullspace()
 
-    coboundaries: list[list[Fraction]] = []
+    coboundaries: list[SparseVector] = []
     f_scalar = chart.scalar(coefficient)
     for exponent in monomials_up_to(chart.dimension, bound + 1 - deg_f):
         if sum(exponent) == 0:
@@ -241,14 +248,13 @@ def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
 
 def _tangent_chain_vectors(structure: NambuStructure, degree: int, bound: int,
                            annihilators: list[GradedTensor],
-                           ) -> tuple[TruncatedBasis, list[list[Fraction]]]:
+                           ) -> tuple[TruncatedBasis, list[SparseVector]]:
     """Coordinate basis of bounded-degree multivectors killed by the given
     annihilator 1-forms of the structure; degree 0 is unconstrained."""
     chart = structure.chart
     domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
     if not annihilators or degree == 0:
-        identity = ExactMatrix.identity(len(domain))
-        return domain, [list(identity.column(j)) for j in range(len(domain))]
+        return domain, [{j: ONE} for j in range(len(domain))]
     anni_bound = max(a.components[idx].as_polynomial().total_degree()
                      for a in annihilators for idx in a.components)
     codomain = TruncatedBasis.build(chart, MULTIVECTOR, degree - 1,
@@ -258,8 +264,7 @@ def _tangent_chain_vectors(structure: NambuStructure, degree: int, bound: int,
         block = TruncatedOperator.build(
             domain, codomain, lambda field, a=annihilator: contract_form(a, field)).matrix
         rows.extend(block.row_dicts())
-    stacked = ExactMatrix(len(rows), len(domain), rows)
-    return domain, [list(v) for v in stacked.nullspace()]
+    return domain, ExactMatrix(len(rows), len(domain), rows).nullspace()
 
 
 def _check_homology_volume(volume: VolumeSpec) -> None:
@@ -309,7 +314,7 @@ def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
     if degree + 1 <= n:
         above, above_chains = _tangent_chain_vectors(structure, degree + 1, bound + 1,
                                                      above_annihilators)
-        incoming: list[list[Fraction]] = []
+        incoming: list[SparseVector] = []
         for vec in above_chains:
             image = delta(volume, above.from_coordinates(vec))
             if image.degree >= 1 and any(not contract_form(a, image).is_zero()
@@ -347,7 +352,7 @@ def subcomplex_check(structure: NambuStructure, volume: VolumeSpec,
     images = [sharp(structure, 1, domain.tensor_of(j)) for j in range(len(domain))]
     solution, certificate = solve_in_span(images, tensor)
     if solution is not None:
-        witness = domain.from_coordinates(solution)
+        witness = domain.from_coordinates({j: c for j, c in enumerate(solution) if c})
         return SubcomplexReport(True, bound, witness, None)
     return SubcomplexReport(False, bound, None, certificate)
 

@@ -6,7 +6,7 @@ determinant pairing <dx^I, e_J> = delta_{I,J} on sorted multi-indices fixes
 every sign in the module; both contraction operators are its adjoints,
 
     <gamma, contract_form(beta, P)>  = <beta ^ gamma, P>
-    <contract_vector(Q, nu), R>      = <nu, Q ^ R>
+    <interior_form(Q, omega), R>     = <omega, Q ^ R>
 
 with the contracted factor in front.  The single golden identity
 
@@ -403,25 +403,12 @@ def contract_form(form: GradedTensor, field: GradedTensor) -> GradedTensor:
     return result
 
 
-def contract_vector(field: GradedTensor, volume_form: GradedTensor) -> GradedTensor:
-    """Contraction of a k-multivector into a top-degree form.
-
-    Adjoint convention: <contract_vector(Q, nu), R> = <nu, Q ^ R>.
-    """
-    if field.variance != MULTIVECTOR or volume_form.variance != FORM:
-        raise ValueError("contract_vector expects (multivector, form)")
-    if field.chart != volume_form.chart:
-        raise ValueError("tensors live on different charts")
-    if volume_form.degree != volume_form.chart.dimension:
-        raise ValueError("contract_vector requires a top-degree form")
-    return interior_form(field, volume_form)
-
-
 def interior_form(field: GradedTensor, form: GradedTensor) -> GradedTensor:
     """Interior product of a k-multivector into a p-form (front convention).
 
-    For p = m this is ``contract_vector``; for vector fields it is the usual
-    i(X).  Degrees k > p give the zero (p-k < 0 -> degree-0) tensor.
+    Adjoint convention: <interior_form(Q, omega), R> = <omega, Q ^ R>.  For
+    vector fields it is the usual i(X).  Degrees k > p give the zero
+    (p-k < 0 -> degree-0) tensor.
     """
     if field.variance != MULTIVECTOR or form.variance != FORM:
         raise ValueError("interior_form expects (multivector, form)")

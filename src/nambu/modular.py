@@ -20,7 +20,6 @@ from .exterior import (
     GradedTensor,
     apply_vector,
     contract_form,
-    contract_vector,
     differential,
     ext_d,
     interior_form,
@@ -109,7 +108,7 @@ def flat(volume: VolumeSpec, field: GradedTensor) -> WeightedForm:
         raise ValueError("flat expects a multivector")
     if field.chart != volume.chart:
         raise ValueError("chart mismatch")
-    return WeightedForm(volume.weight, contract_vector(field, volume.body_form()))
+    return WeightedForm(volume.weight, interior_form(field, volume.body_form()))
 
 
 def flat_inverse(volume: VolumeSpec, theta: WeightedForm) -> GradedTensor:

@@ -3,9 +3,11 @@
 A truncated basis enumerates, in a fixed deterministic order, all pairs of a
 strictly increasing index tuple and a monomial of bounded total degree.  This
 turns every coefficient-polynomial operator into an exact rational matrix.
-Degree bookkeeping is strict: converting a tensor to coordinates raises when
-any component falls outside the basis, so images are never silently clipped;
-codomain bounds must be chosen to contain them.
+Coordinate vectors are ``SparseVector``s of ``algebra``: a map from basis
+position to non-zero coefficient, with no stored zeros.  Degree bookkeeping
+is strict: converting a tensor to coordinates raises when any component
+falls outside the basis, so images are never silently clipped; codomain
+bounds must be chosen to contain them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .algebra import ExactMatrix, Polynomial, grlex_key
+from .algebra import ExactMatrix, Polynomial, SparseVector, grlex_key, matrix_from_columns
 from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor
 from .structures import NambuStructure, sharp
 
@@ -66,6 +69,7 @@ class TruncatedBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
     def positions(self) -> dict[tuple[Index, Exponent], int]:
         return {element: i for i, element in enumerate(self.elements)}
 
@@ -74,19 +78,17 @@ class TruncatedBasis:
         coeff = Polynomial.monomial(self.chart.coordinates, mono)
         return GradedTensor(self.chart, self.variance, self.degree, {idx: coeff})
 
-    def to_coordinates(self, tensor: GradedTensor) -> list[Fraction]:
+    def to_coordinates(self, tensor: GradedTensor) -> SparseVector:
         """Coordinate vector of a tensor; raises if it lies outside the basis."""
         if tensor.chart != self.chart or tensor.variance != self.variance:
             raise ValueError("tensor does not match the basis chart/variance")
         if tensor.degree != self.degree and not tensor.is_zero():
             raise ValueError("tensor degree does not match the basis")
-        vec = [Fraction(0)] * len(self.elements)
-        pos = self.positions()
+        vec: SparseVector = {}
+        pos = self.positions
         for idx, value in tensor.components.items():
-            poly = value.as_polynomial()
-            for exponent, coeff in poly.terms.items():
-                key = (idx, exponent)
-                at = pos.get(key)
+            for exponent, coeff in value.as_polynomial().terms.items():
+                at = pos.get((idx, exponent))
                 if at is None:
                     raise ValueError(
                         f"component {idx} monomial {exponent} exceeds the "
@@ -94,13 +96,13 @@ class TruncatedBasis:
                 vec[at] = coeff
         return vec
 
-    def from_coordinates(self, vector: Sequence[Fraction]) -> GradedTensor:
-        if len(vector) != len(self.elements):
-            raise ValueError("coordinate vector has the wrong length")
+    def from_coordinates(self, vector: SparseVector) -> GradedTensor:
+        size = len(self.elements)
         components: dict[Index, dict[Exponent, Fraction]] = {}
-        for (idx, mono), coeff in zip(self.elements, vector):
-            if coeff == 0:
-                continue
+        for at, coeff in vector.items():
+            if not 0 <= at < size:
+                raise ValueError(f"coordinate position {at} outside 0..{size - 1}")
+            idx, mono = self.elements[at]
             components.setdefault(idx, {})[mono] = coeff
         return GradedTensor(self.chart, self.variance, self.degree, {
             idx: Polynomial(self.chart.coordinates, terms)
@@ -118,21 +120,9 @@ class TruncatedOperator:
     @classmethod
     def build(cls, domain: TruncatedBasis, codomain: TruncatedBasis,
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
-        matrix = ExactMatrix(len(codomain), len(domain))
-        pos = codomain.positions()
-        for j in range(len(domain)):
-            image = mapping(domain.tensor_of(j))
-            if image.is_zero():
-                continue
-            for idx, value in image.components.items():
-                poly = value.as_polynomial()
-                for exponent, coeff in poly.terms.items():
-                    at = pos.get((idx, exponent))
-                    if at is None:
-                        raise ValueError(
-                            "operator image leaves the codomain basis at "
-                            f"component {idx}, monomial {exponent}")
-                    matrix.set(at, j, coeff)
+        matrix = matrix_from_columns(
+            (codomain.to_coordinates(mapping(domain.tensor_of(j))) for j in range(len(domain))),
+            len(codomain))
         return cls(domain, codomain, matrix)
 
 
@@ -161,9 +151,7 @@ def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label,
             rows[i][width] = coeff
         width += 1
     rhs = [target.get(label, Fraction(0)) for label in positions]
-    matrix = ExactMatrix(len(rows), width, rows)
-    del rows  # the matrix holds its own copy; free ours before eliminating
-    outcome = matrix.solve(rhs)
+    outcome = ExactMatrix(len(rows), width, rows).solve(rhs)
     if outcome.feasible:
         return outcome.solution, None
     assert outcome.certificate is not None

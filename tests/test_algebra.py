@@ -140,23 +140,30 @@ def test_rational_normalization_idempotent_random(num, den):
 
 # -- exact matrices ----------------------------------------------------------
 
+def _times(matrix, vector):
+    """matrix * vector for a dense vector, as a sparse matrix product."""
+    column = {j: v for j, v in enumerate(vector) if v != 0}
+    return [row[0] for row in (matrix @ matrix_from_columns([column], matrix.cols)).to_dense()]
+
+def _kills(matrix, basis):
+    return not any((matrix @ matrix_from_columns(basis, matrix.cols)).row_dicts())
+
 def test_nullspace_of_identity_is_empty():
-    assert ExactMatrix.identity(2).nullspace() == []
+    assert ExactMatrix.from_dense([[1, 0], [0, 1]]).nullspace() == []
 
 def test_nullspace_of_single_row():
     basis = ExactMatrix.from_dense([[1, 1]]).nullspace()
-    assert basis == [(Fraction(-1), Fraction(1))]
+    assert basis == [{0: Fraction(-1), 1: Fraction(1)}]
 
 def test_nullspace_dimension_rank_nullity():
     matrix = ExactMatrix.from_dense([[1, 2, 3], [2, 4, 6]])
     basis = matrix.nullspace()
-    assert len(basis) == 2
+    assert basis == [{1: Fraction(1), 0: Fraction(-2)}, {2: Fraction(1), 0: Fraction(-3)}]
     assert matrix.rank() + len(basis) == matrix.cols
-    for vec in basis:
-        assert all(v == 0 for v in matrix.apply(list(vec)))
+    assert _kills(matrix, basis)
 
 def test_solve_identity():
-    outcome = ExactMatrix.identity(2).solve([3, 5])
+    outcome = ExactMatrix.from_dense([[1, 0], [0, 1]]).solve([3, 5])
     assert outcome.feasible
     assert outcome.solution == (Fraction(3), Fraction(5))
 
@@ -164,7 +171,7 @@ def test_solve_underdetermined_particular_solution():
     matrix = ExactMatrix.from_dense([[1, 1]])
     outcome = matrix.solve([2])
     assert outcome.feasible
-    assert matrix.apply(list(outcome.solution)) == [Fraction(2)]
+    assert _times(matrix, outcome.solution) == [Fraction(2)]
 
 def test_solve_infeasible_has_certificate():
     matrix = ExactMatrix.from_dense([[1], [1]])
@@ -182,8 +189,11 @@ def test_matmul_matches_dense():
     assert (a @ b).to_dense() == [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]
 
 def test_matrix_from_columns():
-    matrix = matrix_from_columns([(Fraction(1), Fraction(0)), (Fraction(2), Fraction(5))], 2)
+    matrix = matrix_from_columns([{0: Fraction(1)}, {0: Fraction(2), 1: Fraction(5)}], 2)
     assert matrix.to_dense() == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(5)]]
+    for outside in (2, -1):
+        with pytest.raises(ValueError):
+            matrix_from_columns([{outside: Fraction(1)}], 2)
 
 
 frac_rows = st.lists(st.lists(coeffs, min_size=3, max_size=3), min_size=1, max_size=4)
@@ -195,15 +205,15 @@ def test_nullspace_vectors_annihilated(rows):
     matrix = ExactMatrix.from_dense(rows)
     basis = matrix.nullspace()
     assert matrix.rank() + len(basis) == matrix.cols
-    for vec in basis:
-        assert all(v == 0 for v in matrix.apply(list(vec)))
+    assert all(v != 0 for vec in basis for v in vec.values())
+    assert _kills(matrix, basis)
 
 
 @given(frac_rows, st.lists(coeffs, min_size=3, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_solve_either_solves_or_certifies(rows, seed_solution):
     matrix = ExactMatrix.from_dense(rows)
-    rhs = matrix.apply(seed_solution[:matrix.cols])
+    rhs = _times(matrix, seed_solution[:matrix.cols])
     outcome = matrix.solve(rhs)
     assert outcome.feasible
-    assert matrix.apply(list(outcome.solution)) == rhs
+    assert _times(matrix, outcome.solution) == rhs

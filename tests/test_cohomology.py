@@ -69,12 +69,22 @@ def test_basis_size_formula():
 def test_basis_round_trip():
     basis = TruncatedBasis.build(R3, FORM, 1, 2)
     form = dx(R3, 1).scale(x1 * x2) - dx(R3, 3).scale(2)
-    assert basis.from_coordinates(basis.to_coordinates(form)) == form
+    vector = basis.to_coordinates(form)
+    assert sorted(vector.values()) == [Fraction(-2), Fraction(1)]
+    assert basis.from_coordinates(vector) == form
 
 def test_basis_rejects_overflow():
     basis = TruncatedBasis.build(R3, FORM, 1, 1)
     with pytest.raises(ValueError):
         basis.to_coordinates(dx(R3, 1).scale(x1 * x2))
+
+def test_images_and_positions_outside_the_basis_are_rejected():
+    constants = TruncatedBasis.build(R3, FORM, 1, 0)
+    with pytest.raises(ValueError):
+        TruncatedOperator.build(TruncatedBasis.build(R3, FORM, 0, 2), constants, ext_d)
+    for outside in (len(constants), -1):
+        with pytest.raises(ValueError):
+            constants.from_coordinates({outside: Fraction(1)})
 
 def test_d_after_d_is_the_zero_matrix():
     low = TruncatedBasis.build(R3, FORM, 0, 3)
@@ -518,15 +528,19 @@ F = Fraction
 @settings(max_examples=80, deadline=None)
 def test_span_rank_extension_matches_greedy_rerank(case):
     length, base, candidates = case
-    assert _span_rank_extension(base, candidates, length) == \
+
+    def sparse(vectors):
+        return [{i: v for i, v in enumerate(vec) if v != 0} for vec in vectors]
+
+    assert _span_rank_extension(sparse(base), sparse(candidates), length) == \
         _greedy_rank_extension(base, candidates)
 
 
 def test_annihilates_is_the_containment_check():
     matrix = ExactMatrix.from_dense([[1, -1], [2, -2]])
     assert _annihilates(matrix, [])
-    assert _annihilates(matrix, [[F(1), F(1)], [F(-3), F(-3)]])
-    assert not _annihilates(matrix, [[F(1), F(1)], [F(1), F(0)]])
+    assert _annihilates(matrix, [{0: F(1), 1: F(1)}, {0: F(-3), 1: F(-3)}])
+    assert not _annihilates(matrix, [{0: F(1), 1: F(1)}, {0: F(1)}])
 
 
 # -- duality -------------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from nambu.exterior import (
     GradedTensor,
     apply_vector,
     contract_form,
-    contract_vector,
     differential,
     ext_d,
     interior_form,
@@ -106,15 +105,11 @@ def test_contract_form_full_degree():
 def test_contract_form_single():
     assert contract_form(dx(R3, 1), ee(R3, 1, 2, 3)) == ee(R3, 2, 3)
 
-def test_contract_vector_golden():
+def test_interior_form_golden():
     vol = dx(R3, 1, 2, 3)
-    assert contract_vector(ee(R3, 1, 2), vol) == dx(R3, 3)
-    assert contract_vector(ee(R3, 1), vol) == dx(R3, 2, 3)
-    assert contract_vector(ee(R3, 1, 2).scale(x1), vol) == dx(R3, 3).scale(x1)
-
-def test_contract_vector_needs_top_degree():
-    with pytest.raises(ValueError):
-        contract_vector(ee(R3, 1), dx(R3, 1, 2))
+    assert interior_form(ee(R3, 1, 2), vol) == dx(R3, 3)
+    assert interior_form(ee(R3, 1), vol) == dx(R3, 2, 3)
+    assert interior_form(ee(R3, 1, 2).scale(x1), vol) == dx(R3, 3).scale(x1)
 
 def test_contract_form_degree_error():
     with pytest.raises(ValueError):

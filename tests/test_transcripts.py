@@ -58,10 +58,9 @@ CASES = [
     ("subcomplex-certificate", f"subcomplex {SINGULAR} --degree-bound 3", 1),
     ("duality-regular", f"duality {REGULAR3} --volume V --degree-bound 2", 0),
     ("modular-standard-volume", f"modular {SPACE}", 0),
-    # operands: --lambda wins over a positional name
-    ("modular-lambda-overrides", f"modular {SINGULAR} nosuch --lambda L", 0),
-    ("sharp-lambda-overrides", f"sharp {SINGULAR} a nosuch --lambda L", 0),
     # usage errors
+    ("modular-lambda-overrides", f"modular {SINGULAR} nosuch --lambda L", 2),
+    ("sharp-lambda-overrides", f"sharp {SINGULAR} a nosuch --lambda L", 2),
     ("sharp-too-many-names", f"sharp {SINGULAR} a L extra", 2),
     ("sharp-missing-operand", f"sharp {SINGULAR}", 2),
     ("sharp-unknown-binding", f"sharp {SINGULAR} nosuch", 2),
