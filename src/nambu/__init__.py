@@ -67,7 +67,6 @@ from .structures import (
     leibniz_bracket,
     nambu_bracket,
     sharp,
-    validate,
 )
 from .truncation import TruncatedBasis, TruncatedOperator, ker_sharp_basis
 

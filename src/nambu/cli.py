@@ -236,9 +236,13 @@ def _cmd_h1_top(model: ModelFile, args, structure) -> Report:
 
 def _cmd_foliated(model: ModelFile, args, structure) -> Report:
     outcome = foliated_cohomology_dim(structure, args.degree, args.degree_bound)
-    stab = "stable" if outcome.stabilized else "not yet stable"
+    if outcome.previous_dimension is None:
+        stab = "no smaller bound to compare"
+    else:
+        stab = "stable" if outcome.stabilized else "not yet stable"
+        stab += f" vs bound {args.degree_bound - 1}"
     lines = [f"foliated cohomology degree {args.degree} at bound {args.degree_bound}: "
-             f"dimension {outcome.dimension} ({stab} vs bound {args.degree_bound - 1})"]
+             f"dimension {outcome.dimension} ({stab})"]
     return Report("foliated", {"degree": args.degree},
                   {"dimension": outcome.dimension,
                    "previous_dimension": outcome.previous_dimension,

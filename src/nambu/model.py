@@ -159,13 +159,9 @@ class ModelFile:
         return "\n".join(lines) + "\n"
 
 
-def _render_scalar(value: Polynomial) -> str:
-    return str(value)
-
-
 def _render_binding(chart: Chart, entry: Binding) -> str:
     if entry.kind == "scalar":
-        return f"scalar {entry.name} = {_render_scalar(entry.value)}"
+        return f"scalar {entry.name} = {entry.value}"
     if entry.kind in ("form", "mv"):
         return f"{entry.kind} {entry.name} = {format_tensor(entry.value)}"
     if entry.kind == "lambda":
@@ -226,12 +222,12 @@ class _Parser:
             negate = True
         value, _ = self.parse_term()
         if negate:
-            value = self._negate(value)
+            value = -value
         while (token := self.peek()) is not None and token.text in ("+", "-"):
             self.next()
             rhs, _ = self.parse_term()
             if token.text == "-":
-                rhs = self._negate(rhs)
+                rhs = -rhs
             value = self._add(value, rhs, token)
         return value
 
@@ -309,10 +305,6 @@ class _Parser:
         raise self.error("unknown name", token)
 
     # -- value algebra ---------------------------------------------------------
-
-    @staticmethod
-    def _negate(value):
-        return -value
 
     def _as_int(self, value, token: Token) -> int:
         if isinstance(value, Polynomial) and value.is_constant():
@@ -396,7 +388,7 @@ def _parse_space(tokens: list[Token]) -> Chart:
         raise ModelError(str(exc), tokens[0].line, tokens[0].column) from None
 
 
-def _parse_volume(parser: _Parser, tokens_rest: list[Token], name: str) -> VolumeSpec:
+def _parse_volume(parser: _Parser, tokens_rest: list[Token]) -> VolumeSpec:
     chart = parser.chart
     if not tokens_rest:
         last = parser.tokens[-1]
@@ -467,7 +459,7 @@ def parse_model(text: str) -> ModelFile:
         parser.expect("=")
 
         if kind == "volume":
-            value: object = _parse_volume(parser, tokens[parser.pos:], name)
+            value: object = _parse_volume(parser, tokens[parser.pos:])
         else:
             expression = parser.parse_expression()
             if kind == "scalar":

@@ -77,8 +77,7 @@ class VolumeSpec:
         if not self.coefficient.is_one():
             text = f"({self.coefficient}) * std"
         if not self.weight.is_zero():
-            text = f"exp(-({self.weight})) * " + (
-                text if text == "std" else text)
+            text = f"exp(-({self.weight})) * {text}"
         return text
 
 

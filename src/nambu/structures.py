@@ -1,12 +1,14 @@
 """Nambu-Poisson structures of order n >= 3 on a coordinate chart.
 
-A structure is an n-multivector with polynomial components.  Validity is
-evidence-based: the fundamental identity is checked symbolically over a
-finite generating family (a necessary condition, not a decision procedure
-for all smooth functions), and pointwise decomposability is checked through
-Plucker-type contraction identities, which is a complete algebraic test.
-A structure is accepted as valid when both checks pass; reports always name
-the family that was used.
+A structure is an n-multivector with polynomial components.  Two checks
+gather evidence of validity.  The fundamental identity says that every
+Hamiltonian field X_I of n-1 functions f_I is an infinitesimal automorphism,
+L_{X_I} Lambda = 0; it is evaluated symbolically over a finite generating
+family as <df_J, L_{X_I} Lambda> for every (n-1)-subset I and n-subset J, so
+a pass certifies the named family only (a necessary condition, not a
+decision procedure for all smooth functions).  Pointwise decomposability is
+checked through Plucker-type contraction identities, which is a complete
+algebraic test.  Reports always name the family that was used.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .exterior import (
     MULTIVECTOR,
     Chart,
     GradedTensor,
-    apply_vector,
     contract_form,
     differential,
     ext_d,
@@ -73,20 +74,10 @@ class DecomposabilityReport:
     residual: GradedTensor | None = None
 
 
-@dataclass(frozen=True)
-class ValidityEvidence:
-    identity: FundamentalIdentityReport
-    decomposability: DecomposabilityReport
-
-    @property
-    def passed(self) -> bool:
-        return self.identity.passed and self.decomposability.passed
-
-
 class NambuStructure:
     """An n-vector with polynomial components, candidate Nambu-Poisson tensor."""
 
-    __slots__ = ("chart", "order", "tensor", "evidence")
+    __slots__ = ("chart", "order", "tensor")
 
     def __init__(self, tensor: GradedTensor, order: int | None = None):
         if tensor.variance != MULTIVECTOR:
@@ -103,7 +94,6 @@ class NambuStructure:
         self.chart = tensor.chart
         self.order = n
         self.tensor = tensor
-        self.evidence: ValidityEvidence | None = None
 
     @classmethod
     def from_top_coefficient(cls, chart: Chart, coefficient: Polynomial) -> "NambuStructure":
@@ -134,13 +124,16 @@ class NambuStructure:
         return f"NambuStructure(order={self.order}, {self.tensor})"
 
 
+def _differentials(chart: Chart, scalars) -> GradedTensor:
+    """The form df_1 ^ ... ^ df_k."""
+    return wedge_all([differential(chart, f) for f in scalars])
+
+
 def nambu_bracket(structure: NambuStructure, *scalars) -> Polynomial:
     """The n-ary bracket <df_1 ^ ... ^ df_n, Lambda>."""
     if len(scalars) != structure.order:
         raise ValueError(f"bracket arity is {structure.order}, got {len(scalars)}")
-    chart = structure.chart
-    form = wedge_all([differential(chart, f) for f in scalars])
-    return pair(form, structure.tensor).as_polynomial()
+    return pair(_differentials(structure.chart, scalars), structure.tensor).as_polynomial()
 
 
 def sharp(structure: NambuStructure, degree: int, form: GradedTensor) -> GradedTensor:
@@ -157,9 +150,7 @@ def hamiltonian_vf(structure: NambuStructure, *scalars) -> GradedTensor:
     n = structure.order
     if len(scalars) != n - 1:
         raise ValueError(f"expected {n - 1} Hamiltonian functions, got {len(scalars)}")
-    chart = structure.chart
-    form = wedge_all([differential(chart, f) for f in scalars])
-    return sharp(structure, n - 1, form)
+    return sharp(structure, n - 1, _differentials(structure.chart, scalars))
 
 
 def check_fundamental_identity(structure: NambuStructure,
@@ -167,46 +158,28 @@ def check_fundamental_identity(structure: NambuStructure,
                                max_violations: int = 5) -> FundamentalIdentityReport:
     """Evaluate the fundamental identity symbolically over a finite family.
 
-    Every (n-1)-subset of the family is tested against every n-subset; the
-    identity is multilinear and skew, so subsets (rather than tuples) cover
-    all cases up to sign.  Stops after ``max_violations`` failures.
+    For each (n-1)-subset I of the family (the outer functions) the defect
+    L_{X_I} Lambda comes from ``check_automorphism``; for each n-subset J (the
+    inner functions) the residual is <df_J, L_{X_I} Lambda>, which is
+    {f_I, {f_J}} - sum_k {f_J1, ..., {f_I, f_Jk}, ..., f_Jn} because
+    L_X df = d(X f).  The identity is multilinear and skew, so subsets (rather
+    than tuples) cover all cases up to sign.  A pass certifies the named
+    family only.  Stops after ``max_violations`` failures.
     """
-    chart = structure.chart
     n = structure.order
     if family is None:
-        family = default_function_family(chart)
+        family = default_function_family(structure.chart)
     if not family:
         raise ValueError("the checking family must be non-empty")
     names = tuple(str(f) for f in family)
-
-    # Every bracket in the identity has n-1 arguments from the family, so it
-    # is a directional derivative along a cached Hamiltonian-type field.
-    fields: dict[tuple[int, ...], GradedTensor] = {}
-    for combo in itertools.combinations(range(len(family)), n - 1):
-        fields[combo] = hamiltonian_vf(structure, *(family[i] for i in combo))
-
-    def bracket_with(field_combo: tuple[int, ...], scalar: Polynomial) -> Polynomial:
-        return apply_vector(fields[field_combo], scalar).as_polynomial()
-
-    inner_brackets = {
-        inner: nambu_bracket(structure, *(family[i] for i in inner))
-        for inner in itertools.combinations(range(len(family)), n)}
-
     violations: list[IdentityViolation] = []
     for outer in itertools.combinations(range(len(family)), n - 1):
-        replaced_cache = {i: bracket_with(outer, family[i]) for i in range(len(family))}
+        defect = check_automorphism(structure, *(family[i] for i in outer))
+        if defect.is_zero():
+            continue
         for inner in itertools.combinations(range(len(family)), n):
-            inner_bracket = inner_brackets[inner]
-            lhs = bracket_with(outer, inner_bracket)
-            rhs = chart.zero_polynomial()
-            for pos in range(n):
-                rest = inner[:pos] + inner[pos + 1:]
-                # move the replaced slot to the end: sign (-1)^(n-1-pos)
-                term = bracket_with(rest, replaced_cache[inner[pos]])
-                if (n - 1 - pos) % 2:
-                    term = -term
-                rhs = rhs + term
-            residual = lhs - rhs
+            form = _differentials(structure.chart, [family[i] for i in inner])
+            residual = pair(form, defect).as_polynomial()
             if not residual.is_zero():
                 violations.append(IdentityViolation(
                     outer=tuple(names[i] for i in outer),
@@ -233,16 +206,6 @@ def check_decomposability(structure: NambuStructure) -> DecomposabilityReport:
             return DecomposabilityReport(passed=False, witness_indices=combo,
                                          residual=residual)
     return DecomposabilityReport(passed=True)
-
-
-def validate(structure: NambuStructure,
-             family: list[Polynomial] | None = None) -> ValidityEvidence:
-    """Run both validity checks and attach the evidence to the structure."""
-    evidence = ValidityEvidence(
-        identity=check_fundamental_identity(structure, family),
-        decomposability=check_decomposability(structure))
-    structure.evidence = evidence
-    return evidence
 
 
 def leibniz_bracket(structure: NambuStructure, left: GradedTensor,

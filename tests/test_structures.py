@@ -8,8 +8,10 @@ import random
 import pytest
 
 from nambu.algebra import Polynomial
-from nambu.exterior import FORM, MULTIVECTOR, GradedTensor, lie_mv, wedge
+from nambu.exterior import FORM, MULTIVECTOR, GradedTensor, apply_vector, lie_mv, wedge
 from nambu.structures import (
+    FundamentalIdentityReport,
+    IdentityViolation,
     NambuStructure,
     check_automorphism,
     check_decomposability,
@@ -19,11 +21,11 @@ from nambu.structures import (
     leibniz_bracket,
     nambu_bracket,
     sharp,
-    validate,
 )
 from support import (
     R3,
     R4,
+    R5,
     coords,
     nondecomposable_r5,
     radius_squared,
@@ -130,6 +132,56 @@ def test_hamiltonian_arity_checked():
 
 # -- validity checks -----------------------------------------------------------
 
+def _bracket_expansion_report(structure, family, max_violations=5):
+    """Reference: expand the fundamental identity bracket by bracket.
+
+    {f_I, {f_J}} - sum_k {f_J1, ..., {f_I, f_Jk}, ..., f_Jn} for every
+    (n-1)-subset I and n-subset J of the family, in the engine's report
+    order; every outer bracket is a derivative along a Hamiltonian field.
+    """
+    n = structure.order
+    names = tuple(str(f) for f in family)
+    fields = {combo: hamiltonian_vf(structure, *(family[i] for i in combo))
+              for combo in itertools.combinations(range(len(family)), n - 1)}
+
+    def bracket_with(field_combo, scalar):
+        return apply_vector(fields[field_combo], scalar).as_polynomial()
+
+    inner_brackets = {
+        inner: nambu_bracket(structure, *(family[i] for i in inner))
+        for inner in itertools.combinations(range(len(family)), n)}
+
+    violations = []
+    for outer in itertools.combinations(range(len(family)), n - 1):
+        replaced_cache = {i: bracket_with(outer, family[i]) for i in range(len(family))}
+        for inner in itertools.combinations(range(len(family)), n):
+            lhs = bracket_with(outer, inner_brackets[inner])
+            rhs = structure.chart.zero_polynomial()
+            for pos in range(n):
+                rest = inner[:pos] + inner[pos + 1:]
+                # move the replaced slot to the end: sign (-1)^(n-1-pos)
+                term = bracket_with(rest, replaced_cache[inner[pos]])
+                rhs = rhs - term if (n - 1 - pos) % 2 else rhs + term
+            residual = lhs - rhs
+            if not residual.is_zero():
+                violations.append(IdentityViolation(
+                    outer=tuple(names[i] for i in outer),
+                    inner=tuple(names[i] for i in inner),
+                    residual=residual))
+                if len(violations) >= max_violations:
+                    return FundamentalIdentityReport(names, tuple(violations))
+    return FundamentalIdentityReport(names, tuple(violations))
+
+
+def _random_structure(rng, chart, order):
+    # one or two basis n-vectors with random coefficients of degree <= 1: a
+    # single term is always Nambu-Poisson, two terms usually are not
+    indices = list(itertools.combinations(range(chart.dimension), order))
+    components = {index: rand_poly(rng, chart, max_degree=1, allow_zero=False)
+                  for index in rng.sample(indices, min(len(indices), rng.choice([1, 2])))}
+    return NambuStructure(GradedTensor(chart, MULTIVECTOR, order, components))
+
+
 def test_fundamental_identity_singular_coordinates():
     report = check_fundamental_identity(singular_r3(), [x1, x2, x3])
     assert report.passed
@@ -142,9 +194,9 @@ def test_fundamental_identity_regular_r4_full_family():
 def test_fundamental_identity_violated_nondecomposable():
     structure = nondecomposable_r5()
     report = check_fundamental_identity(structure)
-    assert not report.passed
-    violation = report.violations[0]
-    assert not violation.residual.is_zero()
+    assert len(report.violations) == 5
+    assert all(not violation.residual.is_zero() for violation in report.violations)
+    assert report == _bracket_expansion_report(structure, default_function_family(R5))
 
 def test_decomposability_singular():
     assert check_decomposability(singular_r3()).passed
@@ -158,11 +210,21 @@ def test_decomposability_witness_on_r5():
     assert report.witness_indices is not None
     assert report.residual is not None and not report.residual.is_zero()
 
-def test_validate_attaches_evidence():
-    structure = singular_r3()
-    evidence = validate(structure, [x1, x2, x3])
-    assert evidence.passed
-    assert structure.evidence is evidence
+
+def test_fundamental_identity_matches_bracket_expansion():
+    rng = random.Random(47)
+    failing = 0
+    for chart, order in [(R4, 3), (R5, 3), (R4, 4), (R5, 4)] * 5:
+        structure = _random_structure(rng, chart, order)
+        family = list(coords(chart)) + [
+            rand_poly(rng, chart, max_degree=1, allow_zero=False)
+            * rand_poly(rng, chart, max_degree=1, allow_zero=False)
+            for _ in range(rng.randint(0, 2))]
+        for limit in (1, 5, 10 ** 9):
+            report = check_fundamental_identity(structure, family, limit)
+            assert report == _bracket_expansion_report(structure, family, limit)
+        failing += not report.passed
+    assert 0 < failing < 20
 
 
 # -- automorphisms --------------------------------------------------------------

@@ -30,6 +30,7 @@ REGULAR3 = "models/regular_r3.nmb"
 REGULAR4 = "models/regular_r4.nmb"
 PLANE = "tests/transcripts/plane.nmb"
 SPACE = "tests/transcripts/space.nmb"
+R5 = "tests/transcripts/r5.nmb"
 
 # (name, argv, exit code)
 CASES = [
@@ -45,10 +46,12 @@ CASES = [
     ("flow", f"flow {SINGULAR} --scalars r2,h --start 1,0,0", 0),
     # the other subcommands and verdicts
     ("bracket", f"bracket {SINGULAR} a b", 0),
+    ("check-violated", f"check {R5} L", 1),
     ("basic-volume-regular", f"basic-volume {REGULAR4}", 0),
     ("basic-volume-singular", f"basic-volume {SINGULAR}", 1),
     ("delta", f"delta {SPACE} M", 0),
     ("foliated", f"foliated {SINGULAR} --degree 1 --degree-bound 3", 0),
+    ("foliated-bound-0", f"foliated {SINGULAR} --degree 1 --degree-bound 0", 0),
     ("canonical-homology", f"canonical-homology {SINGULAR} --degree 2 --degree-bound 3", 0),
     ("naka-pair", f"naka-pair {PLANE} P Q", 0),
     ("naka-pair-violated", f"naka-pair {PLANE} P R", 1),
