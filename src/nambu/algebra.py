@@ -12,10 +12,20 @@ multivariate GCD reduction is deliberately not attempted, because equality is
 decided by cross-multiplication and is therefore independent of the chosen
 representative.
 
-The matrix layer is a sparse row-dict Gauss-Jordan elimination with an
-attached transform, which yields exact nullspace bases and, for inconsistent
-systems, an explicit infeasibility certificate (a left-kernel row ``y`` with
-``y*A = 0`` and ``y*b != 0``).  A column or coordinate vector is a
+The matrix layer has one elimination, ``ExactMatrix._echelon``.  It runs
+forward only and fraction-free: rows are cleared to integers, each update
+is ``(p/g)*row - (f/g)*pivot`` followed by gcd content removal, and a
+column -> rows index finds the rows to update.  The pivot row of each column
+is the first row in the current order that holds it, swapped into place as
+Gauss-Jordan swaps it, so the pivot rows and the order of the leftover rows
+are those of Gauss-Jordan.  ``rank`` and ``pivot_columns`` stop there; only
+``nullspace`` and ``solve`` back-substitute into ``Fraction``s.  The kernel
+basis with free slots set to 1/0 and the solution with free variables zero
+are unique, and so is the infeasibility certificate (a left-kernel row
+``y`` with ``y*A = 0`` and ``y*b != 0``) read off the first inconsistent
+leftover row, because it is the only left-kernel vector supported on the
+pivot rows and that row with a 1 there.  So every answer is the one
+Gauss-Jordan gives.  A column or coordinate vector is a
 ``SparseVector``: a map from position to its non-zero ``Fraction``; zeros are
 never stored.  Nullspace bases are returned in this format and
 ``matrix_from_columns`` reads it.
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -553,19 +564,6 @@ class ExactMatrix:
             raise IndexError("matrix index out of range")
         return self._rows[i].get(j, ZERO)
 
-    def set(self, i: int, j: int, value: int | Fraction) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("matrix index out of range")
-        v = _as_fraction(value)
-        if v == 0:
-            self._rows[i].pop(j, None)
-        else:
-            self._rows[i][j] = v
-
-    def to_dense(self) -> list[list[Fraction]]:
-        return [[self._rows[i].get(j, ZERO) for j in range(self.cols)]
-                for i in range(self.rows)]
-
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
@@ -584,71 +582,109 @@ class ExactMatrix:
 
     __matmul__ = matmul
 
-    def _rref(self, with_transform: bool = False):
-        """Gauss-Jordan elimination.
+    def _echelon(self, rhs: Sequence[Fraction] | None = None
+                 ) -> tuple[list[int], list[int], list[dict[int, int]],
+                            list[dict[int, int]] | None]:
+        """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
-        Returns ``(pivots, reduced_rows, transform_rows)`` where ``pivots``
-        maps echelon row position to pivot column.  ``transform_rows`` is a
-        row-dict representation of T with ``T*A = R``; None when not asked for.
+        Each row is scaled to integers by the lcm of its denominators.  The
+        columns are taken left to right.  The pivot row of a column is the
+        first row in the current order that holds it, swapped into the next
+        echelon position.  Every other row that holds the column becomes
+        ``(p/g)*row - (f/g)*pivot``, where ``p`` is the pivot entry, ``f`` the
+        row's entry and ``g = gcd(p, f)``, and then loses its integer
+        content.  A column -> rows index over the rows that are not pivots yet
+        finds those rows without a scan over the others.  Pivot rows are
+        never changed again: there is no back-elimination.  A row that is
+        not a pivot stays a non-zero multiple of the row Gauss-Jordan holds
+        at its position, so both pick the same pivot rows and leave the same
+        rows over, in the same order.
+
+        With ``rhs`` each row also carries a tail, where key -1 holds its
+        entry of b and key i its coefficient on original row i, so that the
+        row equals ``sum_i tail[i] * A[i]`` and ``tail[-1]`` is the same sum
+        over b.  Tails follow every update and share the content removal.
+
+        Returns ``(pivots, order, rows, tails)``: the ascending pivot columns;
+        the original index of the row at each echelon position, pivot rows
+        first and the leftover rows after them; the integer rows by original
+        index; and the tails, or None without ``rhs``.
         """
-        work = [dict(r) for r in self._rows]
-        transform = [{i: ONE} for i in range(self.rows)] if with_transform else None
+        nrows, ncols = self.rows, self.cols
+        rows: list[dict[int, int]] = []
+        tails: list[dict[int, int]] | None = None if rhs is None else []
+        for i, row in enumerate(self._rows):
+            scale = lcm(*(v.denominator for v in row.values()))
+            tail = None
+            if tails is not None:
+                b = rhs[i]
+                scale = lcm(scale, b.denominator)
+                tail = {i: scale}
+                if b:
+                    tail[-1] = b.numerator * (scale // b.denominator)
+                tails.append(tail)
+            ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+            _remove_content(ints, tail)
+            rows.append(ints)
+        index: list[set[int]] = [set() for _ in range(ncols)]
+        for r, row in enumerate(rows):
+            for j in row:
+                index[j].add(r)
+        order = list(range(nrows))
+        position = list(range(nrows))
         pivots: list[int] = []
-        pivot_row = 0
-        for col in range(self.cols):
-            sel = None
-            for r in range(pivot_row, self.rows):
-                if work[r].get(col):
-                    sel = r
-                    break
-            if sel is None:
+        for col in range(ncols):
+            holders = index[col]
+            if not holders:
                 continue
-            work[pivot_row], work[sel] = work[sel], work[pivot_row]
-            if transform is not None:
-                transform[pivot_row], transform[sel] = transform[sel], transform[pivot_row]
-            lead = work[pivot_row][col]
-            if lead != 1:
-                inv = 1 / lead
-                work[pivot_row] = {j: v * inv for j, v in work[pivot_row].items()}
-                if transform is not None:
-                    transform[pivot_row] = {j: v * inv
-                                            for j, v in transform[pivot_row].items()}
-            pivot = work[pivot_row]
-            for r in range(self.rows):
-                if r == pivot_row:
-                    continue
-                factor = work[r].get(col)
-                if not factor:
-                    continue
-                row = work[r]
+            sel = min(holders, key=position.__getitem__)
+            k = len(pivots)
+            here, there = order[k], position[sel]
+            order[k], order[there] = sel, here
+            position[here], position[sel] = there, k
+            pivot = rows[sel]
+            for j in pivot:
+                index[j].discard(sel)
+            p = pivot[col]
+            for r in holders:
+                row = rows[r]
+                f = row[col]
+                g = gcd(p, f)
+                a, c = p // g, f // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
                 for j, v in pivot.items():
-                    s = row.get(j, ZERO) - factor * v
-                    if s == 0:
-                        row.pop(j, None)
+                    s = row.get(j)
+                    if s is None:
+                        row[j] = -c * v
+                        index[j].add(r)
                     else:
-                        row[j] = s
-                if transform is not None:
-                    trow = transform[r]
-                    for j, v in transform[pivot_row].items():
-                        s = trow.get(j, ZERO) - factor * v
-                        if s == 0:
-                            trow.pop(j, None)
+                        s -= c * v
+                        if s:
+                            row[j] = s
                         else:
-                            trow[j] = s
+                            del row[j]
+                            if j != col:
+                                index[j].discard(r)
+                tail = None
+                if tails is not None:
+                    tail = tails[r]
+                    _combine(tail, a, c, tails[sel])
+                _remove_content(row, tail)
+            index[col] = set()
             pivots.append(col)
-            pivot_row += 1
-            if pivot_row == self.rows:
+            if len(pivots) == nrows:
                 break
-        return pivots, work, transform
+        return pivots, order, rows, tails
 
     def pivot_columns(self) -> list[int]:
-        """Ascending pivot columns of the reduced row echelon form.
+        """Ascending pivot columns of the row echelon form.
 
         Column j is a pivot exactly when it is independent of columns 0..j-1,
         so the pivots are the greedy left-to-right choice of a column basis.
         """
-        pivots, _, _ = self._rref()
-        return pivots
+        return self._echelon()[0]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -657,34 +693,52 @@ class ExactMatrix:
         """Exact basis of the kernel; empty list when the kernel is trivial.
 
         rank + len(result) == cols always holds.  Basis vectors are indexed by
-        the free columns in ascending order, each with a 1 in its free slot.
+        the free columns in ascending order, each with a 1 in its free slot
+        and 0 in the other free slots, which makes the basis unique.
         """
-        pivots, reduced, _ = self._rref()
+        pivots, order, rows, _ = self._echelon()
+        reduced = _back_substitute(pivots, [rows[r] for r in order[:len(pivots)]])
         pivot_set = set(pivots)
         basis = {free: {free: ONE} for free in range(self.cols) if free not in pivot_set}
         for row, pivot_col in zip(reduced, pivots):
+            lead = row[pivot_col]
             for free, coeff in row.items():
                 if free != pivot_col:
-                    basis[free][pivot_col] = -coeff
+                    basis[free][pivot_col] = Fraction(-coeff, lead)
         return list(basis.values())
 
     def solve(self, rhs: Sequence[int | Fraction]) -> LinearSolveResult:
-        """Solve ``A*x = b`` exactly, or certify that no solution exists."""
+        """Solve ``A*x = b`` exactly, or certify that no solution exists.
+
+        The solution sets every free variable to zero, which makes it unique.
+        The certificate comes from the first leftover row, in echelon order,
+        whose entry of b did not cancel: its tail divided by its coefficient
+        on its own original row.  That is the one left-kernel vector supported
+        on the pivot rows and that row with a 1 at that row, so it is the
+        certificate Gauss-Jordan with the same row order reads off its
+        transform.
+        """
         b = [_as_fraction(v) for v in rhs]
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        pivots, reduced, transform = self._rref(with_transform=True)
-        assert transform is not None
-        tb = []
-        for trow in transform:
-            tb.append(sum((c * b[j] for j, c in trow.items()), ZERO))
-        for r in range(len(pivots), self.rows):
-            if tb[r] != 0:
-                certificate = tuple(transform[r].get(j, ZERO) for j in range(self.rows))
+        pivots, order, rows, tails = self._echelon(b)
+        assert tails is not None
+        rank = len(pivots)
+        for r in order[rank:]:
+            tail = tails[r]
+            if tail.get(-1):
+                lead = tail[r]
+                certificate = tuple(Fraction(tail.get(i, 0), lead) for i in range(self.rows))
                 return LinearSolveResult(solution=None, certificate=certificate)
         x = [ZERO] * self.cols
-        for row_pos, pivot_col in enumerate(pivots):
-            x[pivot_col] = tb[row_pos]
+        for k in range(rank - 1, -1, -1):
+            r, pivot_col = order[k], pivots[k]
+            row = rows[r]
+            acc = Fraction(tails[r].get(-1, 0))
+            for j, v in row.items():
+                if j != pivot_col and x[j]:
+                    acc -= v * x[j]
+            x[pivot_col] = acc / row[pivot_col]
         return LinearSolveResult(solution=tuple(x), certificate=None)
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
@@ -699,6 +753,48 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+def _combine(row: dict[int, int], a: int, c: int, other: dict[int, int]) -> None:
+    """row <- a*row - c*other in place, dropping the entries that cancel."""
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, v in other.items():
+        s = row.get(j, 0) - c * v
+        if s:
+            row[j] = s
+        else:
+            row.pop(j, None)
+
+
+def _remove_content(row: dict[int, int], tail: dict[int, int] | None = None) -> None:
+    """Divide an integer row, and its tail if given, by their common gcd."""
+    g = gcd(*row.values(), *(tail or {}).values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        if tail:
+            for j in tail:
+                tail[j] //= g
+
+
+def _back_substitute(pivots: list[int], echelon: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Clear each pivot column above its pivot, in place, last pivot first.
+
+    The rows come out in reduced echelon form up to a non-zero integer factor
+    per row: row k holds no pivot column but ``pivots[k]``.
+    """
+    where = {col: k for k, col in enumerate(pivots)}
+    for k in range(len(pivots) - 1, -1, -1):
+        row, pivot_col = echelon[k], pivots[k]
+        for col in [j for j in row if j in where and j != pivot_col]:
+            below = echelon[where[col]]
+            p, f = below[col], row[col]
+            g = gcd(p, f)
+            _combine(row, p // g, f // g, below)
+        _remove_content(row)
+    return echelon
 
 
 def matrix_from_columns(columns: Iterable[SparseVector], nrows: int) -> ExactMatrix:

@@ -173,12 +173,17 @@ def check_fundamental_identity(structure: NambuStructure,
         raise ValueError("the checking family must be non-empty")
     names = tuple(str(f) for f in family)
     violations: list[IdentityViolation] = []
+    # each inner form df_J is built at most once, and only if some defect needs it
+    forms: dict[tuple[int, ...], GradedTensor] = {}
     for outer in itertools.combinations(range(len(family)), n - 1):
         defect = check_automorphism(structure, *(family[i] for i in outer))
         if defect.is_zero():
             continue
         for inner in itertools.combinations(range(len(family)), n):
-            form = _differentials(structure.chart, [family[i] for i in inner])
+            form = forms.get(inner)
+            if form is None:
+                form = forms[inner] = _differentials(structure.chart,
+                                                     [family[i] for i in inner])
             residual = pair(form, defect).as_polynomial()
             if not residual.is_zero():
                 violations.append(IdentityViolation(

@@ -6,6 +6,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from nambu.algebra import Polynomial
 from nambu.exterior import FORM, MULTIVECTOR, Chart, GradedTensor
 from nambu.structures import NambuStructure
@@ -85,3 +87,27 @@ def rand_mv(rng: random.Random, chart: Chart, degree: int,
 def rand_vector_field(rng: random.Random, chart: Chart,
                       max_degree: int = 3) -> GradedTensor:
     return rand_mv(rng, chart, 1, max_degree)
+
+
+def _sympy_matrix(matrix):
+    """The same matrix as a sparse sympy DomainMatrix over QQ."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix({i: {j: QQ(v.numerator, v.denominator) for j, v in row.items()}
+                         for i, row in enumerate(matrix.row_dicts()) if row},
+                        (matrix.rows, matrix.cols), QQ)
+
+
+def assert_elimination_matches_sympy(matrix):
+    """Rank, pivot columns and kernel basis agree with sympy's own elimination."""
+    reference = _sympy_matrix(matrix)
+    _, pivots = reference.rref()
+    kernel = matrix.nullspace()
+    assert matrix.rank() == reference.rank() == len(pivots)
+    assert matrix.pivot_columns() == list(pivots)
+    assert len(kernel) == matrix.cols - reference.rank()
+    basis = reference.nullspace().to_sdm() if kernel else {}
+    expected = [{j: Fraction(int(v.numerator), int(v.denominator)) for j, v in basis[k].items()}
+                for k in range(len(basis))]
+    assert kernel == expected

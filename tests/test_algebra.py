@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nambu.algebra import (
@@ -15,6 +16,7 @@ from nambu.algebra import (
     matrix_from_columns,
     variables,
 )
+from support import assert_elimination_matches_sympy
 
 x1, x2, x3 = variables("x1 x2 x3")
 VARS = ("x1", "x2", "x3")
@@ -143,7 +145,8 @@ def test_rational_normalization_idempotent_random(num, den):
 def _times(matrix, vector):
     """matrix * vector for a dense vector, as a sparse matrix product."""
     column = {j: v for j, v in enumerate(vector) if v != 0}
-    return [row[0] for row in (matrix @ matrix_from_columns([column], matrix.cols)).to_dense()]
+    product = matrix @ matrix_from_columns([column], matrix.cols)
+    return [product.get(i, 0) for i in range(product.rows)]
 
 def _kills(matrix, basis):
     return not any((matrix @ matrix_from_columns(basis, matrix.cols)).row_dicts())
@@ -186,11 +189,11 @@ def test_solve_infeasible_has_certificate():
 def test_matmul_matches_dense():
     a = ExactMatrix.from_dense([[1, 2], [3, 4]])
     b = ExactMatrix.from_dense([[0, 1], [1, 0]])
-    assert (a @ b).to_dense() == [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]
+    assert a @ b == ExactMatrix.from_dense([[2, 1], [4, 3]])
 
 def test_matrix_from_columns():
     matrix = matrix_from_columns([{0: Fraction(1)}, {0: Fraction(2), 1: Fraction(5)}], 2)
-    assert matrix.to_dense() == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(5)]]
+    assert matrix == ExactMatrix.from_dense([[1, 2], [0, 5]])
     for outside in (2, -1):
         with pytest.raises(ValueError):
             matrix_from_columns([{outside: Fraction(1)}], 2)
@@ -217,3 +220,132 @@ def test_solve_either_solves_or_certifies(rows, seed_solution):
     outcome = matrix.solve(rhs)
     assert outcome.feasible
     assert _times(matrix, outcome.solution) == rhs
+
+
+# -- the elimination against a Gauss-Jordan oracle ---------------------------
+
+def _gauss_jordan(matrix, rhs):
+    """Reference: dense-scan Gauss-Jordan on Fractions with a full transform.
+
+    Returns (pivot columns, kernel basis, solution, certificate) as the
+    engine defines them: the kernel basis has a 1 in its free slot and 0 in
+    the other free slots, the solution sets the free variables to zero, and
+    the certificate is the transform row of the first leftover row whose
+    entry of T*b is non-zero.
+    """
+    nrows, ncols = matrix.rows, matrix.cols
+    work = [dict(row) for row in matrix.row_dicts()]
+    transform = [{i: Fraction(1)} for i in range(nrows)]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        sel = next((r for r in range(k, nrows) if work[r].get(col)), None)
+        if sel is None:
+            continue
+        work[k], work[sel] = work[sel], work[k]
+        transform[k], transform[sel] = transform[sel], transform[k]
+        inv = 1 / work[k][col]
+        work[k] = {j: v * inv for j, v in work[k].items()}
+        transform[k] = {j: v * inv for j, v in transform[k].items()}
+        for r in range(nrows):
+            factor = work[r].get(col) if r != k else None
+            if not factor:
+                continue
+            for target, source in ((work[r], work[k]), (transform[r], transform[k])):
+                for j, v in source.items():
+                    s = target.get(j, 0) - factor * v
+                    if s:
+                        target[j] = s
+                    else:
+                        target.pop(j, None)
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivots}
+    for row, pivot_col in zip(work, pivots):
+        for free, coeff in row.items():
+            if free != pivot_col:
+                basis[free][pivot_col] = -coeff
+    tb = [sum((c * rhs[j] for j, c in trow.items()), Fraction(0)) for trow in transform]
+    for r in range(len(pivots), nrows):
+        if tb[r]:
+            certificate = tuple(transform[r].get(j, Fraction(0)) for j in range(nrows))
+            return pivots, list(basis.values()), None, certificate
+    solution = [Fraction(0)] * ncols
+    for k, pivot_col in enumerate(pivots):
+        solution[pivot_col] = tb[k]
+    return pivots, list(basis.values()), tuple(solution), None
+
+
+def _assert_matches_gauss_jordan(matrix, rhs):
+    pivots, basis, solution, certificate = _gauss_jordan(matrix, rhs)
+    assert matrix.pivot_columns() == pivots
+    assert matrix.rank() == len(pivots)
+    kernel = matrix.nullspace()
+    assert kernel == basis
+    assert [list(vec) for vec in kernel] == [list(vec) for vec in basis]
+    outcome = matrix.solve(rhs)
+    assert outcome.solution == solution
+    assert outcome.certificate == certificate
+
+
+@st.composite
+def linear_systems(draw):
+    """A matrix of any shape up to 6x6 with duplicated and zero rows, and b."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.one_of(st.just(Fraction(0)), coeffs),
+                                  min_size=ncols, max_size=ncols), max_size=6))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))] \
+        if rows else []
+    rows += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    rhs = draw(st.lists(coeffs, min_size=len(rows), max_size=len(rows)))
+    matrix = ExactMatrix(len(rows), ncols,
+                         [{j: v for j, v in enumerate(row) if v} for row in rows])
+    return matrix, rhs
+
+
+@given(linear_systems())
+@settings(max_examples=200, deadline=None)
+@example((ExactMatrix(0, 0), []))
+@example((ExactMatrix(0, 3), []))
+@example((ExactMatrix(3, 0), [Fraction(0), Fraction(1), Fraction(0)]))
+@example((ExactMatrix.from_dense([[1, 2], [0, 0], [2, 4]]),
+          [Fraction(1), Fraction(3), Fraction(2)]))
+@example((ExactMatrix.from_dense([[1, 2, 3, 4]]), [Fraction(5)]))
+@example((ExactMatrix.from_dense([[1], [2], [3], [4]]), [Fraction(1), Fraction(2), Fraction(4),
+                                                        Fraction(8)]))
+def test_elimination_matches_gauss_jordan(system):
+    matrix, rhs = system
+    _assert_matches_gauss_jordan(matrix, rhs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elimination_matches_gauss_jordan_sparse(seed):
+    # about 60x40 at 8% density, so many rows are dependent or left over;
+    # even seeds get a consistent b, odd seeds a random sparse one
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(55, 65), rng.randint(35, 45)
+    rows = [{j: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+             for j in range(ncols) if rng.random() < 0.08} for _ in range(nrows)]
+    matrix = ExactMatrix(nrows, ncols, [{j: v for j, v in row.items() if v} for row in rows])
+    if seed % 2 == 0:
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+        rhs = _times(matrix, x)
+    else:
+        rhs = [Fraction(rng.randint(-3, 3)) if rng.random() < 0.1 else Fraction(0)
+               for _ in range(nrows)]
+    _assert_matches_gauss_jordan(matrix, rhs)
+
+
+# -- the elimination against sympy (test-only dependency) --------------------
+
+@pytest.mark.parametrize("seed", range(12))
+def test_elimination_matches_sympy_on_random_sparse(seed):
+    rng = random.Random(1000 + seed)
+    nrows, ncols = rng.randint(0, 40), rng.randint(0, 40)
+    density = rng.choice((0.05, 0.15, 0.4))
+    rows = [{j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+             for j in range(ncols) if rng.random() < density} for _ in range(nrows)]
+    assert_elimination_matches_sympy(ExactMatrix(nrows, ncols, rows))

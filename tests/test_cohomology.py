@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,8 @@ from nambu.cohomology import (
     subcomplex_check,
 )
 from nambu.exterior import FORM, Chart, GradedTensor, differential, ext_d, pair
-from nambu.modular import VolumeSpec
+from nambu.model import parse_model
+from nambu.modular import VolumeSpec, modular_potential
 from nambu.structures import sharp
 from nambu.truncation import (
     TruncatedBasis,
@@ -37,6 +39,7 @@ from nambu.truncation import (
 from support import (
     R3,
     R4,
+    assert_elimination_matches_sympy,
     coords,
     radius_squared,
     rand_form,
@@ -201,6 +204,66 @@ def test_np_h1_top_df_never_a_coboundary():
 def test_np_h1_top_bound_precondition():
     with pytest.raises(ValueError):
         np_h1_top(R2SQ, 0)
+
+def test_h1_top_cocycle_operator_matches_sympy():
+    # the operator np_h1_top eliminates for singular_r3 at bound 7 (495x360)
+    domain = TruncatedBasis.build(R3, FORM, 1, 7)
+    codomain = TruncatedBasis.build(R3, FORM, 2, 8)
+    operator = TruncatedOperator.build(domain, codomain,
+                                       lambda form: np_cocycle_check_top(R2SQ, form))
+    assert (operator.matrix.rows, operator.matrix.cols) == (495, 360)
+    assert_elimination_matches_sympy(operator.matrix)
+
+
+# -- certificates checked without elimination ------------------------------------
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _record_labelled_systems(monkeypatch):
+    """Keep every (columns, target, outcome) that solve_labelled sees."""
+    import nambu.truncation as truncation
+    solve = truncation.solve_labelled
+    systems = []
+
+    def recording(columns, target):
+        columns = list(columns)
+        outcome = solve(columns, target)
+        systems.append((columns, target, outcome))
+        return outcome
+
+    monkeypatch.setattr(truncation, "solve_labelled", recording)
+    return systems
+
+
+def test_labelled_certificates_hold_on_bundled_models(monkeypatch):
+    systems = _record_labelled_systems(monkeypatch)
+    for path in sorted(MODELS.glob("*.nmb")):
+        model = parse_model(path.read_text(encoding="utf-8"))
+        structure = model.structure()
+        for name, entry in model.bindings.items():
+            if entry.kind != "volume":
+                continue
+            for bound in (2, 5):
+                modular_potential(structure, model.volume(name), bound)
+                subcomplex_check(structure, model.volume(name), bound)
+    certified = 0
+    for columns, target, (solution, certificate) in systems:
+        labels = set(target).union(*columns)
+        if certificate is None:
+            for label in labels:
+                image = sum((c * column.get(label, 0) for c, column in zip(solution, columns)),
+                            Fraction(0))
+                assert image == target.get(label, 0)
+            continue
+        certified += 1
+        weights = dict(certificate)
+        assert len(weights) == len(certificate) and set(weights) <= labels
+        assert all(weight != 0 for weight in weights.values())
+        for column in columns:
+            assert sum(w * column.get(label, 0) for label, w in weights.items()) == 0
+        assert sum(w * target.get(label, 0) for label, w in weights.items()) != 0
+    assert len(systems) == 16 and 0 < certified < len(systems)
 
 
 # -- canonical homology -----------------------------------------------------------------
@@ -444,7 +507,7 @@ def _leafwise_dim(degree, bound):
         target = basis(target_indices, target_bound)
         position = {element: i for i, element in enumerate(target)}
         from nambu.algebra import ExactMatrix, Polynomial
-        matrix = ExactMatrix(len(target), len(source))
+        rows = [{} for _ in target]
         from nambu.exterior import merge_indices
         for j, (idx, mono) in enumerate(source):
             coeff = Polynomial.monomial(("x1", "x2", "x3", "x4"), mono)
@@ -457,10 +520,13 @@ def _leafwise_dim(degree, bound):
                     continue
                 sign, key = merged
                 for exponent, value in partial.terms.items():
-                    matrix.set(position[(key, exponent)], j,
-                               matrix.get(position[(key, exponent)], j)
-                               + (value if sign > 0 else -value))
-        return matrix
+                    row = rows[position[(key, exponent)]]
+                    total = row.get(j, 0) + (value if sign > 0 else -value)
+                    if total:
+                        row[j] = total
+                    else:
+                        row.pop(j, None)
+        return ExactMatrix(len(target), len(source), rows)
 
     if degree < 3:
         closed = len(d_matrix(leaf_indices, upper_indices, bound, bound).nullspace())

@@ -198,6 +198,26 @@ def test_fundamental_identity_violated_nondecomposable():
     assert all(not violation.residual.is_zero() for violation in report.violations)
     assert report == _bracket_expansion_report(structure, default_function_family(R5))
 
+def test_fundamental_identity_unlimited_builds_each_inner_form_once(monkeypatch):
+    import nambu.structures as structures
+    structure = nondecomposable_r5()
+    family = list(coords(R5)) + default_function_family(R5)[5:8]
+    differentials = structures._differentials
+    inner_calls = []
+
+    def counting(chart, scalars):
+        if len(scalars) == structure.order:
+            inner_calls.append(tuple(scalars))
+        return differentials(chart, scalars)
+
+    monkeypatch.setattr(structures, "_differentials", counting)
+    report = check_fundamental_identity(structure, family, 10 ** 9)
+    monkeypatch.undo()
+    assert len(report.violations) > 5
+    assert report == _bracket_expansion_report(structure, family, 10 ** 9)
+    assert 0 < len(inner_calls) == len(set(inner_calls))
+    assert len(inner_calls) <= len(list(itertools.combinations(family, structure.order)))
+
 def test_decomposability_singular():
     assert check_decomposability(singular_r3()).passed
 
