@@ -120,7 +120,10 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.variables): ONE}
+        if len(self.terms) != 1:
+            return False
+        exponent, coeff = next(iter(self.terms.items()))
+        return not any(exponent) and coeff == ONE
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -542,6 +545,9 @@ class ExactMatrix:
         else:
             if len(row_dicts) != rows:
                 raise ValueError("row count mismatch")
+            for row in row_dicts:
+                if row and not (0 <= min(row) and max(row) < cols):
+                    raise ValueError(f"column index outside 0..{cols - 1}")
             self._rows = row_dicts
 
     @classmethod

@@ -3,10 +3,10 @@
 Every dimension reported here names its coefficient-degree bound: the
 underlying spaces are infinite-dimensional, and the honest computable
 statement is a dimension that is stable across a window of bounds.  Degree
-bookkeeping is strict throughout: operator codomains are enumerated wide
-enough to contain every image, never clipping silently, and quotients are
-computed as dim(cocycles) - dim(coboundary span) with explicit containment
-assertions.
+bookkeeping is strict throughout: an operator's rows are the labels its
+images hold, so no image is ever clipped, coordinates in a truncated space
+raise rather than drop a term, and quotients are computed as
+dim(cocycles) - dim(coboundary span) with explicit containment assertions.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import (
     ONE,
@@ -42,6 +43,7 @@ from .truncation import (
     Label,
     TruncatedBasis,
     TruncatedOperator,
+    image_matrix,
     ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
@@ -95,13 +97,10 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
     chart = structure.chart
     n = structure.order
     domain = TruncatedBasis.build(chart, FORM, degree, bound)
-    spread = max(structure.coefficient_degree(), 0)
 
     if degree < n:
-        codomain = TruncatedBasis.build(chart, MULTIVECTOR, n - degree - 1, bound + spread)
         cocycle_op = TruncatedOperator.build(
-            domain, codomain,
-            lambda form: sharp(structure, degree + 1, ext_d(form)))
+            domain, lambda form: sharp(structure, degree + 1, ext_d(form)))
         cocycle_dimension = len(cocycle_op.matrix.nullspace())
     else:
         cocycle_op = None
@@ -113,10 +112,7 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
         for j in range(len(previous)):
             image = ext_d(previous.tensor_of(j))
             boundary_vectors.append(domain.to_coordinates(image))
-    kernel_op = TruncatedOperator.build(
-        domain,
-        TruncatedBasis.build(chart, MULTIVECTOR, n - degree, bound + spread),
-        lambda form: sharp(structure, degree, form))
+    kernel_op = TruncatedOperator.build(domain, lambda form: sharp(structure, degree, form))
     boundary_vectors.extend(kernel_op.matrix.nullspace())
 
     if cocycle_op is not None and not _annihilates(cocycle_op.matrix, boundary_vectors):
@@ -181,9 +177,8 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
         raise ValueError(f"bound {bound} is below deg(f) - 1 = {deg_f - 1}")
     chart = Chart(coefficient.variables)
     domain = TruncatedBasis.build(chart, FORM, 1, bound)
-    codomain = TruncatedBasis.build(chart, FORM, 2, bound + max(deg_f - 1, 0))
     cocycle_op = TruncatedOperator.build(
-        domain, codomain, lambda form: np_cocycle_check_top(coefficient, form))
+        domain, lambda form: np_cocycle_check_top(coefficient, form))
     cocycles = cocycle_op.matrix.nullspace()
 
     coboundaries: list[SparseVector] = []
@@ -255,14 +250,10 @@ def _tangent_chain_vectors(structure: NambuStructure, degree: int, bound: int,
     domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
     if not annihilators or degree == 0:
         return domain, [{j: ONE} for j in range(len(domain))]
-    anni_bound = max(a.components[idx].as_polynomial().total_degree()
-                     for a in annihilators for idx in a.components)
-    codomain = TruncatedBasis.build(chart, MULTIVECTOR, degree - 1,
-                                    bound + max(anni_bound, 0))
     rows: list[dict[int, Fraction]] = []
     for annihilator in annihilators:
         block = TruncatedOperator.build(
-            domain, codomain, lambda field, a=annihilator: contract_form(a, field)).matrix
+            domain, lambda field, a=annihilator: contract_form(a, field)).matrix
         rows.extend(block.row_dicts())
     return domain, ExactMatrix(len(rows), len(domain), rows).nullspace()
 
@@ -300,13 +291,10 @@ def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
     """Canonical homology at one degree, given the reduced annihilator 1-forms
     at ``bound`` and (used below the top degree) at ``bound + 1``."""
     n = structure.order
-    chart = structure.chart
     domain, chains = _tangent_chain_vectors(structure, degree, bound, annihilators)
     if degree >= 1:
-        target = TruncatedBasis.build(chart, MULTIVECTOR, degree - 1, max(bound - 1, 0))
-        images = [target.to_coordinates(delta(volume, domain.from_coordinates(vec)))
-                  for vec in chains]
-        kernel_dim = len(chains) - _rank_of_vectors(images, len(target))
+        images = image_matrix(delta(volume, domain.from_coordinates(vec)) for vec in chains)
+        kernel_dim = len(chains) - images.rank()
     else:
         kernel_dim = len(chains)
 
@@ -364,19 +352,65 @@ def _equation_labels(polys: list[Polynomial]) -> dict[Label, Fraction]:
             for exponent, coeff in poly.terms.items()}
 
 
-def _solve_equations(equations, unknown_count: int,
-                     targets: list[Polynomial]) -> list[Fraction] | None:
-    """Solve equations(values) == targets for a map linear in the unknowns.
+def _radial_relations(polys: list[Polynomial]) -> list[Polynomial]:
+    """r^2 (d_j P_i - d_i P_j) - 2 (P_i x_j - P_j x_i) for each i < j, in order,
+    where r^2 is the squared radius; all zero is the lemmas' hypothesis."""
+    names = polys[0].variables
+    xs = [Polynomial.variable(names, i) for i in range(len(names))]
+    radius = sum((x * x for x in xs), Polynomial.zero(names))
+    return [radius * (polys[i].diff(j) - polys[j].diff(i))
+            - 2 * (polys[i] * xs[j] - polys[j] * xs[i])
+            for i, j in combinations(range(len(polys)), 2)]
 
-    Each unknown's column is the image of its unit vector.
+
+def _radial_split(polys: list[Polynomial], rotation: bool
+                  ) -> tuple[list[Fraction], list[Polynomial]]:
+    """Split P_i = a x_i + r^2 T_i with d_j T_i = d_i T_j, for polynomials
+    whose radial relations hold.
+
+    With ``rotation`` (two variables) the linear part also carries
+    b (x2, -x1).  The unknowns are a, then b, then each T_i's coefficients;
+    the equations are the components, then the curls for i < j.  The split
+    is found by one exact solve and re-verified by substitution.
     """
+    names = polys[0].variables
+    m = len(names)
+    xs = [Polynomial.variable(names, i) for i in range(m)]
+    radius = sum((x * x for x in xs), Polynomial.zero(names))
+    pairs = list(combinations(range(m), 2))
+    tilde_bound = max(poly.total_degree() for poly in polys) - 2
+    monomials = monomials_up_to(m, tilde_bound) if tilde_bound >= 0 else []
+    scalar_count = 2 if rotation else 1
+    block = len(monomials)
+    unknowns = scalar_count + m * block
+
+    def unknown_split(values):
+        tildes = [Polynomial(names, dict(zip(monomials, values[scalar_count + i * block:])))
+                  for i in range(m)]
+        return list(values[:scalar_count]), tildes
+
+    def equation_vector(scalars, tildes):
+        linear = [scalars[0] * x for x in xs]
+        if rotation:
+            linear[0] = linear[0] + scalars[1] * xs[1]
+            linear[1] = linear[1] - scalars[1] * xs[0]
+        return [linear[i] + radius * tildes[i] for i in range(m)] + \
+            [tildes[i].diff(j) - tildes[j].diff(i) for i, j in pairs]
+
+    # each unknown's column is the image of its unit vector
     columns = []
-    for pos in range(unknown_count):
-        probe = [Fraction(0)] * unknown_count
+    for pos in range(unknowns):
+        probe = [Fraction(0)] * unknowns
         probe[pos] = Fraction(1)
-        columns.append(_equation_labels(equations(probe)))
+        columns.append(_equation_labels(equation_vector(*unknown_split(probe))))
+    targets = polys + [Polynomial.zero(names)] * len(pairs)
     solution, _ = solve_labelled(columns, _equation_labels(targets))
-    return None if solution is None else list(solution)
+    if solution is None:
+        raise RuntimeError("decomposition solve failed although the relations hold")
+    scalars, tildes = unknown_split(solution)
+    if equation_vector(scalars, tildes) != targets:
+        raise RuntimeError("decomposition re-substitution mismatch")
+    return scalars, tildes
 
 
 @dataclass(frozen=True)
@@ -398,37 +432,10 @@ def naka_pair(p: Polynomial, q: Polynomial) -> PairDecomposition:
     """
     if len(p.variables) != 2 or p.variables != q.variables:
         raise ValueError("expected two polynomials in the same two variables")
-    names = p.variables
-    v1 = Polynomial.variable(names, 0)
-    v2 = Polynomial.variable(names, 1)
-    radius = v1 * v1 + v2 * v2
-    residual = radius * (p.diff(1) - q.diff(0)) - 2 * (p * v2 - q * v1)
+    residual, = _radial_relations([p, q])
     if not residual.is_zero():
         return PairDecomposition(False, residual)
-
-    tilde_bound = max(p.total_degree(), q.total_degree()) - 2
-    monomials = monomials_up_to(2, tilde_bound) if tilde_bound >= 0 else []
-
-    def unknown_split(values):
-        a, b = values[0], values[1]
-        half = len(monomials)
-        pt = Polynomial(names, dict(zip(monomials, values[2:2 + half])))
-        qt = Polynomial(names, dict(zip(monomials, values[2 + half:2 + 2 * half])))
-        return a, b, pt, qt
-
-    def equation_vector(a, b, pt, qt):
-        return [a * v1 + b * v2 + radius * pt,
-                -b * v1 + a * v2 + radius * qt,
-                pt.diff(1) - qt.diff(0)]
-
-    solution = _solve_equations(lambda values: equation_vector(*unknown_split(values)),
-                                2 + 2 * len(monomials), [p, q, Polynomial.zero(names)])
-    if solution is None:
-        raise RuntimeError("decomposition solve failed although the hypothesis holds")
-    a, b, pt, qt = unknown_split(solution)
-    checks = equation_vector(a, b, pt, qt)
-    if checks[0] != p or checks[1] != q or not checks[2].is_zero():
-        raise RuntimeError("decomposition re-substitution mismatch")
+    (a, b), (pt, qt) = _radial_split([p, q], rotation=True)
     return PairDecomposition(True, None, a, b, pt, qt)
 
 
@@ -451,53 +458,16 @@ def naka_triple(a_poly: Polynomial, b_poly: Polynomial,
     if len(a_poly.variables) != 3 or not (a_poly.variables == b_poly.variables
                                           == c_poly.variables):
         raise ValueError("expected three polynomials in the same three variables")
-    names = a_poly.variables
-    v1, v2, v3 = (Polynomial.variable(names, i) for i in range(3))
-    radius = v1 * v1 + v2 * v2 + v3 * v3
-    relations = [
-        ("first", radius * (a_poly.diff(1) - b_poly.diff(0)) - 2 * (a_poly * v2 - b_poly * v1)),
-        ("second", radius * (a_poly.diff(2) - c_poly.diff(0)) - 2 * (a_poly * v3 - c_poly * v1)),
-        ("third", radius * (b_poly.diff(2) - c_poly.diff(1)) - 2 * (b_poly * v3 - c_poly * v2)),
-    ]
-    for name, residual in relations:
+    polys = [a_poly, b_poly, c_poly]
+    for name, residual in zip(("first", "second", "third"), _radial_relations(polys)):
         if not residual.is_zero():
-            if name == "third":
-                variant = radius * (b_poly.diff(2) - c_poly.diff(1)) \
-                    - 2 * (a_poly * v3 - c_poly * v2)
-                if variant.is_zero():
-                    name = "third (only its A-for-B variant holds)"
+            # the variant differs from the third relation by 2 (B - A) x3
+            x3 = Polynomial.variable(a_poly.variables, 2)
+            if name == "third" and (residual + 2 * (b_poly - a_poly) * x3).is_zero():
+                name = "third (only its A-for-B variant holds)"
             return TripleDecomposition(False, name)
-
-    tilde_bound = max(a_poly.total_degree(), b_poly.total_degree(),
-                      c_poly.total_degree()) - 2
-    monomials = monomials_up_to(3, tilde_bound) if tilde_bound >= 0 else []
-    block = len(monomials)
-
-    def unknown_split(values):
-        a = values[0]
-        polys = [Polynomial(names, dict(zip(monomials, values[1 + i * block:1 + (i + 1) * block])))
-                 for i in range(3)]
-        return a, polys[0], polys[1], polys[2]
-
-    def equation_vector(a, at, bt, ct):
-        return [a * v1 + radius * at,
-                a * v2 + radius * bt,
-                a * v3 + radius * ct,
-                at.diff(1) - bt.diff(0),
-                at.diff(2) - ct.diff(0),
-                bt.diff(2) - ct.diff(1)]
-
-    zero = Polynomial.zero(names)
-    solution = _solve_equations(lambda values: equation_vector(*unknown_split(values)),
-                                1 + 3 * block, [a_poly, b_poly, c_poly, zero, zero, zero])
-    if solution is None:
-        raise RuntimeError("decomposition solve failed although the relations hold")
-    a, at, bt, ct = unknown_split(solution)
-    checks = equation_vector(a, at, bt, ct)
-    expected = [a_poly, b_poly, c_poly]
-    if checks[:3] != expected or any(not r.is_zero() for r in checks[3:]):
-        raise RuntimeError("decomposition re-substitution mismatch")
-    return TripleDecomposition(True, None, a, (at, bt, ct))
+    (a,), tildes = _radial_split(polys, rotation=False)
+    return TripleDecomposition(True, None, a, tuple(tildes))
 
 
 # -- duality report ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Polynomial
-from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor, format_tensor
+from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor, format_tensor, wedge
 from .modular import VolumeSpec
 from .structures import NambuStructure
 
@@ -342,13 +342,8 @@ class _Parser:
         raise self.error("use ^ for products of forms or multivectors", token)
 
     def _wedge(self, left, right, token: Token):
-        from .exterior import wedge
-        if isinstance(left, Polynomial) and isinstance(right, Polynomial):
-            return left * right
-        if isinstance(left, Polynomial) and isinstance(right, GradedTensor):
-            return right.scale(left)
-        if isinstance(left, GradedTensor) and isinstance(right, Polynomial):
-            return left.scale(right)
+        if isinstance(left, Polynomial) or isinstance(right, Polynomial):
+            return self._multiply(left, right, token)
         if left.variance != right.variance:
             raise self.error("cannot wedge a form with a multivector", token)
         if left.chart != right.chart:

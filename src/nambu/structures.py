@@ -116,10 +116,6 @@ class NambuStructure:
             return self.chart.zero_polynomial()
         return value.as_polynomial()
 
-    def coefficient_degree(self) -> int:
-        return max((v.as_polynomial().total_degree()
-                    for v in self.tensor.components.values()), default=0)
-
     def __repr__(self) -> str:
         return f"NambuStructure(order={self.order}, {self.tensor})"
 

@@ -4,10 +4,15 @@ A truncated basis enumerates, in a fixed deterministic order, all pairs of a
 strictly increasing index tuple and a monomial of bounded total degree.  This
 turns every coefficient-polynomial operator into an exact rational matrix.
 Coordinate vectors are ``SparseVector``s of ``algebra``: a map from basis
-position to non-zero coefficient, with no stored zeros.  Degree bookkeeping
-is strict: converting a tensor to coordinates raises when any component
-falls outside the basis, so images are never silently clipped; codomain
-bounds must be chosen to contain them.
+position to non-zero coefficient, with no stored zeros.  Converting a tensor
+to coordinates is strict: it raises when any component falls outside the
+basis, so a tensor is never silently clipped to a truncated space.
+
+An operator needs no codomain basis.  Its matrix has one column per domain
+element and one row per (component, monomial) label that some image holds,
+in component-then-graded-lex order, so every image fits by construction.
+Rank, pivot columns and the nullspace basis do not depend on the row order,
+nor on the all-zero rows a wider codomain would add.
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .algebra import ExactMatrix, Polynomial, SparseVector, grlex_key, matrix_from_columns
-from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor
+from .algebra import ExactMatrix, Polynomial, SparseVector, grlex_key
+from .exterior import FORM, Chart, GradedTensor
 from .structures import NambuStructure, sharp
 
 Exponent = tuple[int, ...]
 Index = tuple[int, ...]
+Label = tuple[Index, Exponent]
+Certificate = tuple[tuple[Label, Fraction], ...]
 
 
 def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
@@ -42,6 +49,13 @@ def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
     extend([], degree_bound, num_vars)
     out.sort(key=grlex_key)
     return out
+
+
+def _tensor_entries(tensor: GradedTensor) -> Iterable[tuple[Label, Fraction]]:
+    """The (component, monomial) label and coefficient of every term."""
+    for idx, value in tensor.components.items():
+        for exponent, coeff in value.as_polynomial().terms.items():
+            yield (idx, exponent), coeff
 
 
 @dataclass(frozen=True)
@@ -86,14 +100,13 @@ class TruncatedBasis:
             raise ValueError("tensor degree does not match the basis")
         vec: SparseVector = {}
         pos = self.positions
-        for idx, value in tensor.components.items():
-            for exponent, coeff in value.as_polynomial().terms.items():
-                at = pos.get((idx, exponent))
-                if at is None:
-                    raise ValueError(
-                        f"component {idx} monomial {exponent} exceeds the "
-                        f"coefficient bound {self.coefficient_bound}")
-                vec[at] = coeff
+        for label, coeff in _tensor_entries(tensor):
+            at = pos.get(label)
+            if at is None:
+                raise ValueError(
+                    f"component {label[0]} monomial {label[1]} exceeds the "
+                    f"coefficient bound {self.coefficient_bound}")
+            vec[at] = coeff
         return vec
 
     def from_coordinates(self, vector: SparseVector) -> GradedTensor:
@@ -109,25 +122,47 @@ class TruncatedBasis:
             for idx, terms in components.items()})
 
 
+def _labelled_rows(columns: Iterable[Iterable[tuple[Label, Fraction]]],
+                   rows: dict[Label, dict[int, Fraction]]) -> int:
+    """Add each column's (label, coefficient) entries to the row of its label,
+    opening rows in first-seen order; returns the number of columns.  Columns
+    are read once, so a generator keeps only the rows alive."""
+    width = 0
+    for column in columns:
+        for label, coeff in column:
+            row = rows.get(label)
+            if row is None:
+                row = rows[label] = {}
+            row[width] = coeff
+        width += 1
+    return width
+
+
+def image_matrix(images: Iterable[GradedTensor]) -> ExactMatrix:
+    """Matrix whose column j holds the coefficients of the j-th image.
+
+    Rows are the (component, monomial) labels that some image holds, in
+    component-then-graded-lex order; no row is all zero.
+    """
+    rows: dict[Label, dict[int, Fraction]] = {}
+    width = _labelled_rows(map(_tensor_entries, images), rows)
+    order = sorted(rows, key=lambda label: (label[0], grlex_key(label[1])))
+    return ExactMatrix(len(order), width, [rows[label] for label in order])
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Exact matrix of a linear map between two truncated bases."""
+    """Exact matrix of a linear map on a truncated basis: column j is the
+    image of basis element j, rows as in ``image_matrix``."""
 
     domain: TruncatedBasis
-    codomain: TruncatedBasis
     matrix: ExactMatrix
 
     @classmethod
-    def build(cls, domain: TruncatedBasis, codomain: TruncatedBasis,
+    def build(cls, domain: TruncatedBasis,
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
-        matrix = matrix_from_columns(
-            (codomain.to_coordinates(mapping(domain.tensor_of(j))) for j in range(len(domain))),
-            len(codomain))
-        return cls(domain, codomain, matrix)
-
-
-Label = tuple[Index, Exponent]
-Certificate = tuple[tuple[Label, Fraction], ...]
+        return cls(domain, image_matrix(mapping(domain.tensor_of(j))
+                                        for j in range(len(domain))))
 
 
 def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label, Fraction],
@@ -135,28 +170,19 @@ def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label,
     """Solve target = sum c_j columns_j exactly, one equation per label.
 
     Rows are numbered in first-seen order: the target's labels, then each
-    column's in turn; certificates list their labels in that order.  Columns
-    are read once, so a generator keeps only the assembled matrix alive.
+    column's in turn; certificates list their labels in that order.
     Returns (coefficients, None) when solvable, else (None, certificate)
     with a labelled left-kernel functional separating the target from the span.
     """
-    positions = {label: i for i, label in enumerate(target)}
-    rows: list[dict[int, Fraction]] = [{} for _ in positions]
-    width = 0
-    for column in columns:
-        for label, coeff in column.items():
-            i = positions.setdefault(label, len(rows))
-            if i == len(rows):
-                rows.append({})
-            rows[i][width] = coeff
-        width += 1
-    rhs = [target.get(label, Fraction(0)) for label in positions]
-    outcome = ExactMatrix(len(rows), width, rows).solve(rhs)
+    rows: dict[Label, dict[int, Fraction]] = {label: {} for label in target}
+    width = _labelled_rows((column.items() for column in columns), rows)
+    rhs = [target.get(label, Fraction(0)) for label in rows]
+    outcome = ExactMatrix(len(rows), width, list(rows.values())).solve(rhs)
     if outcome.feasible:
         return outcome.solution, None
     assert outcome.certificate is not None
     return None, tuple((label, weight) for label, weight
-                       in zip(positions, outcome.certificate) if weight != 0)
+                       in zip(rows, outcome.certificate) if weight != 0)
 
 
 def solve_in_span(images: Sequence[GradedTensor],
@@ -194,10 +220,6 @@ def ker_sharp_basis(structure: NambuStructure, degree: int,
     """Exact basis of the bounded-degree kernel of the degree-k bundle map."""
     if not 0 <= degree <= structure.order:
         raise ValueError("form degree out of range 0..n")
-    chart = structure.chart
-    domain = TruncatedBasis.build(chart, FORM, degree, degree_bound)
-    codomain = TruncatedBasis.build(chart, MULTIVECTOR, structure.order - degree,
-                                    degree_bound + max(structure.coefficient_degree(), 0))
-    operator = TruncatedOperator.build(domain, codomain,
-                                       lambda form: sharp(structure, degree, form))
+    domain = TruncatedBasis.build(structure.chart, FORM, degree, degree_bound)
+    operator = TruncatedOperator.build(domain, lambda form: sharp(structure, degree, form))
     return [domain.from_coordinates(vec) for vec in operator.matrix.nullspace()]

@@ -54,6 +54,15 @@ def test_no_zero_terms_stored():
     assert (x1 - x1).terms == {}
     assert ((x1 + 1) * (x1 - 1) - x1 ** 2 + 1).terms == {}
 
+def test_is_one():
+    assert not Polynomial.zero(VARS).is_one()
+    assert Polynomial.constant(VARS, 1).is_one()
+    assert not Polynomial.constant(VARS, 2).is_one()
+    assert not x1.is_one()
+    assert not (1 + x1).is_one()
+    assert Polynomial.constant((), 1).is_one()
+    assert not Polynomial.constant((), 2).is_one()
+
 def test_str_round_trips_signs():
     p = 2 * x1 ** 2 - Fraction(1, 2) * x2 + 3
     assert str(p) == "2*x1**2 - 1/2*x2 + 3"
@@ -190,6 +199,14 @@ def test_matmul_matches_dense():
     a = ExactMatrix.from_dense([[1, 2], [3, 4]])
     b = ExactMatrix.from_dense([[0, 1], [1, 0]])
     assert a @ b == ExactMatrix.from_dense([[2, 1], [4, 3]])
+
+def test_column_keys_outside_the_matrix_are_rejected():
+    with pytest.raises(ValueError):
+        ExactMatrix(1, 1, [{3: Fraction(1)}])
+    with pytest.raises(ValueError):
+        ExactMatrix(1, 1, [{-1: Fraction(1)}])
+    with pytest.raises(ValueError):
+        ExactMatrix(1, 2, [{-1: Fraction(1)}]) @ ExactMatrix.from_dense([[1], [2]])
 
 def test_matrix_from_columns():
     matrix = matrix_from_columns([{0: Fraction(1)}, {0: Fraction(2), 1: Fraction(5)}], 2)
