@@ -6,11 +6,14 @@ point enters any computation, so kernel dimensions and identity checks are
 trustworthy.  The canonical term order is graded lexicographic (total degree
 first, then the exponent tuple), which fixes serialization and report output.
 
-Rational functions are reduced pairs of polynomials.  Reduction cancels the
-rational content, common monomial factors and exact polynomial divisors; full
-multivariate GCD reduction is deliberately not attempted, because equality is
-decided by cross-multiplication and is therefore independent of the chosen
-representative.
+Tensor coefficients are polynomials.  ``p / q`` is the polynomial quotient
+whenever q divides p, and a ``RationalFunction`` only when it does not, which
+in practice means dividing by a non-constant volume coefficient.  Rational
+functions are reduced pairs of polynomials.  Reduction cancels the rational
+content, common monomial factors and exact polynomial divisors; full
+multivariate GCD reduction is deliberately not attempted, because equality
+is decided by cross-multiplication and is therefore independent of the
+chosen representative.
 
 The matrix layer has one elimination, ``ExactMatrix._echelon``.  It runs
 forward only and fraction-free: rows are cleared to integers, each update
@@ -219,6 +222,12 @@ class Polynomial:
             n >>= 1
         return result
 
+    def __truediv__(self, other) -> "Polynomial | RationalFunction":
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return _divide(self, rhs)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.variables, other)
@@ -350,7 +359,8 @@ class RationalFunction:
     The representation is normalized so that the denominator is never zero,
     has positive leading (graded-lex) coefficient, and shares no rational
     content or monomial factor with the numerator.  If the denominator divides
-    the numerator exactly the quotient is stored with denominator one.
+    the numerator exactly the quotient is stored with denominator one; the
+    arithmetic below returns that quotient as a ``Polynomial`` instead.
     Equality is decided by cross-multiplication, so callers never depend on
     the representative being fully reduced.
     """
@@ -364,17 +374,7 @@ class RationalFunction:
             raise ValueError("numerator and denominator use different variables")
         if denominator.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
-        if denominator.is_one():
-            self.numerator = numerator
-            self.denominator = denominator
-            return
-        num, den = _reduce_fraction(numerator, denominator)
-        self.numerator = num
-        self.denominator = den
-
-    @classmethod
-    def from_scalar(cls, variables_: Sequence[str], value: int | Fraction) -> "RationalFunction":
-        return cls(Polynomial.constant(variables_, value))
+        self.numerator, self.denominator = _reduce_fraction(numerator, denominator)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -383,32 +383,20 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.denominator.is_one()
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.denominator.is_one():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.numerator
-
-    def _coerce(self, other) -> "RationalFunction | None":
+    def _parts(self, other) -> tuple[Polynomial, Polynomial] | None:
         if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_scalar(self.variables, other)
-        return None
+            return other.numerator, other.denominator
+        poly = self.numerator._coerce(other)
+        if poly is None:
+            return None
+        return poly, Polynomial.constant(self.variables, 1)
 
-    def __add__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
+    def __add__(self, other) -> "Polynomial | RationalFunction":
+        rhs = self._parts(other)
         if rhs is None:
             return NotImplemented
-        if self.denominator.is_one() and rhs.denominator.is_one():
-            return RationalFunction(self.numerator + rhs.numerator)
-        return RationalFunction(
-            self.numerator * rhs.denominator + rhs.numerator * self.denominator,
-            self.denominator * rhs.denominator)
+        num, den = rhs
+        return _divide(self.numerator * den + num * self.denominator, self.denominator * den)
 
     __radd__ = __add__
 
@@ -418,57 +406,54 @@ class RationalFunction:
         out.denominator = self.denominator
         return out
 
-    def __sub__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+    def __sub__(self, other) -> "Polynomial | RationalFunction":
+        return self + (-other)
 
-    def __rsub__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+    def __rsub__(self, other) -> "Polynomial | RationalFunction":
+        return (-self) + other
 
-    def __mul__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
+    def __mul__(self, other) -> "Polynomial | RationalFunction":
+        rhs = self._parts(other)
         if rhs is None:
             return NotImplemented
-        if self.denominator.is_one() and rhs.denominator.is_one():
-            return RationalFunction(self.numerator * rhs.numerator)
-        return RationalFunction(self.numerator * rhs.numerator,
-                                self.denominator * rhs.denominator)
+        num, den = rhs
+        return _divide(self.numerator * num, self.denominator * den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
+    def __truediv__(self, other) -> "Polynomial | RationalFunction":
+        rhs = self._parts(other)
         if rhs is None:
             return NotImplemented
-        if rhs.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.numerator * rhs.denominator,
-                                self.denominator * rhs.numerator)
+        num, den = rhs
+        return _divide(self.numerator * den, self.denominator * num)
 
-    def __rtruediv__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
+    def __rtruediv__(self, other) -> "Polynomial | RationalFunction":
+        lhs = self._parts(other)
+        if lhs is None:
             return NotImplemented
-        return rhs / self
+        num, den = lhs
+        return _divide(num * self.denominator, den * self.numerator)
 
     def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
+        rhs = self._parts(other)
         if rhs is None:
             return NotImplemented
-        return (self.numerator * rhs.denominator) == (rhs.numerator * self.denominator)
+        num, den = rhs
+        return self.numerator * den == num * self.denominator
 
     def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
-
-    def diff(self, index: int) -> "RationalFunction":
+        # Equal values share the leading term of numerator / denominator, and
+        # a polynomial value is stored over 1 and hashes as that polynomial.
         if self.denominator.is_one():
-            return RationalFunction(self.numerator.diff(index))
-        return RationalFunction(
+            return hash(self.numerator)
+        (top_e, top_c), (low_e, low_c) = (
+            max(p.terms.items(), key=lambda item: grlex_key(item[0]))
+            for p in (self.numerator, self.denominator))
+        return hash((self.variables, tuple(a - b for a, b in zip(top_e, low_e)), top_c / low_c))
+
+    def diff(self, index: int) -> "Polynomial | RationalFunction":
+        return _divide(
             self.numerator.diff(index) * self.denominator
             - self.numerator * self.denominator.diff(index),
             self.denominator * self.denominator)
@@ -478,17 +463,24 @@ class RationalFunction:
         return self.numerator.evaluate_float(point) / den
 
     def __str__(self) -> str:
-        if self.denominator.is_one():
-            return str(self.numerator)
         return f"({self.numerator})/({self.denominator})"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
 
 
+def _divide(numerator: Polynomial, denominator: Polynomial) -> "Polynomial | RationalFunction":
+    """``numerator / denominator``: the polynomial quotient when the division
+    is exact, otherwise a reduced RationalFunction."""
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    exact = denominator.divides_exactly(numerator)
+    if exact is not None:
+        return exact
+    return RationalFunction(numerator, denominator)
+
+
 def _reduce_fraction(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if num.is_zero():
-        return num, Polynomial.constant(num.variables, 1)
     exact = den.divides_exactly(num)
     if exact is not None:
         return exact, Polynomial.constant(num.variables, 1)

@@ -110,9 +110,9 @@ def _family(model: ModelFile, choice: str):
 
 
 def _scalars_of(model: ModelFile, listing: str) -> list[Polynomial]:
-    names = [part for part in listing.split(",") if part]
-    if not names:
-        raise KeyError("expected a comma-separated list of scalar names")
+    names = listing.split(",")
+    if not all(names):
+        raise KeyError(f"expected a comma-separated list of scalar names, got {listing!r}")
     return [model.scalar(name) for name in names]
 
 

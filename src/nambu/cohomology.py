@@ -20,7 +20,6 @@ from .algebra import (
     ONE,
     ExactMatrix,
     Polynomial,
-    RationalFunction,
     SparseVector,
     matrix_from_columns,
 )
@@ -29,6 +28,7 @@ from .exterior import (
     MULTIVECTOR,
     Chart,
     GradedTensor,
+    Scalar,
     apply_vector,
     contract_form,
     differential,
@@ -93,7 +93,10 @@ class TruncatedDimension:
             self.previous_dimension == self.dimension
 
 
-def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -> int:
+def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
+                           sharp_kernel: list[GradedTensor] | None = None) -> int:
+    """Foliated cohomology at one degree; ``sharp_kernel`` is
+    ``ker_sharp_basis(structure, degree, bound)`` when the caller has it."""
     chart = structure.chart
     n = structure.order
     domain = TruncatedBasis.build(chart, FORM, degree, bound)
@@ -112,8 +115,9 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int) -
         for j in range(len(previous)):
             image = ext_d(previous.tensor_of(j))
             boundary_vectors.append(domain.to_coordinates(image))
-    kernel_op = TruncatedOperator.build(domain, lambda form: sharp(structure, degree, form))
-    boundary_vectors.extend(kernel_op.matrix.nullspace())
+    if sharp_kernel is None:
+        sharp_kernel = ker_sharp_basis(structure, degree, bound)
+    boundary_vectors.extend(domain.to_coordinates(form) for form in sharp_kernel)
 
     if cocycle_op is not None and not _annihilates(cocycle_op.matrix, boundary_vectors):
         raise RuntimeError("coboundary vector escapes the cocycle space; "
@@ -148,8 +152,7 @@ def np_cocycle_check_top(coefficient: Polynomial, one_form: GradedTensor) -> Gra
         raise ValueError("the cocycle condition applies to 1-forms")
     if coefficient.variables != chart.coordinates:
         raise ValueError("coefficient does not live on the form's chart")
-    f = chart.scalar(coefficient)
-    return ext_d(one_form).scale(f) - wedge(differential(chart, coefficient), one_form)
+    return ext_d(one_form).scale(coefficient) - wedge(differential(chart, coefficient), one_form)
 
 
 @dataclass(frozen=True)
@@ -182,12 +185,11 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     cocycles = cocycle_op.matrix.nullspace()
 
     coboundaries: list[SparseVector] = []
-    f_scalar = chart.scalar(coefficient)
     for exponent in monomials_up_to(chart.dimension, bound + 1 - deg_f):
         if sum(exponent) == 0:
             continue
         generator = differential(chart, Polynomial.monomial(chart.coordinates, exponent))
-        coboundaries.append(domain.to_coordinates(generator.scale(f_scalar)))
+        coboundaries.append(domain.to_coordinates(generator.scale(coefficient)))
     # every coboundary is a cocycle; assert rather than assume
     if not _annihilates(cocycle_op.matrix, coboundaries):
         raise RuntimeError("coboundary f*dg fails the cocycle condition")
@@ -215,8 +217,7 @@ def _is_polynomial_multiple(candidate: GradedTensor, generator: GradedTensor) ->
     numerator = candidate.components.get(reference)
     if numerator is None:
         return candidate.is_zero()
-    factor = generator.components[reference].as_polynomial().divides_exactly(
-        numerator.as_polynomial())
+    factor = generator.components[reference].divides_exactly(numerator)
     if factor is None:
         return False
     return candidate == generator.scale(factor)
@@ -230,7 +231,7 @@ def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
     collapses the bounded kernel to the module generators it actually has.
     """
     def coefficient_degree(form: GradedTensor) -> int:
-        return max((v.as_polynomial().total_degree() for v in form.components.values()),
+        return max((v.total_degree() for v in form.components.values()),
                    default=0)
 
     kept: list[GradedTensor] = []
@@ -520,14 +521,15 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
         raise ValueError("coefficient bound must be non-negative")
     _check_homology_volume(volume)
     n = structure.order
-    constant_structure = all(v.as_polynomial().is_constant()
-                             for v in structure.tensor.components.values())
-    annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound))
+    constant_structure = all(v.is_constant() for v in structure.tensor.components.values())
+    one_form_kernel = ker_sharp_basis(structure, 1, bound)
+    annihilators = reduce_annihilators(one_form_kernel)
     above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
     rows = []
     holds = True
     for degree in range(n + 1):
-        foliated = _foliated_dimension_at(structure, degree, bound)
+        foliated = _foliated_dimension_at(structure, degree, bound,
+                                          one_form_kernel if degree == 1 else None)
         canonical_degree = n - degree
         canonical = _canonical_dimension_at(structure, volume, canonical_degree, bound,
                                             annihilators, above_annihilators)
@@ -550,7 +552,7 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
 # -- form-represented cochains of the algebroid complex ---------------------------
 
 def form_cochain_value(structure: NambuStructure, form: GradedTensor,
-                       arguments: list[GradedTensor]) -> RationalFunction:
+                       arguments: list[GradedTensor]) -> Scalar:
     """Value of the cochain represented by a k-form on k bracket arguments."""
     if form.degree != len(arguments):
         raise ValueError("argument count must match the form degree")
@@ -562,7 +564,7 @@ def form_cochain_value(structure: NambuStructure, form: GradedTensor,
 
 
 def form_cochain_coboundary(structure: NambuStructure, form: GradedTensor,
-                            arguments: list[GradedTensor]) -> RationalFunction:
+                            arguments: list[GradedTensor]) -> Scalar:
     """The algebroid coboundary of a form-represented cochain, evaluated.
 
     Anchor terms act through the bundle map; bracket terms replace the later

@@ -1,9 +1,11 @@
 """Graded exterior calculus on a coordinate chart.
 
 Forms and multivector fields share one sparse representation: a map from a
-strictly increasing index tuple to a rational-function coefficient.  The
-determinant pairing <dx^I, e_J> = delta_{I,J} on sorted multi-indices fixes
-every sign in the module; both contraction operators are its adjoints,
+strictly increasing index tuple to a coefficient.  Coefficients are
+polynomials; a rational function appears only after dividing by a
+non-constant volume coefficient (see ``modular``).  The determinant pairing
+<dx^I, e_J> = delta_{I,J} on sorted multi-indices fixes every sign in the
+module; both contraction operators are its adjoints,
 
     <gamma, contract_form(beta, P)>  = <beta ^ gamma, P>
     <interior_form(Q, omega), R>     = <omega, Q ^ R>
@@ -26,7 +28,7 @@ FORM = "form"
 MULTIVECTOR = "mv"
 
 Index = tuple[int, ...]
-Scalar = RationalFunction
+Scalar = Polynomial | RationalFunction
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,9 @@ class Chart:
         return Polynomial.zero(self.coordinates)
 
     def scalar(self, value) -> Scalar:
-        if isinstance(value, RationalFunction):
+        if isinstance(value, (Polynomial, RationalFunction)):
             return value
-        if isinstance(value, Polynomial):
-            return RationalFunction(value)
-        return RationalFunction(Polynomial.constant(self.coordinates, value))
+        return Polynomial.constant(self.coordinates, value)
 
 
 def merge_indices(left: Index, right: Index) -> tuple[int, Index] | None:
@@ -173,7 +173,7 @@ class GradedTensor:
         return not self.components
 
     def is_polynomial(self) -> bool:
-        return all(c.is_polynomial() for c in self.components.values())
+        return all(isinstance(c, Polynomial) for c in self.components.values())
 
     def component(self, indices: Sequence[int]) -> Scalar:
         """Component at an arbitrary index tuple, with antisymmetry applied."""
@@ -284,16 +284,14 @@ def format_tensor(tensor: GradedTensor) -> str:
         else:
             basis = "^".join(f"@{i + 1}" for i in index)
         sign = "+"
-        if value.is_polynomial() and len(value.numerator.terms) == 1:
-            coeff = next(iter(value.numerator.terms.values()))
-            if coeff < 0:
-                sign = "-"
-                value = -value
-        if value.is_polynomial() and value.numerator.is_one():
+        single_term = isinstance(value, Polynomial) and len(value.terms) == 1
+        if single_term and next(iter(value.terms.values())) < 0:
+            sign = "-"
+            value = -value
+        if single_term and value.is_one():
             pieces.append((sign, basis))
             continue
         text = str(value)
-        single_term = value.is_polynomial() and len(value.numerator.terms) == 1
         if text.startswith("(") or single_term:
             pieces.append((sign, f"{text} * {basis}"))
         else:
@@ -451,7 +449,7 @@ def ext_d(form: GradedTensor) -> GradedTensor:
     return result
 
 
-def differential(chart: Chart, scalar: Polynomial | RationalFunction) -> GradedTensor:
+def differential(chart: Chart, scalar: Scalar) -> GradedTensor:
     """d of a scalar function, as a 1-form."""
     value = chart.scalar(scalar)
     return ext_d(GradedTensor.from_scalar(chart, FORM, value))

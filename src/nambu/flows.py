@@ -34,8 +34,10 @@ class FlowConfig:
             raise ValueError("step size must be positive")
         if self.steps < 1:
             raise ValueError("step count must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not all(math.isfinite(v) for v in self.start):
+            raise ValueError("start point must be finite")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not math.isfinite(self.step * self.steps):
             raise ValueError("total integration time must be finite")
 

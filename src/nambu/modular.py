@@ -12,12 +12,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial, RationalFunction
+from .algebra import Polynomial
 from .exterior import (
     FORM,
     MULTIVECTOR,
     Chart,
     GradedTensor,
+    Scalar,
     apply_vector,
     contract_form,
     differential,
@@ -124,7 +125,6 @@ def flat_inverse(volume: VolumeSpec, theta: WeightedForm) -> GradedTensor:
     if body.variance != FORM:
         raise ValueError("flat_inverse expects a form body")
     full = tuple(range(m))
-    u = RationalFunction(volume.coefficient)
     components = {}
     for rest, value in body.components.items():
         rest_set = set(rest)
@@ -133,7 +133,7 @@ def flat_inverse(volume: VolumeSpec, theta: WeightedForm) -> GradedTensor:
         merged = merge_indices(index, rest)
         assert merged is not None
         sign, _ = merged
-        coeff = value / u
+        coeff = value / volume.coefficient
         components[index] = coeff if sign > 0 else -coeff
     return GradedTensor(chart, MULTIVECTOR, m - body.degree, components)
 
@@ -159,7 +159,7 @@ def delta(volume: VolumeSpec, field: GradedTensor) -> GradedTensor:
     return flat_inverse(volume, weighted_d(flat(volume, field)))
 
 
-def divergence(volume: VolumeSpec, field: GradedTensor) -> RationalFunction:
+def divergence(volume: VolumeSpec, field: GradedTensor) -> Scalar:
     """div X with L_X nu = (div X) nu: sum_j d_j X^j + X(u)/u - X(w)."""
     if field.variance != MULTIVECTOR or field.degree != 1:
         raise ValueError("divergence expects a vector field")
@@ -167,7 +167,7 @@ def divergence(volume: VolumeSpec, field: GradedTensor) -> RationalFunction:
     total = chart.scalar(0)
     for (j,), comp in field.components.items():
         total = total + comp.diff(j)
-    u = RationalFunction(volume.coefficient)
+    u = volume.coefficient
     total = total + apply_vector(field, u) / u
     total = total - apply_vector(field, volume.weight)
     return total

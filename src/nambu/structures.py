@@ -114,7 +114,7 @@ class NambuStructure:
         value = self.tensor.components.get(full)
         if value is None:
             return self.chart.zero_polynomial()
-        return value.as_polynomial()
+        return value
 
     def __repr__(self) -> str:
         return f"NambuStructure(order={self.order}, {self.tensor})"
@@ -129,7 +129,7 @@ def nambu_bracket(structure: NambuStructure, *scalars) -> Polynomial:
     """The n-ary bracket <df_1 ^ ... ^ df_n, Lambda>."""
     if len(scalars) != structure.order:
         raise ValueError(f"bracket arity is {structure.order}, got {len(scalars)}")
-    return pair(_differentials(structure.chart, scalars), structure.tensor).as_polynomial()
+    return pair(_differentials(structure.chart, scalars), structure.tensor)
 
 
 def sharp(structure: NambuStructure, degree: int, form: GradedTensor) -> GradedTensor:
@@ -180,7 +180,7 @@ def check_fundamental_identity(structure: NambuStructure,
             if form is None:
                 form = forms[inner] = _differentials(structure.chart,
                                                      [family[i] for i in inner])
-            residual = pair(form, defect).as_polynomial()
+            residual = pair(form, defect)
             if not residual.is_zero():
                 violations.append(IdentityViolation(
                     outer=tuple(names[i] for i in outer),

@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .algebra import ExactMatrix, Polynomial, SparseVector, grlex_key
-from .exterior import FORM, Chart, GradedTensor
+from .algebra import ExactMatrix, Polynomial, RationalFunction, SparseVector, grlex_key
+from .exterior import FORM, Chart, GradedTensor, Scalar
 from .structures import NambuStructure, sharp
 
 Exponent = tuple[int, ...]
@@ -51,10 +51,12 @@ def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
     return out
 
 
-def _tensor_entries(tensor: GradedTensor) -> Iterable[tuple[Label, Fraction]]:
+def _tensor_entries(components: dict[Index, Scalar]) -> Iterable[tuple[Label, Fraction]]:
     """The (component, monomial) label and coefficient of every term."""
-    for idx, value in tensor.components.items():
-        for exponent, coeff in value.as_polynomial().terms.items():
+    for idx, value in components.items():
+        if not isinstance(value, Polynomial):
+            raise ValueError(f"component {idx} is not a polynomial: {value}")
+        for exponent, coeff in value.terms.items():
             yield (idx, exponent), coeff
 
 
@@ -100,7 +102,7 @@ class TruncatedBasis:
             raise ValueError("tensor degree does not match the basis")
         vec: SparseVector = {}
         pos = self.positions
-        for label, coeff in _tensor_entries(tensor):
+        for label, coeff in _tensor_entries(tensor.components):
             at = pos.get(label)
             if at is None:
                 raise ValueError(
@@ -145,7 +147,7 @@ def image_matrix(images: Iterable[GradedTensor]) -> ExactMatrix:
     component-then-graded-lex order; no row is all zero.
     """
     rows: dict[Label, dict[int, Fraction]] = {}
-    width = _labelled_rows(map(_tensor_entries, images), rows)
+    width = _labelled_rows((_tensor_entries(image.components) for image in images), rows)
     order = sorted(rows, key=lambda label: (label[0], grlex_key(label[1])))
     return ExactMatrix(len(order), width, [rows[label] for label in order])
 
@@ -196,21 +198,16 @@ def solve_in_span(images: Sequence[GradedTensor],
     (None, certificate) with a labelled left-kernel functional separating
     the target from the span.
     """
-    denominators = {idx: value.denominator for idx, value in target.components.items()}
-    labelled_target = {(idx, exponent): coeff
-                       for idx, value in target.components.items()
-                       for exponent, coeff in value.numerator.terms.items()}
+    denominators = {idx: value.denominator for idx, value in target.components.items()
+                    if isinstance(value, RationalFunction)}
+    labelled_target = dict(_tensor_entries({
+        idx: value.numerator if idx in denominators else value
+        for idx, value in target.components.items()}))
 
     def column(image: GradedTensor) -> dict[Label, Fraction]:
-        entries: dict[Label, Fraction] = {}
-        for idx, value in image.components.items():
-            poly = value.as_polynomial()
-            den = denominators.get(idx)
-            if den is not None and not den.is_one():
-                poly = poly * den
-            for exponent, coeff in poly.terms.items():
-                entries[(idx, exponent)] = coeff
-        return entries
+        return dict(_tensor_entries({
+            idx: value * denominators[idx] if idx in denominators else value
+            for idx, value in image.components.items()}))
 
     return solve_labelled(map(column, images), labelled_target)
 

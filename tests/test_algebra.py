@@ -107,8 +107,34 @@ def test_float_eval_matches_exact(a, b):
 
 def test_exact_division_reduces_to_polynomial():
     ratio = RationalFunction(x1 ** 2 - x2 ** 2, x1 - x2)
-    assert ratio.is_polynomial()
-    assert ratio.as_polynomial() == x1 + x2
+    assert ratio.denominator.is_one()
+    assert ratio.numerator == x1 + x2
+
+def test_division_is_a_polynomial_exactly_when_it_is_exact():
+    quotient = (x1 ** 2 - x2 ** 2) / (x1 - x2)
+    assert type(quotient) is Polynomial and quotient == x1 + x2
+    assert type((3 * x1 * x2) / 3) is Polynomial
+    ratio = (x1 + 1) / (x2 + 1)
+    assert type(ratio) is RationalFunction and not ratio.denominator.is_one()
+    assert ratio * (x2 + 1) == x1 + 1 and type(ratio * (x2 + 1)) is Polynomial
+    assert type(ratio - ratio) is Polynomial and type(ratio / ratio) is Polynomial
+    assert (x1 + 1) / ratio == x2 + 1 and type((x1 + 1) / ratio) is Polynomial
+    assert type(RationalFunction(x1 ** 2, x2).diff(1)) is RationalFunction
+    assert type(RationalFunction(x1 * x2, x2).diff(0)) is Polynomial
+    for numerator in (x1, Polynomial.zero(VARS)):
+        with pytest.raises(ZeroDivisionError):
+            numerator / Polynomial.zero(VARS)
+        with pytest.raises(ZeroDivisionError):
+            ratio / numerator if numerator.is_zero() else numerator / 0
+
+def test_rational_hash_agrees_with_equality():
+    unreduced = RationalFunction((x1 + 1) * (x1 + 2), (x1 + 1) * (x1 + 3))
+    reduced = RationalFunction(x1 + 2, x1 + 3)
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
+    assert len({unreduced, reduced}) == 1
+    poly = x1 * x2 + 3
+    assert RationalFunction(poly) == poly and hash(RationalFunction(poly)) == hash(poly)
+    assert len({poly, RationalFunction(poly)}) == 1
 
 def test_normalization_idempotent():
     ratio = RationalFunction(2 * x1 * x2, 4 * x2 * x3)
@@ -134,7 +160,7 @@ def test_zero_denominator_rejected():
 def test_field_arithmetic():
     a = RationalFunction(x1, x2)
     b = RationalFunction(x2, x1)
-    assert a * b == RationalFunction.from_scalar(VARS, 1)
+    assert a * b == Polynomial.constant(VARS, 1)
     assert a + b == RationalFunction(x1 ** 2 + x2 ** 2, x1 * x2)
     assert (a / b) == RationalFunction(x1 ** 2, x2 ** 2)
 

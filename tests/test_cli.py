@@ -166,6 +166,26 @@ def test_divergent_flow_is_math_failure(capsys, start, step, steps):
     assert report["result"]["diverged"] is True
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--start", "nan,0,0"), ("--start", "inf,0,0"), ("--tolerance", "nan"),
+])
+def test_non_finite_flow_input_is_usage_error(capsys, option, value):
+    argv = ["flow", SINGULAR, "--scalars", "r2,h", "--start", "1,0,0", option, value]
+    assert main(argv) == 2
+    assert "diverged" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["flow", "hamiltonian"])
+@pytest.mark.parametrize("scalars", ["r2,,h", ",r2,h", "r2,h,", ""])
+def test_empty_scalar_name_is_usage_error(capsys, command, scalars):
+    argv = [command, SINGULAR, "--scalars", scalars, "--start", "1,0,0"]
+    code = main(argv if command == "flow" else argv[:-2])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "scalar names" in captured.err
+
+
 def test_check_fails_on_invalid_structure(tmp_path, capsys):
     model = tmp_path / "invalid.nmb"
     model.write_text("""\

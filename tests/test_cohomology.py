@@ -705,6 +705,25 @@ def test_duality_holds_regular_r4():
     for row in report.rows:
         assert row.np_dimension == row.canonical_dimension == row.foliated_dimension
 
+@pytest.mark.parametrize("structure, volume", [(singular_r3(), STD3), (regular_r4(), STD4)])
+def test_duality_builds_each_operator_once(monkeypatch, structure, volume):
+    # an operator is named by its domain and the images of the domain's basis
+    build = TruncatedOperator.build.__func__
+    seen = []
+
+    def recording_build(cls, domain, mapping):
+        images = tuple(mapping(domain.tensor_of(j)) for j in range(len(domain)))
+        seen.append((domain, images))
+        return build(cls, domain, mapping)
+
+    monkeypatch.setattr(TruncatedOperator, "build", classmethod(recording_build))
+    duality_report(structure, volume, 2)
+    assert len(seen) == len(set(seen))
+    degree_one = TruncatedBasis.build(structure.chart, FORM, 1, 2)
+    sharp_images = tuple(sharp(structure, 1, degree_one.tensor_of(j))
+                         for j in range(len(degree_one)))
+    assert seen.count((degree_one, sharp_images)) == 1
+
 
 # -- form-represented cochains and the chain map -----------------------------------------
 

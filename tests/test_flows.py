@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from nambu.flows import (
@@ -38,7 +40,7 @@ def test_circular_flow_conserves_radius_and_height():
 
 def test_stationary_trajectory_for_constant_hamiltonians():
     structure = singular_r3()
-    one = R3.scalar(1).numerator
+    one = R3.scalar(1)
     config = FlowConfig(start=(0.3, -0.7, 2.0), step=0.1, steps=10)
     trajectory = integrate_hamiltonian(structure, (one, one), config)
     assert all(p == trajectory[0] for p in trajectory)
@@ -93,6 +95,12 @@ def test_config_validation():
         FlowConfig(start=(0.0,), step=1.0, steps=0)
     with pytest.raises(ValueError):
         FlowConfig(start=(0.0,), step=1.0, steps=1, tolerance=0.0)
+    for start in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            FlowConfig(start=start, step=1.0, steps=1)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FlowConfig(start=(0.0,), step=1.0, steps=1, tolerance=tolerance)
 
 
 def test_wrong_start_dimension():

@@ -66,7 +66,7 @@ mv P = x2 * @1 - @3
     assert form.degree == 2 and form.variance == FORM
     field = model.binding("P", "mv")
     assert field.degree == 1 and field.variance == MULTIVECTOR
-    assert field.component((0,)).as_polynomial() == x2
+    assert field.component((0,)) == x2
 
 def test_bindings_can_reference_earlier_ones():
     model = parse_model("""\

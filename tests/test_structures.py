@@ -145,7 +145,7 @@ def _bracket_expansion_report(structure, family, max_violations=5):
               for combo in itertools.combinations(range(len(family)), n - 1)}
 
     def bracket_with(field_combo, scalar):
-        return apply_vector(fields[field_combo], scalar).as_polynomial()
+        return apply_vector(fields[field_combo], scalar)
 
     inner_brackets = {
         inner: nambu_bracket(structure, *(family[i] for i in inner))

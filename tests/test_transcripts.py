@@ -74,6 +74,7 @@ CASES = [
     ("duality-negative-bound", f"duality {SINGULAR} --degree-bound -1", 2),
     ("duality-weighted-volume", f"duality {REGULAR3} --volume W --degree-bound 2", 2),
     ("flow-bad-start", f"flow {SINGULAR} --scalars r2,h --start 1,x,0", 2),
+    ("flow-nan-start", f"flow {SINGULAR} --scalars r2,h --start nan,0,0", 2),
     ("naka-pair-wrong-chart", f"naka-pair {SPACE} A B", 2),
     ("h1-top-missing-flag", f"h1-top {SINGULAR}", 2),
     ("unknown-command", f"frobnicate {SINGULAR}", 2),
