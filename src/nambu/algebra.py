@@ -236,6 +236,9 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its value as a number, so it hashes as that number
+        if self.is_constant():
+            return hash(self.terms.get((0,) * len(self.variables), ZERO))
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- calculus and evaluation -------------------------------------------
@@ -374,7 +377,11 @@ class RationalFunction:
             raise ValueError("numerator and denominator use different variables")
         if denominator.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
-        self.numerator, self.denominator = _reduce_fraction(numerator, denominator)
+        exact = denominator.divides_exactly(numerator)
+        if exact is not None:
+            self.numerator, self.denominator = exact, Polynomial.constant(exact.variables, 1)
+        else:
+            self.numerator, self.denominator = _reduce_fraction(numerator, denominator)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -477,13 +484,14 @@ def _divide(numerator: Polynomial, denominator: Polynomial) -> "Polynomial | Rat
     exact = denominator.divides_exactly(numerator)
     if exact is not None:
         return exact
-    return RationalFunction(numerator, denominator)
+    result = RationalFunction.__new__(RationalFunction)
+    result.numerator, result.denominator = _reduce_fraction(numerator, denominator)
+    return result
 
 
 def _reduce_fraction(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    exact = den.divides_exactly(num)
-    if exact is not None:
-        return exact, Polynomial.constant(num.variables, 1)
+    """Normal form of an inexact quotient: common monomial factor removed and
+    the denominator's leading (graded-lex) coefficient made 1."""
     m = len(num.variables)
     shift = tuple(
         min(min(e[i] for e in num.terms), min(e[i] for e in den.terms)) for i in range(m))

@@ -26,7 +26,7 @@ from .cohomology import (
     np_h1_top,
     subcomplex_check,
 )
-from .exterior import format_tensor
+from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor, format_tensor
 from .flows import (
     DivergentFlowError,
     FlowConfig,
@@ -79,26 +79,13 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _monomial_text(chart_names, exponent) -> str:
-    parts = [f"{name}**{e}" if e > 1 else name
-             for name, e in zip(chart_names, exponent) if e > 0]
-    return "*".join(parts) if parts else "1"
-
-
-def _component_text(variance: str, chart_names, index) -> str:
-    if not index:
-        return "1"
-    if variance == "form":
-        return "^".join(f"d{chart_names[i]}" for i in index)
-    return "^".join(f"@{i + 1}" for i in index)
-
-
-def _certificate_report(report: Report, chart_names, certificate) -> Report:
+def _certificate_report(report: Report, chart: Chart, certificate) -> Report:
     """Attach a labelled certificate functional: one JSON entry and one line per weight."""
-    report.certificates = [{"component": _component_text("mv", chart_names, label[0]),
-                            "monomial": _monomial_text(chart_names, label[1]),
-                            "weight": str(weight)}
-                           for label, weight in certificate]
+    report.certificates = [
+        {"component": format_tensor(GradedTensor.basis(chart, MULTIVECTOR, index)),
+         "monomial": str(Polynomial.monomial(chart.coordinates, exponent)),
+         "weight": str(weight)}
+        for (index, exponent), weight in certificate]
     report.lines.extend(f"  {entry['weight']} * <{entry['component']}, {entry['monomial']}>"
                         for entry in report.certificates)
     return report
@@ -132,7 +119,7 @@ def _cmd_check(model: ModelFile, args, structure) -> Report:
                      f"residual {violation.residual}")
     lines.append(f"decomposability: {'pass' if shape.passed else 'FAIL'}")
     if not shape.passed:
-        witness = _component_text("form", model.chart.coordinates, shape.witness_indices)
+        witness = format_tensor(GradedTensor.basis(model.chart, FORM, shape.witness_indices))
         lines.append(f"  witness form {witness}, residual {shape.residual}")
     lines.append("note: the identity check certifies the named family only")
     result = {
@@ -192,7 +179,7 @@ def _cmd_potential(model: ModelFile, args, structure, volume) -> Report:
                degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
                lines=[f"infeasible at degree bound {args.degree_bound}",
                       "certificate functional (annihilates every candidate, not the tensor):"]),
-        model.chart.coordinates, outcome.certificate)
+        model.chart, outcome.certificate)
 
 
 def _cmd_basic_volume(model: ModelFile, args, structure, volume) -> Report:
@@ -271,7 +258,7 @@ def _cmd_subcomplex(model: ModelFile, args, structure, volume) -> Report:
                degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
                lines=[f"no: the modular tensor is not in the bundle image at bound "
                       f"{args.degree_bound}", "certificate functional:"]),
-        model.chart.coordinates, outcome.certificate)
+        model.chart, outcome.certificate)
 
 
 def _cmd_duality(model: ModelFile, args, structure, volume) -> Report:

@@ -3,7 +3,10 @@
 Forms and multivector fields share one sparse representation: a map from a
 strictly increasing index tuple to a coefficient.  Coefficients are
 polynomials; a rational function appears only after dividing by a
-non-constant volume coefficient (see ``modular``).  The determinant pairing
+non-constant volume coefficient (see ``modular``).  Three kernels loop over
+components: ``wedge``, ``_front_contract`` (behind ``contract_form`` and
+``interior_form``) and ``ext_d``; every other operator, from the pairing to
+both Lie derivatives, is composed from them.  The determinant pairing
 <dx^I, e_J> = delta_{I,J} on sorted multi-indices fixes every sign in the
 module; both contraction operators are its adjoints,
 
@@ -218,16 +221,11 @@ class GradedTensor:
                 out.pop(index, None)
             else:
                 out[index] = acc
-        result = GradedTensor.__new__(GradedTensor)
-        result.chart, result.variance, result.degree = self.chart, self.variance, self.degree
-        result.components = out
-        return result
+        return _raw(self.chart, self.variance, self.degree, out)
 
     def __neg__(self) -> "GradedTensor":
-        result = GradedTensor.__new__(GradedTensor)
-        result.chart, result.variance, result.degree = self.chart, self.variance, self.degree
-        result.components = {i: -v for i, v in self.components.items()}
-        return result
+        return _raw(self.chart, self.variance, self.degree,
+                    {i: -v for i, v in self.components.items()})
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
         return self + (-other)
@@ -236,10 +234,8 @@ class GradedTensor:
         coeff = self.chart.scalar(factor)
         if coeff.is_zero():
             return GradedTensor.zero(self.chart, self.variance, self.degree)
-        result = GradedTensor.__new__(GradedTensor)
-        result.chart, result.variance, result.degree = self.chart, self.variance, self.degree
-        result.components = {i: v * coeff for i, v in self.components.items()}
-        return result
+        return _raw(self.chart, self.variance, self.degree,
+                    {i: v * coeff for i, v in self.components.items()})
 
     def __mul__(self, factor) -> "GradedTensor":
         if isinstance(factor, GradedTensor):
@@ -268,6 +264,19 @@ class GradedTensor:
 
     def __repr__(self) -> str:
         return f"GradedTensor({self.variance}, deg={self.degree}, {self})"
+
+
+def _raw(chart: Chart, variance: str, degree: int,
+         components: dict[Index, Scalar]) -> GradedTensor:
+    """Unchecked constructor for kernel output: sorted indices, no zero values.
+
+    Components above the chart dimension are dropped, since only the zero
+    tensor lives there.
+    """
+    result = GradedTensor.__new__(GradedTensor)
+    result.chart, result.variance, result.degree = chart, variance, degree
+    result.components = components if degree <= chart.dimension else {}
+    return result
 
 
 def format_tensor(tensor: GradedTensor) -> str:
@@ -323,10 +332,7 @@ def wedge(left: GradedTensor, right: GradedTensor) -> GradedTensor:
                 out.pop(index, None)
             else:
                 out[index] = acc
-    result = GradedTensor.__new__(GradedTensor)
-    result.chart, result.variance, result.degree = left.chart, left.variance, degree
-    result.components = out if degree <= left.chart.dimension else {}
-    return result
+    return _raw(left.chart, left.variance, degree, out)
 
 
 def wedge_all(factors: Iterable[GradedTensor]) -> GradedTensor:
@@ -341,21 +347,9 @@ def wedge_all(factors: Iterable[GradedTensor]) -> GradedTensor:
 
 def pair(form: GradedTensor, field: GradedTensor) -> Scalar:
     """Determinant pairing of a k-form with a k-multivector."""
-    if form.variance != FORM or field.variance != MULTIVECTOR:
-        raise ValueError("pair expects (form, multivector)")
-    if form.chart != field.chart:
-        raise ValueError("tensors live on different charts")
     if form.degree != field.degree:
         raise ValueError(f"degree mismatch: {form.degree} vs {field.degree}")
-    total = form.chart.scalar(0)
-    small, large = form.components, field.components
-    if len(large) < len(small):
-        small, large = large, small
-    for index, value in small.items():
-        mate = large.get(index)
-        if mate is not None:
-            total = total + value * mate
-    return total
+    return contract_form(form, field).scalar_value()
 
 
 def _front_contract(front: GradedTensor, target: GradedTensor) -> dict[Index, Scalar]:
@@ -394,11 +388,8 @@ def contract_form(form: GradedTensor, field: GradedTensor) -> GradedTensor:
     if form.degree > field.degree:
         raise ValueError(f"cannot contract a {form.degree}-form into a "
                          f"{field.degree}-multivector")
-    result = GradedTensor.__new__(GradedTensor)
-    result.chart, result.variance = field.chart, MULTIVECTOR
-    result.degree = field.degree - form.degree
-    result.components = _front_contract(form, field)
-    return result
+    return _raw(field.chart, MULTIVECTOR, field.degree - form.degree,
+                _front_contract(form, field))
 
 
 def interior_form(field: GradedTensor, form: GradedTensor) -> GradedTensor:
@@ -414,11 +405,8 @@ def interior_form(field: GradedTensor, form: GradedTensor) -> GradedTensor:
         raise ValueError("tensors live on different charts")
     if field.degree > form.degree:
         return GradedTensor.zero(form.chart, FORM, 0)
-    result = GradedTensor.__new__(GradedTensor)
-    result.chart, result.variance = form.chart, FORM
-    result.degree = form.degree - field.degree
-    result.components = _front_contract(field, form)
-    return result
+    return _raw(form.chart, FORM, form.degree - field.degree,
+                _front_contract(field, form))
 
 
 def ext_d(form: GradedTensor) -> GradedTensor:
@@ -443,10 +431,7 @@ def ext_d(form: GradedTensor) -> GradedTensor:
                 out.pop(key, None)
             else:
                 out[key] = acc
-    result = GradedTensor.__new__(GradedTensor)
-    result.chart, result.variance, result.degree = chart, FORM, form.degree + 1
-    result.components = out if form.degree + 1 <= chart.dimension else {}
-    return result
+    return _raw(chart, FORM, form.degree + 1, out)
 
 
 def differential(chart: Chart, scalar: Scalar) -> GradedTensor:
@@ -459,11 +444,7 @@ def apply_vector(field: GradedTensor, scalar) -> Scalar:
     """Directional derivative X(f) of a scalar along a vector field."""
     if field.variance != MULTIVECTOR or field.degree != 1:
         raise ValueError("apply_vector expects a vector field")
-    value = field.chart.scalar(scalar)
-    total = field.chart.scalar(0)
-    for (j,), comp in field.components.items():
-        total = total + comp * value.diff(j)
-    return total
+    return pair(differential(field.chart, scalar), field)
 
 
 def lie_form(field: GradedTensor, form: GradedTensor) -> GradedTensor:
@@ -472,16 +453,15 @@ def lie_form(field: GradedTensor, form: GradedTensor) -> GradedTensor:
         raise ValueError("lie_form expects a degree-1 multivector")
     if form.variance != FORM:
         raise ValueError("lie_form expects a form as second argument")
-    if form.degree == 0:
-        return GradedTensor.from_scalar(form.chart, FORM, apply_vector(field, form.scalar_value()))
     return ext_d(interior_form(field, form)) + interior_form(field, ext_d(form))
 
 
 def lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
     """Lie derivative of a multivector along a vector field.
 
-    Coordinate formula: (L_X P)^I = X^j d_j P^I - sum_a (d_j X^{i_a}) P^{I|a->j};
-    on degree 1 it reduces to the commutator of vector fields.
+    L_X P = sum_I X(P^I) e_I - sum_j (d_j X) ^ i(dx^j) P, where d_j X is the
+    field of j-th partials of the components of X; on degree 1 it reduces to
+    the commutator of vector fields.
     """
     if field.variance != MULTIVECTOR or field.degree != 1:
         raise ValueError("lie_mv expects a degree-1 multivector as first argument")
@@ -490,45 +470,15 @@ def lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
     chart = tensor.chart
     if field.chart != chart:
         raise ValueError("tensors live on different charts")
-    zero = chart.scalar(0)
-    m = chart.dimension
-    # transport term X^j d_j P^I
-    transported: dict[Index, Scalar] = {}
-    for index, value in tensor.components.items():
-        acc = zero
-        for (j,), comp in field.components.items():
-            acc = acc + comp * value.diff(j)
-        if not acc.is_zero():
-            transported[index] = acc
-    out = GradedTensor(chart, MULTIVECTOR, tensor.degree, transported)
-    # Slot replacement term, spread from each stored component of P outward:
-    # component P^J with entry j at a slot feeds result index sort(J|slot->t)
-    # through d_j X^t, which is the same pairing as (I|a->j) read backwards.
-    correction: dict[Index, Scalar] = {}
-    for p_index, p_value in tensor.components.items():
-        for slot in range(len(p_index)):
-            j = p_index[slot]
-            # this component feeds result indices where slot 'slot' became any i_a
-            for target in range(m):
-                replaced = list(p_index)
-                replaced[slot] = target
-                sorted_ = sort_index(replaced)
-                if sorted_ is None:
-                    continue
-                sign, key = sorted_
-                comp = field.components.get((target,))
-                if comp is None:
-                    continue
-                partial = comp.diff(j)
-                if partial.is_zero():
-                    continue
-                term = p_value * partial
-                if sign < 0:
-                    term = -term
-                acc = correction.get(key)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    correction.pop(key, None)
-                else:
-                    correction[key] = acc
-    return out - GradedTensor(chart, MULTIVECTOR, tensor.degree, correction)
+    out = GradedTensor(chart, MULTIVECTOR, tensor.degree,
+                       {index: apply_vector(field, value)
+                        for index, value in tensor.components.items()})
+    if tensor.degree == 0:
+        return out
+    for j in range(chart.dimension):
+        partial = GradedTensor(chart, MULTIVECTOR, 1,
+                               {index: value.diff(j) for index, value in field.components.items()})
+        if not partial.is_zero():
+            dxj = GradedTensor.coordinate_differential(chart, j)
+            out = out - wedge(partial, contract_form(dxj, tensor))
+    return out

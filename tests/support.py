@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from nambu.algebra import Polynomial
-from nambu.exterior import FORM, MULTIVECTOR, Chart, GradedTensor
+from nambu.exterior import FORM, MULTIVECTOR, Chart, GradedTensor, sort_index
 from nambu.structures import NambuStructure
 
 R3 = Chart.of("x1 x2 x3")
@@ -87,6 +87,54 @@ def rand_mv(rng: random.Random, chart: Chart, degree: int,
 def rand_vector_field(rng: random.Random, chart: Chart,
                       max_degree: int = 3) -> GradedTensor:
     return rand_mv(rng, chart, 1, max_degree)
+
+
+# -- coordinate formulas of the derived exterior operators, as test oracles -------
+
+def oracle_pair(form: GradedTensor, field: GradedTensor):
+    """<form, field> = sum_I form_I field^I over sorted multi-indices."""
+    total = form.chart.scalar(0)
+    for index, value in form.components.items():
+        mate = field.components.get(index)
+        if mate is not None:
+            total = total + value * mate
+    return total
+
+
+def oracle_apply_vector(field: GradedTensor, scalar):
+    """X(f) = sum_j X^j d_j f."""
+    value = field.chart.scalar(scalar)
+    total = field.chart.scalar(0)
+    for (j,), comp in field.components.items():
+        total = total + comp * value.diff(j)
+    return total
+
+
+def oracle_lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
+    """(L_X P)^I = X^j d_j P^I - sum_a (d_j X^{i_a}) P^{I|a->j}.
+
+    The slot-replacement term is spread from each stored component of P
+    outward: P^J with entry j at a slot feeds the result index sort(J|slot->t)
+    through d_j X^t.
+    """
+    chart = tensor.chart
+    transported = {index: oracle_apply_vector(field, value)
+                   for index, value in tensor.components.items()}
+    correction: dict = {}
+    for p_index, p_value in tensor.components.items():
+        for slot, j in enumerate(p_index):
+            for target in range(chart.dimension):
+                replaced = list(p_index)
+                replaced[slot] = target
+                sorted_ = sort_index(replaced)
+                comp = field.components.get((target,))
+                if sorted_ is None or comp is None:
+                    continue
+                sign, key = sorted_
+                term = p_value * comp.diff(j)
+                correction[key] = correction.get(key, chart.scalar(0)) + sign * term
+    return (GradedTensor(chart, MULTIVECTOR, tensor.degree, transported)
+            - GradedTensor(chart, MULTIVECTOR, tensor.degree, correction))
 
 
 def _sympy_matrix(matrix):

@@ -136,6 +136,32 @@ def test_rational_hash_agrees_with_equality():
     assert RationalFunction(poly) == poly and hash(RationalFunction(poly)) == hash(poly)
     assert len({poly, RationalFunction(poly)}) == 1
 
+def test_constant_polynomial_hashes_as_its_number():
+    for value in (3, Fraction(1, 2), 0):
+        poly = Polynomial.constant(VARS, value)
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+
+@pytest.mark.parametrize("numerator, denominator, reduced", [
+    (x1 + 1, x2 + 1, (x1 + 1, x2 + 1)),
+    (2 * x1 * x2 + 4 * x2, 6 * x2 * x2 + 2 * x2,
+     (x1 * Fraction(1, 3) + Fraction(2, 3), x2 + Fraction(1, 3))),
+    (x1, 3 * x1 * x1 + 1, (x1 * Fraction(1, 3), x1 * x1 + Fraction(1, 3))),
+    (x1 * x1 - x2, 2 * x1 * x2, ((x1 * x1 - x2) * Fraction(1, 2), x1 * x2)),
+])
+def test_inexact_division_tests_exactness_once(monkeypatch, numerator, denominator, reduced):
+    calls = []
+    divides_exactly = Polynomial.divides_exactly
+
+    def counting(self, other):
+        calls.append(other)
+        return divides_exactly(self, other)
+
+    monkeypatch.setattr(Polynomial, "divides_exactly", counting)
+    ratio = numerator / denominator
+    assert len(calls) == 1
+    assert (ratio.numerator, ratio.denominator) == reduced
+
 def test_normalization_idempotent():
     ratio = RationalFunction(2 * x1 * x2, 4 * x2 * x3)
     again = RationalFunction(ratio.numerator, ratio.denominator)

@@ -23,7 +23,19 @@ from nambu.exterior import (
     wedge,
     wedge_all,
 )
-from support import R3, R4, coords, radius_squared, rand_form, rand_vector_field
+from support import (
+    R3,
+    R4,
+    coords,
+    oracle_apply_vector,
+    oracle_lie_mv,
+    oracle_pair,
+    radius_squared,
+    rand_form,
+    rand_mv,
+    rand_poly,
+    rand_vector_field,
+)
 
 x1, x2, x3 = coords(R3)
 R2SQ = radius_squared(R3)
@@ -224,6 +236,48 @@ def test_lie_mv_requires_vector_field():
 def test_lie_form_requires_vector_field():
     with pytest.raises(ValueError):
         lie_form(ee(R3, 1, 2), dx(R3, 3))
+
+
+# -- derived operators against their coordinate formulas -----------------------
+
+@pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
+def test_derived_operators_match_coordinate_oracles(chart):
+    rng = random.Random(29)
+    for degree in range(chart.dimension + 1):
+        for _ in range(4):
+            x = rand_vector_field(rng, chart)
+            p = rand_mv(rng, chart, degree)
+            alpha = rand_form(rng, chart, degree)
+            f = rand_poly(rng, chart)
+            assert lie_mv(x, p) == oracle_lie_mv(x, p)
+            assert pair(alpha, p) == oracle_pair(alpha, p)
+            assert apply_vector(x, f) == oracle_apply_vector(x, f)
+
+@pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
+def test_derived_operators_on_zero_tensors(chart):
+    rng = random.Random(31)
+    no_field = GradedTensor.zero(chart, MULTIVECTOR, 1)
+    for degree in range(chart.dimension + 1):
+        zero_mv = GradedTensor.zero(chart, MULTIVECTOR, degree)
+        x = rand_vector_field(rng, chart)
+        p = rand_mv(rng, chart, degree)
+        for field, tensor in ((x, zero_mv), (no_field, p), (no_field, zero_mv)):
+            result = lie_mv(field, tensor)
+            assert result.is_zero() and result.degree == degree
+            assert oracle_lie_mv(field, tensor).is_zero()
+        assert pair(GradedTensor.zero(chart, FORM, degree), p).is_zero()
+        assert pair(rand_form(rng, chart, degree), zero_mv).is_zero()
+    assert apply_vector(no_field, rand_poly(rng, chart)).is_zero()
+    assert apply_vector(rand_vector_field(rng, chart), 0).is_zero()
+
+@pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
+def test_apply_vector_on_rational_scalar_matches_oracle(chart):
+    rng = random.Random(37)
+    x1 = chart.coordinate_polynomial(0)
+    scalar = chart.scalar(1) / (1 + x1 * x1)
+    for _ in range(10):
+        x = rand_vector_field(rng, chart)
+        assert apply_vector(x, scalar) == oracle_apply_vector(x, scalar)
 
 
 # -- misc --------------------------------------------------------------------
