@@ -5,6 +5,8 @@ the zero polynomial is the empty map.  Everything here is exact: no floating
 point enters any computation, so kernel dimensions and identity checks are
 trustworthy.  The canonical term order is graded lexicographic (total degree
 first, then the exponent tuple), which fixes serialization and report output.
+The one way out to floats is ``compile_float``, which lowers a polynomial or
+rational function once into nested Horner steps for the numeric flow check.
 
 Tensor coefficients are polynomials.  ``p / q`` is the polynomial quotient
 whenever q divides p, and a ``RationalFunction`` only when it does not, which
@@ -39,11 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Exponent = tuple[int, ...]
 
 SparseVector = dict[int, Fraction]
+
+FloatFunction = Callable[[Sequence[float]], float]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -228,6 +232,12 @@ class Polynomial:
             return NotImplemented
         return _divide(self, rhs)
 
+    def __rtruediv__(self, other) -> "Polynomial | RationalFunction":
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return _divide(lhs, self)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.variables, other)
@@ -272,11 +282,22 @@ class Polynomial:
         return total
 
     def evaluate_float(self, point: Sequence[float]) -> float:
-        """Float value via Horner recursion in the fixed variable order."""
+        """Float value via Horner steps in the fixed variable order."""
         values = list(point)
         if len(values) != len(self.variables):
             raise ValueError("wrong number of coordinates")
-        return _horner(self.sorted_terms(), values, 0)
+        return self.compile_float()(values)
+
+    def compile_float(self) -> FloatFunction:
+        """Lower to a float function of a point, for evaluation at many points.
+
+        The term order, grouping and float coefficients are fixed here once.
+        The returned function only indexes the point, so it does not check
+        its length; ``evaluate_float`` is this function behind that check.
+        """
+        if not self.terms:
+            return lambda point: 0.0
+        return _horner_plan(self.sorted_terms(), 0)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in ascending graded lexicographic order."""
@@ -331,23 +352,44 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _horner(terms: list[tuple[Exponent, Fraction]], values: list[float], axis: int) -> float:
-    """Evaluate grlex-sorted terms by nested Horner steps along one axis."""
-    if not terms:
-        return 0.0
-    if axis == len(values):
-        return float(sum(c for _, c in terms))
+def _horner_plan(terms: list[tuple[Exponent, Fraction]], axis: int) -> FloatFunction:
+    """Compile non-empty grlex-sorted terms into nested Horner steps, one
+    variable per level from ``axis`` on.
+
+    The terms are grouped by their power of the variable, highest first, and
+    each group's cofactor is compiled on the next variable.  A variable that
+    no term holds is skipped, and ``x ** 1`` is ``x``: multiplying by
+    ``x ** 0 == 1.0`` or taking ``x ** 1`` is exact, so skipping either
+    changes no bit.  A power ``x ** k`` that overflows raises
+    ``OverflowError`` at evaluation.
+    """
+    m = len(terms[0][0])
+    while axis < m and all(exponent[axis] == 0 for exponent, _ in terms):
+        axis += 1
+    if axis == m:
+        value = float(terms[0][1])  # every exponent is fixed: a single term
+        return lambda point: value
     groups: dict[int, list[tuple[Exponent, Fraction]]] = {}
     for exponent, coeff in terms:
         groups.setdefault(exponent[axis], []).append((exponent, coeff))
-    x = values[axis]
     powers = sorted(groups, reverse=True)
-    acc = _horner(groups[powers[0]], values, axis + 1)
-    prev = powers[0]
-    for power in powers[1:]:
-        acc = acc * x ** (prev - power) + _horner(groups[power], values, axis + 1)
-        prev = power
-    return acc * x ** prev
+    head = _horner_plan(groups[powers[0]], axis + 1)
+    last = powers[-1]
+    if len(powers) == 1:
+        if last == 1:
+            return lambda point: head(point) * point[axis]
+        return lambda point: head(point) * point[axis] ** last
+    steps = tuple((prev - power, _horner_plan(groups[power], axis + 1))
+                  for prev, power in zip(powers, powers[1:]))
+
+    def horner(point: Sequence[float]) -> float:
+        x = point[axis]
+        acc = head(point)
+        for gap, cofactor in steps:
+            acc = acc * x ** gap + cofactor(point)
+        return acc * x ** last if last else acc
+
+    return horner
 
 
 def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:
@@ -466,8 +508,21 @@ class RationalFunction:
             self.denominator * self.denominator)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
-        den = self.denominator.evaluate_float(point)
-        return self.numerator.evaluate_float(point) / den
+        values = list(point)
+        if len(values) != len(self.variables):
+            raise ValueError("wrong number of coordinates")
+        return self.compile_float()(values)
+
+    def compile_float(self) -> FloatFunction:
+        """Lower numerator and denominator once; see ``Polynomial.compile_float``."""
+        numerator = self.numerator.compile_float()
+        denominator = self.denominator.compile_float()
+
+        def quotient(point: Sequence[float]) -> float:
+            den = denominator(point)
+            return numerator(point) / den
+
+        return quotient
 
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"

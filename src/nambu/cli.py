@@ -30,7 +30,7 @@ from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor, format_tensor
 from .flows import (
     DivergentFlowError,
     FlowConfig,
-    conservation_report,
+    conservation_check,
     integrate_hamiltonian,
 )
 from .model import ModelError, ModelFile, parse_model
@@ -334,10 +334,10 @@ def _cmd_flow(model: ModelFile, args, structure) -> Report:
     inputs = {"scalars": args.scalars, "start": args.start,
               "step": args.step, "steps": args.steps}
     lines = [f"flow: {args.steps} steps of size {args.step}"]
+    check = conservation_check(structure, scalars, probes, tolerance=args.tolerance)
     try:
         trajectory = integrate_hamiltonian(structure, scalars, config)
-        report = conservation_report(trajectory, structure, scalars, probes,
-                                     tolerance=args.tolerance)
+        report = check(trajectory)
     except DivergentFlowError as exc:
         lines.append(f"diverged: {exc}")
         return Report("flow", inputs, {"passed": False, "diverged": True, "reason": str(exc)},

@@ -4,6 +4,10 @@ This module is deliberately plain: a fixed-step classical fourth-order
 integrator with deterministic Horner lowering of the symbolic components.
 It exists to confirm the symbolic layer numerically (Hamiltonians must be
 conserved along their own flow), not to be a production integrator.
+
+Lowering happens once per run: each component of the Hamiltonian field,
+each Hamiltonian and each probe bracket is compiled into a float Horner
+function (``Polynomial.compile_float``) before the first point is evaluated.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ class FlowConfig:
 
 def _lower(field_tensor: GradedTensor):
     """Compile a symbolic vector field into a float right-hand side."""
-    chart = field_tensor.chart
-    components = [field_tensor.component((i,)) for i in range(chart.dimension)]
+    components = [field_tensor.component((i,)).compile_float()
+                  for i in range(field_tensor.chart.dimension)]
 
     def rhs(point: list[float]) -> list[float]:
-        return [c.evaluate_float(point) if not c.is_zero() else 0.0 for c in components]
+        return [c(point) for c in components]
 
     return rhs
 
@@ -61,8 +65,7 @@ def integrate_hamiltonian(structure: NambuStructure, scalars, config: FlowConfig
     on values that overflow or turn non-finite, which is the honest outcome
     for a diverging trajectory.
     """
-    scalars = list(scalars)
-    rhs = _lower(hamiltonian_vf(structure, *scalars))
+    field_tensor = hamiltonian_vf(structure, *scalars)
     m = structure.chart.dimension
     if len(config.start) != m:
         raise ValueError("start point has the wrong dimension")
@@ -70,6 +73,7 @@ def integrate_hamiltonian(structure: NambuStructure, scalars, config: FlowConfig
     point = [float(v) for v in config.start]
     trajectory = [tuple(point)]
     try:
+        rhs = _lower(field_tensor)  # a coefficient beyond the float range overflows here
         for _ in range(config.steps):
             k1 = rhs(point)
             k2 = rhs([p + 0.5 * h * v for p, v in zip(point, k1)])
@@ -103,6 +107,42 @@ class ConservationReport:
         return max(self.hamiltonian_drifts + self.probe_drifts, default=0.0)
 
 
+def conservation_check(structure: NambuStructure, scalars, probes=(),
+                       tolerance: float = 1e-8):
+    """Prepare the drift measurement of ``conservation_report`` for a trajectory
+    that is yet to be computed.
+
+    The probe brackets are formed here, so a probe of the wrong arity fails
+    before any integration.  Returns a function of the trajectory that lowers
+    each Hamiltonian and each bracket once and reports their drifts.
+    """
+    scalars = list(scalars)
+    brackets = [nambu_bracket(structure, *probe) for probe in probes]
+    m = structure.chart.dimension
+
+    def max_drift(function, points) -> float:
+        evaluate = function.compile_float()
+        values = [evaluate(p) for p in points]
+        first = values[0]
+        return max(abs(v - first) for v in values)
+
+    def report(trajectory) -> ConservationReport:
+        points = list(trajectory)
+        if not points:
+            raise ValueError("trajectory must be non-empty")
+        if any(len(p) != m for p in points):
+            raise ValueError("wrong number of coordinates")
+        try:
+            hamiltonian_drifts = tuple(max_drift(f, points) for f in scalars)
+            probe_drifts = tuple(max_drift(b, points) for b in brackets)
+        except OverflowError as exc:
+            raise DivergentFlowError("Hamiltonian or probe values overflow "
+                                     "along the trajectory") from exc
+        return ConservationReport(tolerance, hamiltonian_drifts, probe_drifts)
+
+    return report
+
+
 def conservation_report(trajectory, structure: NambuStructure, scalars,
                         probes=(), tolerance: float = 1e-8) -> ConservationReport:
     """Drift of the Hamiltonians and of probe bracket values along a trajectory.
@@ -112,23 +152,4 @@ def conservation_report(trajectory, structure: NambuStructure, scalars,
     every point; they drift whenever they are not invariants of the flow, so
     the caller chooses them accordingly.
     """
-    points = list(trajectory)
-    if not points:
-        raise ValueError("trajectory must be non-empty")
-    scalars = list(scalars)
-
-    def max_drift(values: list[float]) -> float:
-        first = values[0]
-        return max(abs(v - first) for v in values)
-
-    try:
-        hamiltonian_drifts = tuple(
-            max_drift([f.evaluate_float(list(p)) for p in points]) for f in scalars)
-        probe_drifts = []
-        for probe in probes:
-            value = nambu_bracket(structure, *probe)
-            probe_drifts.append(max_drift([value.evaluate_float(list(p)) for p in points]))
-    except OverflowError as exc:
-        raise DivergentFlowError("Hamiltonian or probe values overflow "
-                                 "along the trajectory") from exc
-    return ConservationReport(tolerance, hamiltonian_drifts, tuple(probe_drifts))
+    return conservation_check(structure, scalars, probes, tolerance)(trajectory)

@@ -137,6 +137,32 @@ def oracle_lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
             - GradedTensor(chart, MULTIVECTOR, tensor.degree, correction))
 
 
+# -- per-call Horner recursion, as the oracle of the compiled float evaluator ------
+
+def oracle_horner(terms, values, axis=0) -> float:
+    """Evaluate grlex-sorted terms by nested Horner steps along one axis.
+
+    The per-call recursion that ``compile_float`` must match bit for bit: it
+    regroups the terms on every call and also multiplies by ``x ** 0`` and
+    takes ``x ** 1``, which the compiled plan skips as exact.
+    """
+    if not terms:
+        return 0.0
+    if axis == len(values):
+        return float(sum(c for _, c in terms))
+    groups: dict = {}
+    for exponent, coeff in terms:
+        groups.setdefault(exponent[axis], []).append((exponent, coeff))
+    x = values[axis]
+    powers = sorted(groups, reverse=True)
+    acc = oracle_horner(groups[powers[0]], values, axis + 1)
+    prev = powers[0]
+    for power in powers[1:]:
+        acc = acc * x ** (prev - power) + oracle_horner(groups[power], values, axis + 1)
+        prev = power
+    return acc * x ** prev
+
+
 def _sympy_matrix(matrix):
     """The same matrix as a sparse sympy DomainMatrix over QQ."""
     pytest.importorskip("sympy")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from nambu.algebra import (
     matrix_from_columns,
     variables,
 )
-from support import assert_elimination_matches_sympy
+from support import assert_elimination_matches_sympy, oracle_horner
 
 x1, x2, x3 = variables("x1 x2 x3")
 VARS = ("x1", "x2", "x3")
@@ -103,6 +104,78 @@ def test_float_eval_matches_exact(a, b):
     assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
+# -- the compiled float evaluator against the per-call Horner recursion ------
+
+def _polynomials(m: int, max_terms: int = 8):
+    """Polynomials on m variables of degree <= 6, the zero one included."""
+    exponents = st.lists(st.integers(0, m - 1), max_size=6).map(
+        lambda slots: tuple(slots.count(i) for i in range(m)))
+    wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 3)
+    names = tuple(f"y{i}" for i in range(m))
+    return st.dictionaries(exponents, wide, max_size=max_terms).map(
+        lambda terms: Polynomial(names, terms))
+
+
+def _points(m: int):
+    return st.lists(st.floats(-1e200, 1e200), min_size=m, max_size=m)
+
+
+float_cases = st.integers(1, 5).flatmap(lambda m: st.tuples(_polynomials(m), _points(m)))
+rational_cases = st.integers(1, 5).flatmap(
+    lambda m: st.tuples(_polynomials(m, 4), _polynomials(m, 4), _points(m)))
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _assert_same_float(expected, got):
+    if isinstance(expected, float) and math.isnan(expected):
+        assert isinstance(got, float) and math.isnan(got)
+    else:
+        assert got == expected
+
+
+@given(float_cases)
+@example((Polynomial.zero(("y0", "y1")), [2.5, -1.0]))
+@example((Polynomial.constant(("y0",), Fraction(-7, 3)), [1e200]))
+@example((Polynomial(("y0", "y1"), {(6, 0): 1, (0, 1): 2}), [1e60, 3.0]))
+@settings(max_examples=300, deadline=None)
+def test_compiled_float_evaluation_matches_horner_oracle_bitwise(case):
+    poly, point = case
+    expected = _outcome(lambda: oracle_horner(poly.sorted_terms(), point))
+    _assert_same_float(expected, _outcome(lambda: poly.evaluate_float(point)))
+    _assert_same_float(expected, _outcome(lambda: poly.compile_float()(point)))
+
+
+@given(rational_cases)
+@settings(max_examples=150, deadline=None)
+def test_compiled_rational_evaluation_matches_horner_oracle_bitwise(case):
+    numerator, denominator, point = case
+    if denominator.is_zero():
+        denominator = Polynomial.constant(numerator.variables, 3)
+    ratio = RationalFunction(numerator, denominator)
+
+    def oracle():
+        den = oracle_horner(ratio.denominator.sorted_terms(), point)
+        return oracle_horner(ratio.numerator.sorted_terms(), point) / den
+
+    expected = _outcome(oracle)
+    _assert_same_float(expected, _outcome(lambda: ratio.evaluate_float(point)))
+    _assert_same_float(expected, _outcome(lambda: ratio.compile_float()(point)))
+
+
+def test_float_evaluation_checks_the_point_length():
+    ratio = RationalFunction(x1 + 1, x2 + 1)
+    for value in (x1 * x2 + 3, Polynomial.zero(VARS), ratio):
+        for point in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError, match="wrong number of coordinates"):
+                value.evaluate_float(point)
+
+
 # -- rational functions ------------------------------------------------------
 
 def test_exact_division_reduces_to_polynomial():
@@ -126,6 +199,17 @@ def test_division_is_a_polynomial_exactly_when_it_is_exact():
             numerator / Polynomial.zero(VARS)
         with pytest.raises(ZeroDivisionError):
             ratio / numerator if numerator.is_zero() else numerator / 0
+
+def test_number_divided_by_polynomial():
+    ratio = 1 / (1 + x1 ** 2)
+    assert type(ratio) is RationalFunction and ratio == RationalFunction(x1 ** 0, 1 + x1 ** 2)
+    assert ratio * (1 + x1 ** 2) == 1
+    half = Fraction(1, 2) / (x2 + 1)
+    assert type(half) is RationalFunction and half * (2 * x2 + 2) == 1
+    exact = 2 / Polynomial.constant(VARS, 2)
+    assert type(exact) is Polynomial and exact == 1
+    with pytest.raises(ZeroDivisionError):
+        1 / Polynomial.zero(VARS)
 
 def test_rational_hash_agrees_with_equality():
     unreduced = RationalFunction((x1 + 1) * (x1 + 2), (x1 + 1) * (x1 + 3))

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -166,6 +170,16 @@ def test_divergent_flow_is_math_failure(capsys, start, step, steps):
     assert report["result"]["diverged"] is True
 
 
+def test_probe_of_wrong_arity_fails_before_integrating(capsys):
+    argv = ["flow", SINGULAR, "--scalars", "r2,h", "--start", "1,0,0", "--probes", "r2:h"]
+    with mock.patch("nambu.cli.integrate_hamiltonian") as integrate:
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: bracket arity is 3, got 2\n"
+    integrate.assert_not_called()
+
+
 @pytest.mark.parametrize("option, value", [
     ("--start", "nan,0,0"), ("--start", "inf,0,0"), ("--tolerance", "nan"),
 ])
@@ -296,3 +310,12 @@ def test_missing_required_flag_is_usage_error(capsys):
         main(["h1-top", SINGULAR])
     capsys.readouterr()
     assert failure.value.code == 2
+
+
+def test_module_runs_as_a_program_from_a_checkout():
+    root = MODELS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "nambu", "modular", "models/singular_r3.nmb"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "2*x3 * @1^@2 - 2*x2 * @1^@3 + 2*x1 * @2^@3" in done.stdout

@@ -9,6 +9,7 @@ import pytest
 from nambu.flows import (
     DivergentFlowError,
     FlowConfig,
+    conservation_check,
     conservation_report,
     integrate_hamiltonian,
 )
@@ -114,3 +115,19 @@ def test_overflowing_hamiltonian_is_divergence():
     structure = singular_r3()
     with pytest.raises(DivergentFlowError):
         conservation_report([(1e200, 0.0, 0.0)], structure, (x1 * x1, x3))
+
+
+def test_coefficient_beyond_float_range_is_divergence():
+    structure = singular_r3()
+    huge = 10 ** 400 * x1
+    config = FlowConfig(start=(1.0, 0.0, 0.0), step=0.01, steps=3)
+    with pytest.raises(DivergentFlowError, match="field values overflow"):
+        integrate_hamiltonian(structure, (huge, x3), config)
+    with pytest.raises(DivergentFlowError, match="Hamiltonian or probe values overflow"):
+        conservation_report([(1.0, 0.0, 0.0)], structure, (huge, x3))
+
+
+def test_probe_arity_is_checked_before_any_trajectory():
+    structure = singular_r3()
+    with pytest.raises(ValueError, match="bracket arity is 3, got 2"):
+        conservation_check(structure, (x1, x3), probes=[(x1, x2)])

@@ -44,6 +44,7 @@ CASES = [
     ("duality-singular", f"duality {SINGULAR} L V --degree-bound 3", 1),
     ("subcomplex-weighted", f"subcomplex {REGULAR3} L W --degree-bound 2", 0),
     ("flow", f"flow {SINGULAR} --scalars r2,h --start 1,0,0", 0),
+    ("flow-probes", f"flow {SINGULAR} --scalars r2,h --start 1,0,0 --probes f:r2:h", 0),
     # the other subcommands and verdicts
     ("bracket", f"bracket {SINGULAR} a b", 0),
     ("check-violated", f"check {R5} L", 1),
@@ -75,6 +76,7 @@ CASES = [
     ("duality-weighted-volume", f"duality {REGULAR3} --volume W --degree-bound 2", 2),
     ("flow-bad-start", f"flow {SINGULAR} --scalars r2,h --start 1,x,0", 2),
     ("flow-nan-start", f"flow {SINGULAR} --scalars r2,h --start nan,0,0", 2),
+    ("flow-probe-arity", f"flow {SINGULAR} --scalars r2,h --start 1,0,0 --probes r2:h", 2),
     ("naka-pair-wrong-chart", f"naka-pair {SPACE} A B", 2),
     ("h1-top-missing-flag", f"h1-top {SINGULAR}", 2),
     ("unknown-command", f"frobnicate {SINGULAR}", 2),
