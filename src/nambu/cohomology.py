@@ -43,7 +43,6 @@ from .truncation import (
     Label,
     TruncatedBasis,
     TruncatedOperator,
-    image_matrix,
     ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
@@ -104,7 +103,7 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
     if degree < n:
         cocycle_op = TruncatedOperator.build(
             domain, lambda form: sharp(structure, degree + 1, ext_d(form)))
-        cocycle_dimension = len(cocycle_op.matrix.nullspace())
+        cocycle_dimension = len(domain) - cocycle_op.matrix.rank()
     else:
         cocycle_op = None
         cocycle_dimension = len(domain)
@@ -112,9 +111,7 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
     boundary_vectors: list[SparseVector] = []
     if degree >= 1:
         previous = TruncatedBasis.build(chart, FORM, degree - 1, bound + 1)
-        for j in range(len(previous)):
-            image = ext_d(previous.tensor_of(j))
-            boundary_vectors.append(domain.to_coordinates(image))
+        boundary_vectors = TruncatedOperator.build(previous, ext_d).coordinates_in(domain)
     if sharp_kernel is None:
         sharp_kernel = ker_sharp_basis(structure, degree, bound)
     boundary_vectors.extend(domain.to_coordinates(form) for form in sharp_kernel)
@@ -184,12 +181,10 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
         domain, lambda form: np_cocycle_check_top(coefficient, form))
     cocycles = cocycle_op.matrix.nullspace()
 
-    coboundaries: list[SparseVector] = []
-    for exponent in monomials_up_to(chart.dimension, bound + 1 - deg_f):
-        if sum(exponent) == 0:
-            continue
-        generator = differential(chart, Polynomial.monomial(chart.coordinates, exponent))
-        coboundaries.append(domain.to_coordinates(generator.scale(coefficient)))
+    # f dg for every non-constant monomial g, the constant being first
+    generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
+    coboundaries = TruncatedOperator.build(
+        generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain)[1:]
     # every coboundary is a cocycle; assert rather than assume
     if not _annihilates(cocycle_op.matrix, coboundaries):
         raise RuntimeError("coboundary f*dg fails the cocycle condition")
@@ -244,19 +239,21 @@ def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
 
 def _tangent_chain_vectors(structure: NambuStructure, degree: int, bound: int,
                            annihilators: list[GradedTensor],
-                           ) -> tuple[TruncatedBasis, list[SparseVector]]:
+                           ) -> tuple[TruncatedBasis, list[SparseVector], ExactMatrix | None]:
     """Coordinate basis of bounded-degree multivectors killed by the given
-    annihilator 1-forms of the structure; degree 0 is unconstrained."""
+    annihilator 1-forms of the structure, and the constraint matrix that cuts
+    them out; degree 0 is unconstrained and has no constraint matrix."""
     chart = structure.chart
     domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
     if not annihilators or degree == 0:
-        return domain, [{j: ONE} for j in range(len(domain))]
+        return domain, [{j: ONE} for j in range(len(domain))], None
     rows: list[dict[int, Fraction]] = []
     for annihilator in annihilators:
         block = TruncatedOperator.build(
             domain, lambda field, a=annihilator: contract_form(a, field)).matrix
         rows.extend(block.row_dicts())
-    return domain, ExactMatrix(len(rows), len(domain), rows).nullspace()
+    constraints = ExactMatrix(len(rows), len(domain), rows)
+    return domain, constraints.nullspace(), constraints
 
 
 def _check_homology_volume(volume: VolumeSpec) -> None:
@@ -292,24 +289,23 @@ def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
     """Canonical homology at one degree, given the reduced annihilator 1-forms
     at ``bound`` and (used below the top degree) at ``bound + 1``."""
     n = structure.order
-    domain, chains = _tangent_chain_vectors(structure, degree, bound, annihilators)
+    domain, chains, constraints = _tangent_chain_vectors(structure, degree, bound,
+                                                         annihilators)
     if degree >= 1:
-        images = image_matrix(delta(volume, domain.from_coordinates(vec)) for vec in chains)
+        boundary = TruncatedOperator.build(domain, lambda field: delta(volume, field))
+        images = boundary.matrix @ matrix_from_columns(chains, len(domain))
         kernel_dim = len(chains) - images.rank()
     else:
         kernel_dim = len(chains)
 
     incoming_rank = 0
     if degree + 1 <= n:
-        above, above_chains = _tangent_chain_vectors(structure, degree + 1, bound + 1,
-                                                     above_annihilators)
-        incoming: list[SparseVector] = []
-        for vec in above_chains:
-            image = delta(volume, above.from_coordinates(vec))
-            if image.degree >= 1 and any(not contract_form(a, image).is_zero()
-                                         for a in annihilators):
-                raise RuntimeError("boundary image left the tangent chain space")
-            incoming.append(domain.to_coordinates(image))
+        above, above_chains, _ = _tangent_chain_vectors(structure, degree + 1, bound + 1,
+                                                        above_annihilators)
+        boundary_above = TruncatedOperator.build(above, lambda field: delta(volume, field))
+        incoming = boundary_above.coordinates_in(domain, above_chains)
+        if constraints is not None and not _annihilates(constraints, incoming):
+            raise RuntimeError("boundary image left the tangent chain space")
         incoming_rank = _rank_of_vectors(incoming, len(domain))
     return kernel_dim - incoming_rank
 
@@ -480,10 +476,6 @@ class DualityRow:
     foliated_dimension: int
     canonical_degree: int
     canonical_dimension: int
-
-    @property
-    def comparable(self) -> bool:
-        return self.np_dimension is not None
 
     @property
     def matches(self) -> bool | None:

@@ -227,7 +227,8 @@ def modular_potential(structure: NambuStructure, volume: VolumeSpec,
     images = []
     for exponent in monomials:
         mono = Polynomial.monomial(chart.coordinates, exponent)
-        images.append(sharp(structure, 1, differential(chart, mono)).scale(sign))
+        image = sharp(structure, 1, differential(chart, mono))
+        images.append(image if sign > 0 else -image)
 
     solution, certificate = solve_in_span(images, tensor)
     if solution is not None:

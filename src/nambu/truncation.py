@@ -13,6 +13,20 @@ element and one row per (component, monomial) label that some image holds,
 in component-then-graded-lex order, so every image fits by construction.
 Rank, pivot columns and the nullspace basis do not depend on the row order,
 nor on the all-zero rows a wider codomain would add.
+
+Operators are assembled from a first-order stencil, not from one image per
+basis element.  The contract is that the mapping is linear and of order at
+most one in the coefficients: L(g e_I) = g L(e_I) + sum_j (d_j g) s_{I,j},
+where the symbol s_{I,j} = L(x_j e_I) - x_j L(e_I).  So the mapping is called
+on e_I and on each x_j e_I only, and the column of x^a e_I is x^a L(e_I) +
+sum_j a_j x^(a - e_j) s_{I,j}, built by shifting labels and scaling by
+integers.  A guard checks the contract on every index: the second difference
+L(x_i x_j e_I) - x_i L(x_j e_I) - x_j L(x_i e_I) + x_i x_j L(e_I) must vanish
+for all i <= j.  The second difference is function-linear for an operator of
+order two, so the guard catches every such operator; a failure is an internal
+invariant error (``RuntimeError``), never a wrong matrix.  Every mapping in
+the package (the bundle map, contractions, d, the boundary, f da - df ^ a)
+has order at most one.
 """
 
 from __future__ import annotations
@@ -21,9 +35,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .algebra import ExactMatrix, Polynomial, RationalFunction, SparseVector, grlex_key
+from .algebra import (
+    ExactMatrix,
+    Polynomial,
+    RationalFunction,
+    SparseVector,
+    grlex_key,
+    matrix_from_columns,
+)
 from .exterior import FORM, Chart, GradedTensor, Scalar
 from .structures import NambuStructure, sharp
 
@@ -100,16 +122,17 @@ class TruncatedBasis:
             raise ValueError("tensor does not match the basis chart/variance")
         if tensor.degree != self.degree and not tensor.is_zero():
             raise ValueError("tensor degree does not match the basis")
-        vec: SparseVector = {}
-        pos = self.positions
-        for label, coeff in _tensor_entries(tensor.components):
-            at = pos.get(label)
-            if at is None:
-                raise ValueError(
-                    f"component {label[0]} monomial {label[1]} exceeds the "
-                    f"coefficient bound {self.coefficient_bound}")
-            vec[at] = coeff
-        return vec
+        return {self.position(label): coeff
+                for label, coeff in _tensor_entries(tensor.components)}
+
+    def position(self, label: Label) -> int:
+        """Position of a (component, monomial) label; raises outside the basis."""
+        at = self.positions.get(label)
+        if at is None:
+            raise ValueError(
+                f"component {label[0]} monomial {label[1]} exceeds the "
+                f"coefficient bound {self.coefficient_bound}")
+        return at
 
     def from_coordinates(self, vector: SparseVector) -> GradedTensor:
         size = len(self.elements)
@@ -140,31 +163,152 @@ def _labelled_rows(columns: Iterable[Iterable[tuple[Label, Fraction]]],
     return width
 
 
-def image_matrix(images: Iterable[GradedTensor]) -> ExactMatrix:
-    """Matrix whose column j holds the coefficients of the j-th image.
+def _shift(exponent: Exponent, by: Exponent) -> Exponent:
+    return tuple(map(add, exponent, by))
 
-    Rows are the (component, monomial) labels that some image holds, in
-    component-then-graded-lex order; no row is all zero.
-    """
-    rows: dict[Label, dict[int, Fraction]] = {}
-    width = _labelled_rows((_tensor_entries(image.components) for image in images), rows)
-    order = sorted(rows, key=lambda label: (label[0], grlex_key(label[1])))
-    return ExactMatrix(len(order), width, [rows[label] for label in order])
+
+def _digits(exponent: Exponent, radix: int) -> int:
+    """The exponent as the integer whose base-``radix`` digit k is its entry k."""
+    code = 0
+    for e in reversed(exponent):
+        code = code * radix + e
+    return code
+
+
+def _accumulate(acc: dict[Label, Fraction], entries: dict[Label, Fraction],
+                by: Exponent, factor: int) -> None:
+    """acc += factor * x^by * entries, dropping the entries that cancel."""
+    for (idx, exponent), coeff in entries.items():
+        label = (idx, _shift(exponent, by))
+        value = acc.get(label, 0) + factor * coeff
+        if value:
+            acc[label] = value
+        else:
+            acc.pop(label, None)
+
+
+def _first_order_stencil(domain: TruncatedBasis,
+                         mapping: Callable[[GradedTensor], GradedTensor], idx: Index,
+                         ) -> tuple[dict[Label, Fraction], list[dict[Label, Fraction]]]:
+    """L(e_I) and the symbols s_{I,j} = L(x_j e_I) - x_j L(e_I), after the
+    second-difference guard.  The probes are built directly, so they need not
+    lie in the domain (a bound-0 domain holds no x_j e_I)."""
+    chart = domain.chart
+    m = chart.dimension
+    units = [tuple(int(k == j) for k in range(m)) for j in range(m)]
+
+    def image(exponent: Exponent) -> dict[Label, Fraction]:
+        coeff = Polynomial.monomial(chart.coordinates, exponent)
+        probe = GradedTensor(chart, domain.variance, domain.degree, {idx: coeff})
+        return dict(_tensor_entries(mapping(probe).components))
+
+    base = image((0,) * m)
+    firsts = [image(unit) for unit in units]
+    for i in range(m):
+        for j in range(i, m):
+            both = _shift(units[i], units[j])
+            residual = image(both)
+            _accumulate(residual, firsts[j], units[i], -1)
+            _accumulate(residual, firsts[i], units[j], -1)
+            _accumulate(residual, base, both, 1)
+            if residual:
+                raise RuntimeError(
+                    f"operator is not of first order on component {idx}: its second "
+                    f"difference in {chart.coordinates[i]}, {chart.coordinates[j]} "
+                    "is non-zero")
+    symbols = []
+    for unit, first in zip(units, firsts):
+        symbol = dict(first)
+        _accumulate(symbol, base, unit, -1)
+        symbols.append(symbol)
+    return base, symbols
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Exact matrix of a linear map on a truncated basis: column j is the
-    image of basis element j, rows as in ``image_matrix``."""
+    """Exact matrix of a linear first-order map on a truncated basis: column j
+    is the image of basis element j, row i holds the coefficients of label
+    ``labels[i]``, in component-then-graded-lex order; no row is all zero."""
 
     domain: TruncatedBasis
+    labels: tuple[Label, ...]
     matrix: ExactMatrix
 
     @classmethod
     def build(cls, domain: TruncatedBasis,
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
-        return cls(domain, image_matrix(mapping(domain.tensor_of(j))
-                                        for j in range(len(domain))))
+        """Assemble from the first-order stencil of each index (see the
+        module docstring); raises ``RuntimeError`` when the guard fails."""
+        m = domain.chart.dimension
+        stencils = {idx: _first_order_stencil(domain, mapping, idx)
+                    for idx in dict.fromkeys(idx for idx, _ in domain.elements)}
+        held = [label for base, symbols in stencils.values()
+                for part in (base, *symbols) for label in part]
+        # A label becomes one integer: its index's rank, then its exponent's
+        # digits in a radix that no shift by a domain exponent overflows.
+        radix = 1 + max((max(e) for _, e in held), default=0) \
+            + max((max(a) for _, a in domain.elements), default=0)
+        span = radix ** m
+        rank_of = {idx: r for r, idx in enumerate(sorted({idx for idx, _ in held}))}
+
+        def keyed(part: dict[Label, Fraction]) -> list[tuple[int, Fraction]]:
+            return [(rank_of[idx] * span + _digits(e, radix), coeff)
+                    for (idx, e), coeff in part.items()]
+
+        keyed_stencils = {idx: (keyed(base), [keyed(symbol) for symbol in symbols])
+                          for idx, (base, symbols) in stencils.items()}
+        multiples: dict[tuple[Index, int, int], list[tuple[int, Fraction]]] = {}
+        rows: dict[int, dict[int, Fraction]] = {}
+        for col, (idx, exponent) in enumerate(domain.elements):
+            base, symbols = keyed_stencils[idx]
+            at = _digits(exponent, radix)
+            column = {key + at: coeff for key, coeff in base}
+            for j, power in enumerate(exponent):
+                if not power:
+                    continue
+                scaled = multiples.get((idx, j, power))
+                if scaled is None:
+                    scaled = multiples[idx, j, power] = [(key, power * coeff)
+                                                         for key, coeff in symbols[j]]
+                shift = at - radix ** j
+                for key, coeff in scaled:
+                    key += shift
+                    acc = column.get(key)
+                    column[key] = coeff if acc is None else acc + coeff
+            for key, coeff in column.items():
+                if coeff:
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = {}
+                    row[col] = coeff
+        indices = sorted(rank_of, key=rank_of.__getitem__)
+        labelled = {}
+        for key in rows:
+            rank, code = divmod(key, span)
+            exponent = []
+            for _ in range(m):
+                code, digit = divmod(code, radix)
+                exponent.append(digit)
+            labelled[indices[rank], tuple(exponent)] = rows[key]
+        labels = tuple(sorted(labelled, key=lambda label: (label[0], grlex_key(label[1]))))
+        return cls(domain, labels,
+                   ExactMatrix(len(labels), len(domain), [labelled[label] for label in labels]))
+
+    def coordinates_in(self, basis: TruncatedBasis,
+                       vectors: Sequence[SparseVector] | None = None) -> list[SparseVector]:
+        """The image of each domain vector, or of each domain element when no
+        vectors are given, as coordinates in ``basis``; raises as
+        ``to_coordinates`` does when an image leaves it."""
+        matrix = self.matrix
+        if vectors is not None:
+            matrix = matrix @ matrix_from_columns(vectors, len(self.domain))
+        columns: list[SparseVector] = [{} for _ in range(matrix.cols)]
+        for label, row in zip(self.labels, matrix.row_dicts()):
+            if row:
+                at = basis.position(label)
+                for j, coeff in row.items():
+                    columns[j][at] = coeff
+        return columns
 
 
 def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label, Fraction],

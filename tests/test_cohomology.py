@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nambu.algebra import ExactMatrix, Polynomial, matrix_from_columns, variables
+from nambu.algebra import ExactMatrix, Polynomial, grlex_key, matrix_from_columns, variables
 from nambu.cohomology import (
     _annihilates,
     _span_rank_extension,
@@ -37,8 +37,8 @@ from nambu.exterior import (
     pair,
 )
 from nambu.model import parse_model
-from nambu.modular import VolumeSpec, modular_potential
-from nambu.structures import sharp
+from nambu.modular import VolumeSpec, delta, modular_potential
+from nambu.structures import NambuStructure, sharp
 from nambu.truncation import (
     TruncatedBasis,
     TruncatedOperator,
@@ -53,6 +53,7 @@ from support import (
     coords,
     radius_squared,
     rand_form,
+    rand_mv,
     rand_poly,
     regular_r3,
     regular_r4,
@@ -108,6 +109,29 @@ def _operator_oracle(domain, codomain, mapping):
         len(codomain))
 
 
+def _per_element_oracle(domain, mapping):
+    """Row labels and matrix from one image per basis element, the assembly
+    the stencil replaced: rows are the labels the images hold, in
+    component-then-graded-lex order, each row filled in column order."""
+    rows = {}
+    for j in range(len(domain)):
+        for idx, value in mapping(domain.tensor_of(j)).components.items():
+            for exponent, coeff in value.terms.items():
+                rows.setdefault((idx, exponent), {})[j] = coeff
+    labels = tuple(sorted(rows, key=lambda label: (label[0], grlex_key(label[1]))))
+    return labels, ExactMatrix(len(labels), len(domain), [rows[label] for label in labels])
+
+
+def _assert_stencil_matches_oracle(domain, mapping):
+    operator = TruncatedOperator.build(domain, mapping)
+    labels, matrix = _per_element_oracle(domain, mapping)
+    assert operator.labels == labels
+    assert operator.matrix == matrix
+    # row dicts filled in the same column order, not only equal as maps
+    assert [list(row) for row in operator.matrix.row_dicts()] == \
+        [list(row) for row in matrix.row_dicts()]
+
+
 def _without_zero_rows(matrix):
     rows = [row for row in matrix.row_dicts() if row]
     return ExactMatrix(len(rows), matrix.cols, rows)
@@ -151,6 +175,86 @@ def test_operator_rows_are_the_codomain_rows_its_images_hold(name):
             assert TruncatedOperator.build(domain, mapping).matrix == expected
             operators += 1
     assert operators == 4 * (8 if structure.is_top_order else 7 + 4)
+
+
+@pytest.mark.parametrize("name", ["regular_r3", "regular_r4", "singular_r3"])
+def test_stencil_matches_the_per_element_oracle(name):
+    # the boundary, d from the previous bound and f dg, as the engine builds them
+    structure = parse_model((MODELS / f"{name}.nmb").read_text(encoding="utf-8")).structure()
+    chart = structure.chart
+    standard = VolumeSpec.standard(chart)
+    for bound in range(4):
+        for k in range(1, chart.dimension + 1):
+            _assert_stencil_matches_oracle(TruncatedBasis.build(chart, MULTIVECTOR, k, bound),
+                                           lambda field: delta(standard, field))
+            _assert_stencil_matches_oracle(TruncatedBasis.build(chart, FORM, k - 1, bound + 1),
+                                           ext_d)
+        if structure.is_top_order:
+            f = structure.top_coefficient()
+            _assert_stencil_matches_oracle(TruncatedBasis.build(chart, FORM, 0, bound),
+                                           lambda g: ext_d(g).scale(f))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+@settings(max_examples=20, deadline=None)
+def test_stencil_matches_the_per_element_oracle_on_random_structures(seed, bound):
+    rng = random.Random(seed)
+    structure = NambuStructure(rand_mv(rng, R4, 3, max_degree=2))
+    top = rand_poly(rng, R3, max_degree=3, allow_zero=False)
+    weighted = VolumeSpec.weighted(R4, rand_poly(rng, R4, max_degree=2))
+    annihilator = rand_form(rng, R4, 1, max_degree=2)
+    for k in range(4):
+        forms = TruncatedBasis.build(R4, FORM, k, bound)
+        _assert_stencil_matches_oracle(forms, lambda form, k=k: sharp(structure, k, form))
+        if k < 3:
+            _assert_stencil_matches_oracle(
+                forms, lambda form, k=k: sharp(structure, k + 1, ext_d(form)))
+    for k in range(1, 5):
+        fields = TruncatedBasis.build(R4, MULTIVECTOR, k, bound)
+        _assert_stencil_matches_oracle(fields, lambda field: delta(weighted, field))
+        _assert_stencil_matches_oracle(fields, lambda field: contract_form(annihilator, field))
+    _assert_stencil_matches_oracle(TruncatedBasis.build(R3, FORM, 1, bound),
+                                   lambda form: np_cocycle_check_top(top, form))
+    _assert_stencil_matches_oracle(TruncatedBasis.build(R3, FORM, 0, bound),
+                                   lambda g: ext_d(g).scale(top))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3])
+def test_second_order_mapping_breaks_the_stencil_guard(bound):
+    scalars = TruncatedBasis.build(R3, FORM, 0, bound)
+
+    def second_derivative(g):
+        return GradedTensor.from_scalar(R3, FORM, g.scalar_value().diff(0).diff(0))
+
+    with pytest.raises(RuntimeError, match="not of first order"):
+        TruncatedOperator.build(scalars, second_derivative)
+    # a first-order operator with a non-constant symbol passes the guard
+    _assert_stencil_matches_oracle(
+        scalars, lambda g: GradedTensor.from_scalar(R3, FORM, x2 * x3 * g.scalar_value().diff(0)))
+
+
+def test_non_polynomial_image_is_rejected():
+    forms = TruncatedBasis.build(R3, FORM, 1, 1)
+    with pytest.raises(ValueError, match="not a polynomial"):
+        TruncatedOperator.build(forms, lambda form: form.scale(R3.scalar(1) / (1 + x1 * x1)))
+
+
+def test_operator_coordinates_are_strict():
+    low = TruncatedBasis.build(R3, FORM, 0, 2)
+    high = TruncatedBasis.build(R3, FORM, 1, 1)
+    operator = TruncatedOperator.build(low, ext_d)
+    assert operator.coordinates_in(high) == [
+        high.to_coordinates(ext_d(low.tensor_of(j))) for j in range(len(low))]
+    narrow = TruncatedBasis.build(R3, FORM, 1, 0)
+    with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
+        operator.coordinates_in(narrow)
+    # images of vectors: x1^2 - x2 has d outside the narrow basis, x2 + 3 inside
+    vectors = [low.to_coordinates(GradedTensor.from_scalar(R3, FORM, x2 + 3)),
+               low.to_coordinates(GradedTensor.from_scalar(R3, FORM, x1 * x1 - x2))]
+    assert operator.coordinates_in(narrow, vectors[:1]) == \
+        [{narrow.position(((1,), (0, 0, 0))): 1}]
+    with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
+        operator.coordinates_in(narrow, vectors)
 
 
 def test_d_after_d_is_the_zero_matrix():

@@ -7,7 +7,9 @@ code.  ``tests/transcripts/<name>.out`` holds the text stdout byte for byte,
 the JSON run prints nothing) and ``<name>.err`` the stderr of either run
 (absent when empty).  After an intended change of a report, re-record with
 
-    PYTHONPATH=src python tests/test_transcripts.py --record
+    PYTHONPATH=src python tests/test_transcripts.py --record [NAME...]
+
+which re-records only the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -121,8 +123,14 @@ def test_transcript(name, argv, exit_code):
     assert err == _expected(name, ".err")
 
 
-def _record() -> None:
+def _record(names: list[str]) -> None:
+    """Re-record the named cases, or every case when no name is given."""
+    unknown = sorted(set(names) - {case[0] for case in CASES})
+    if unknown:
+        sys.exit(f"unknown transcript case: {', '.join(unknown)}")
     for name, argv, exit_code in CASES:
+        if names and name not in names:
+            continue
         code, out, err = _run(argv.split())
         json_code, json_out, _ = _run([*argv.split(), "--json"])
         if {code, json_code} != {exit_code}:
@@ -136,7 +144,21 @@ def _record() -> None:
                 path.unlink()
 
 
+def test_record_writes_only_the_named_cases(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules[__name__], "TRANSCRIPTS", tmp_path)
+    (tmp_path / "check.out").write_text("kept\n", encoding="utf-8")
+    _record(["unknown-command", "sharp"])
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["check.out", "sharp.json", "sharp.out", "unknown-command.err"]
+    assert (tmp_path / "check.out").read_text(encoding="utf-8") == "kept\n"
+    for path in tmp_path.glob("[su]*"):
+        assert path.read_text(encoding="utf-8") == \
+            (ROOT / "tests" / "transcripts" / path.name).read_text(encoding="utf-8")
+    with pytest.raises(SystemExit, match="unknown transcript case: no-such-case"):
+        _record(["no-such-case"])
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_transcripts.py --record")
-    _record()
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: python tests/test_transcripts.py --record [NAME...]")
+    _record(sys.argv[2:])
