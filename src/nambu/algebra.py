@@ -309,6 +309,11 @@ class Polynomial:
             return None
         if numerator.is_zero():
             return Polynomial.zero(self.variables)
+        if self.is_constant():
+            k = self.constant_value()
+            # descending grlex, the order long division finds the terms in
+            return Polynomial(self.variables,
+                              {e: c / k for e, c in reversed(numerator.sorted_terms())})
         lead_e, lead_c = max(self.terms.items(), key=lambda item: grlex_key(item[0]))
         quotient: dict[Exponent, Fraction] = {}
         rest = numerator

@@ -5,16 +5,18 @@ underlying spaces are infinite-dimensional, and the honest computable
 statement is a dimension that is stable across a window of bounds.  Degree
 bookkeeping is strict throughout: an operator's rows are the labels its
 images hold, so no image is ever clipped, coordinates in a truncated space
-raise rather than drop a term, and quotients are computed as
-dim(cocycles) - dim(coboundary span) with explicit containment assertions.
+raise rather than drop a term, and every quotient asserts that the
+coboundaries lie in the cocycles.  h1-top takes its quotient on a coordinate
+complement of the coboundaries (``_complement_kernel``); the foliated and
+canonical dimensions are dim(cocycles) - dim(coboundary span).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .algebra import (
     ONE,
@@ -28,17 +30,13 @@ from .exterior import (
     MULTIVECTOR,
     Chart,
     GradedTensor,
-    Scalar,
-    apply_vector,
     contract_form,
     differential,
     ext_d,
-    pair,
     wedge,
-    wedge_all,
 )
 from .modular import VolumeSpec, delta, modular_tensor
-from .structures import NambuStructure, leibniz_bracket, sharp
+from .structures import NambuStructure, sharp
 from .truncation import (
     Label,
     TruncatedBasis,
@@ -58,21 +56,51 @@ def _rank_of_vectors(vectors: list[SparseVector], length: int) -> int:
     return matrix_from_columns(vectors, length).rank()
 
 
-def _span_rank_extension(base: list[SparseVector], candidates: list[SparseVector],
-                         length: int) -> tuple[int, list[int]]:
-    """Rank of the base span and the indices of candidates that extend it greedily.
-
-    One elimination of [base | candidates] answers both: a column is a pivot
-    exactly when it is independent of every column before it.
-    """
-    pivots = matrix_from_columns(base + candidates, length).pivot_columns()
-    base_rank = bisect_left(pivots, len(base))
-    return base_rank, [pos - len(base) for pos in pivots[base_rank:]]
-
-
 def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
-    """Whether the matrix sends every vector to zero, as one sparse product."""
-    return not any((matrix @ matrix_from_columns(vectors, matrix.cols)).row_dicts())
+    """Whether the matrix sends every vector to zero, computed in integers.
+
+    A positive scaling of a row or of a vector does not change whether their
+    product is zero, so each vector is scaled by the lcm of its denominators
+    and each row by the lcm of its entries on the vectors' support.
+    """
+    scales = [lcm(*(v.denominator for v in vector.values())) for vector in vectors]
+    held = matrix_from_columns(
+        ({i: v.numerator * (s // v.denominator) for i, v in vector.items()}
+         for vector, s in zip(vectors, scales)), matrix.cols).row_dicts()
+    for row in matrix.row_dicts():
+        hits = [(held[i], a) for i, a in row.items() if held[i]]
+        scale = lcm(*(a.denominator for _, a in hits))
+        acc: dict[int, int] = {}
+        for column, a in hits:
+            a = a.numerator * (scale // a.denominator)
+            for j, b in column.items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _complement_kernel(cocycle: ExactMatrix, boundaries: list[SparseVector],
+                       length: int) -> tuple[int, list[SparseVector]]:
+    """Rank of the coboundaries B and a basis of ker C modulo span B.
+
+    With P the pivot columns of the matrix whose rows are B and W the other
+    coordinates, the projection pi_P is an isomorphism on span B, so every
+    cocycle minus the B-vector with the same P-coordinates lies in ker C on
+    Q^W.  Hence ker C is the direct sum of span B and ker(C|_W), and the
+    kernel of C|_W padded with zeros on P is the basis.
+    """
+    if not _annihilates(cocycle, boundaries):
+        raise RuntimeError("coboundary vector escapes the cocycle space; "
+                           "degree bookkeeping is inconsistent")
+    spanned = set(ExactMatrix(len(boundaries), length, boundaries).pivot_columns())
+    kept = [j for j in range(length) if j not in spanned]
+    position = {j: k for k, j in enumerate(kept)}
+    restricted = ExactMatrix(cocycle.rows, len(kept), [
+        {position[j]: v for j, v in row.items() if j in position}
+        for row in cocycle.row_dicts()])
+    return len(spanned), [{kept[k]: v for k, v in vector.items()}
+                          for vector in restricted.nullspace()]
 
 
 # -- foliated cohomology -------------------------------------------------------
@@ -179,27 +207,17 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     domain = TruncatedBasis.build(chart, FORM, 1, bound)
     cocycle_op = TruncatedOperator.build(
         domain, lambda form: np_cocycle_check_top(coefficient, form))
-    cocycles = cocycle_op.matrix.nullspace()
-
     # f dg for every non-constant monomial g, the constant being first
     generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
     coboundaries = TruncatedOperator.build(
         generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain)[1:]
-    # every coboundary is a cocycle; assert rather than assume
-    if not _annihilates(cocycle_op.matrix, coboundaries):
-        raise RuntimeError("coboundary f*dg fails the cocycle condition")
-
-    boundary_rank, chosen = _span_rank_extension(coboundaries, cocycles, len(domain))
-    representatives = tuple(domain.from_coordinates(cocycles[pos]) for pos in chosen)
-    dimension = len(cocycles) - boundary_rank
-    if len(representatives) != dimension:
-        raise RuntimeError("complement extraction does not match the quotient dimension")
+    boundary_rank, kernel = _complement_kernel(cocycle_op.matrix, coboundaries, len(domain))
     return TopH1Report(
         bound=bound,
-        dimension=dimension,
-        cocycle_dimension=len(cocycles),
+        dimension=len(kernel),
+        cocycle_dimension=boundary_rank + len(kernel),
         coboundary_dimension=boundary_rank,
-        representatives=representatives)
+        representatives=tuple(domain.from_coordinates(vector) for vector in kernel))
 
 
 # -- canonical homology ----------------------------------------------------------
@@ -539,48 +557,3 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
             holds = False
         rows.append(row)
     return DualityReport(bound, tuple(rows), holds)
-
-
-# -- form-represented cochains of the algebroid complex ---------------------------
-
-def form_cochain_value(structure: NambuStructure, form: GradedTensor,
-                       arguments: list[GradedTensor]) -> Scalar:
-    """Value of the cochain represented by a k-form on k bracket arguments."""
-    if form.degree != len(arguments):
-        raise ValueError("argument count must match the form degree")
-    if not arguments:
-        return form.scalar_value()
-    n = structure.order
-    fields = [sharp(structure, n - 1, argument) for argument in arguments]
-    return pair(form, wedge_all(fields))
-
-
-def form_cochain_coboundary(structure: NambuStructure, form: GradedTensor,
-                            arguments: list[GradedTensor]) -> Scalar:
-    """The algebroid coboundary of a form-represented cochain, evaluated.
-
-    Anchor terms act through the bundle map; bracket terms replace the later
-    argument in place, with the sign convention of the non-skew complex.
-    """
-    k = form.degree
-    if len(arguments) != k + 1:
-        raise ValueError("coboundary evaluation needs k+1 arguments")
-    n = structure.order
-    total = structure.chart.scalar(0)
-    for i, argument in enumerate(arguments):
-        rest = arguments[:i] + arguments[i + 1:]
-        value = form_cochain_value(structure, form, rest)
-        term = apply_vector(sharp(structure, n - 1, argument), value)
-        if i % 2:
-            term = -term
-        total = total + term
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            bracket = leibniz_bracket(structure, arguments[i], arguments[j])
-            reduced = arguments[:i] + arguments[i + 1:]
-            reduced[j - 1] = bracket
-            value = form_cochain_value(structure, form, reduced)
-            if (i - 1) % 2:
-                value = -value
-            total = total + value
-    return total

@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
-from nambu.algebra import Polynomial
-from nambu.exterior import FORM, MULTIVECTOR, Chart, GradedTensor, sort_index
-from nambu.structures import NambuStructure
+from nambu.algebra import Polynomial, grlex_key, matrix_from_columns
+from nambu.exterior import (
+    FORM,
+    MULTIVECTOR,
+    Chart,
+    GradedTensor,
+    Scalar,
+    apply_vector,
+    pair,
+    sort_index,
+    wedge_all,
+)
+from nambu.structures import NambuStructure, leibniz_bracket, sharp
 
 R3 = Chart.of("x1 x2 x3")
 R4 = Chart.of("x1 x2 x3 x4")
@@ -137,6 +148,26 @@ def oracle_lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
             - GradedTensor(chart, MULTIVECTOR, tensor.degree, correction))
 
 
+# -- term-by-term long division, as the oracle of the constant-divisor path -------
+
+def oracle_long_division(divisor: Polynomial, numerator: Polynomial) -> Polynomial | None:
+    """numerator / divisor by repeatedly cancelling the grlex-leading term."""
+    def leading(poly):
+        return max(poly.terms.items(), key=lambda item: grlex_key(item[0]))
+
+    lead_e, lead_c = leading(divisor)
+    quotient = {}
+    rest = numerator
+    while not rest.is_zero():
+        top_e, top_c = leading(rest)
+        shift = tuple(a - b for a, b in zip(top_e, lead_e))
+        if any(d < 0 for d in shift):
+            return None
+        quotient[shift] = top_c / lead_c
+        rest = rest - Polynomial.monomial(divisor.variables, shift, top_c / lead_c) * divisor
+    return Polynomial(divisor.variables, quotient)
+
+
 # -- per-call Horner recursion, as the oracle of the compiled float evaluator ------
 
 def oracle_horner(terms, values, axis=0) -> float:
@@ -185,3 +216,73 @@ def assert_elimination_matches_sympy(matrix):
     expected = [{j: Fraction(int(v.numerator), int(v.denominator)) for j, v in basis[k].items()}
                 for k in range(len(basis))]
     assert kernel == expected
+
+
+# -- the quotient by the full cocycle nullspace, as the oracle of the complement ---
+
+def _span_rank_extension(base, candidates, length):
+    """Rank of the base span and the indices of candidates that extend it greedily.
+
+    One elimination of [base | candidates] answers both: a column is a pivot
+    exactly when it is independent of every column before it.
+    """
+    pivots = matrix_from_columns(base + candidates, length).pivot_columns()
+    base_rank = bisect_left(pivots, len(base))
+    return base_rank, [pos - len(base) for pos in pivots[base_rank:]]
+
+
+def oracle_quotient(cocycle, boundaries, length):
+    """ker C modulo span B by the full nullspace of C, then [B | cocycles].
+
+    Returns (dimension, cocycle dimension, coboundary dimension,
+    representatives): the cocycles that extend span B greedily.
+    """
+    cocycles = cocycle.nullspace()
+    boundary_rank, chosen = _span_rank_extension(boundaries, cocycles, length)
+    return (len(cocycles) - boundary_rank, len(cocycles), boundary_rank,
+            [cocycles[pos] for pos in chosen])
+
+
+# -- form-represented cochains of the algebroid complex, as test oracles ----------
+
+def form_cochain_value(structure: NambuStructure, form: GradedTensor,
+                       arguments: list[GradedTensor]) -> Scalar:
+    """Value of the cochain represented by a k-form on k bracket arguments."""
+    if form.degree != len(arguments):
+        raise ValueError("argument count must match the form degree")
+    if not arguments:
+        return form.scalar_value()
+    n = structure.order
+    fields = [sharp(structure, n - 1, argument) for argument in arguments]
+    return pair(form, wedge_all(fields))
+
+
+def form_cochain_coboundary(structure: NambuStructure, form: GradedTensor,
+                            arguments: list[GradedTensor]) -> Scalar:
+    """The algebroid coboundary of a form-represented cochain, evaluated.
+
+    Anchor terms act through the bundle map; bracket terms replace the later
+    argument in place, with the sign convention of the non-skew complex.
+    """
+    k = form.degree
+    if len(arguments) != k + 1:
+        raise ValueError("coboundary evaluation needs k+1 arguments")
+    n = structure.order
+    total = structure.chart.scalar(0)
+    for i, argument in enumerate(arguments):
+        rest = arguments[:i] + arguments[i + 1:]
+        value = form_cochain_value(structure, form, rest)
+        term = apply_vector(sharp(structure, n - 1, argument), value)
+        if i % 2:
+            term = -term
+        total = total + term
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            bracket = leibniz_bracket(structure, arguments[i], arguments[j])
+            reduced = arguments[:i] + arguments[i + 1:]
+            reduced[j - 1] = bracket
+            value = form_cochain_value(structure, form, reduced)
+            if (i - 1) % 2:
+                value = -value
+            total = total + value
+    return total

@@ -17,7 +17,7 @@ from nambu.algebra import (
     matrix_from_columns,
     variables,
 )
-from support import assert_elimination_matches_sympy, oracle_horner
+from support import assert_elimination_matches_sympy, oracle_horner, oracle_long_division
 
 x1, x2, x3 = variables("x1 x2 x3")
 VARS = ("x1", "x2", "x3")
@@ -225,6 +225,18 @@ def test_constant_polynomial_hashes_as_its_number():
         poly = Polynomial.constant(VARS, value)
         assert poly == value and hash(poly) == hash(value)
         assert len({poly, value}) == 1
+
+@given(st.dictionaries(exponents, coeffs, max_size=10).map(lambda terms: Polynomial(VARS, terms)),
+       coeffs.filter(bool))
+@example(x1 * x2 + x3 ** 2 - 3 * x1 + Fraction(1, 2), Fraction(-2, 3))
+@settings(max_examples=200, deadline=None)
+def test_constant_divisor_matches_long_division(numerator, constant):
+    divisor = Polynomial.constant(VARS, constant)
+    quotient = divisor.divides_exactly(numerator)
+    expected = oracle_long_division(divisor, numerator)
+    assert quotient == expected
+    # the term order is the one long division finds, descending grlex
+    assert list(quotient.terms) == list(expected.terms)
 
 @pytest.mark.parametrize("numerator, denominator, reduced", [
     (x1 + 1, x2 + 1, (x1 + 1, x2 + 1)),

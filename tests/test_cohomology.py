@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from nambu.algebra import ExactMatrix, Polynomial, grlex_key, matrix_from_columns, variables
 from nambu.cohomology import (
     _annihilates,
-    _span_rank_extension,
+    _complement_kernel,
     canonical_homology_dim,
     duality_report,
     foliated_cohomology_dim,
-    form_cochain_coboundary,
-    form_cochain_value,
     naka_pair,
     naka_triple,
     np_cocycle_check_top,
@@ -49,8 +47,12 @@ from nambu.truncation import (
 from support import (
     R3,
     R4,
+    _span_rank_extension,
     assert_elimination_matches_sympy,
     coords,
+    form_cochain_coboundary,
+    form_cochain_value,
+    oracle_quotient,
     radius_squared,
     rand_form,
     rand_mv,
@@ -783,6 +785,98 @@ def test_annihilates_is_the_containment_check():
     assert _annihilates(matrix, [])
     assert _annihilates(matrix, [{0: F(1), 1: F(1)}, {0: F(-3), 1: F(-3)}])
     assert not _annihilates(matrix, [{0: F(1), 1: F(1)}, {0: F(1)}])
+
+
+@pytest.mark.parametrize("rows, vectors, expected", [
+    # fractional entries whose products cancel
+    ([[F(1, 2), F(1, 3)]], [{0: F(2, 3), 1: F(-1)}], True),
+    ([[1, 1, -2], [F(1, 4), F(-1, 12), 0]], [{0: F(1, 2), 1: F(3, 2), 2: F(1)}], True),
+    # a row denominator off the vectors' support does not enter the product
+    ([[F(1, 7), F(1, 2), F(-1, 3)]], [{1: F(2, 3), 2: F(1)}, {}], True),
+    # non-zero products of fractional entries, in a later vector or row
+    ([[F(1, 2), F(1, 3)]], [{0: F(2, 3), 1: F(-1)}, {0: F(1, 2), 1: F(1, 3)}], False),
+    ([[F(1, 3), 0], [0, 1]], [{0: F(1)}], False),
+    ([[1, 0], [F(5, 6), F(-1, 2)]], [{1: F(1, 5)}], False),
+])
+def test_annihilates_clears_denominators_exactly(rows, vectors, expected):
+    matrix = ExactMatrix.from_dense(rows)
+    fraction_product = not any((matrix @ matrix_from_columns(vectors, matrix.cols)).row_dicts())
+    assert fraction_product == expected
+    assert _annihilates(matrix, vectors) == expected
+
+
+def test_annihilates_rejects_vectors_longer_than_the_rows():
+    with pytest.raises(ValueError, match="row index"):
+        _annihilates(ExactMatrix.from_dense([[1, 1]]), [{2: F(1)}])
+
+
+@st.composite
+def contained_systems(draw):
+    """A random C and B inside ker C: rational combinations of its kernel."""
+    length = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=length, max_size=length),
+                         max_size=6))
+    cocycle = ExactMatrix(len(rows), length,
+                          [{j: v for j, v in enumerate(row) if v} for row in rows])
+    kernel = cocycle.nullspace()
+    boundaries = []
+    for _ in range(draw(st.integers(0, len(kernel) + 2))):
+        weights = draw(st.lists(sparse_entries, min_size=len(kernel), max_size=len(kernel)))
+        total: dict[int, Fraction] = {}
+        for weight, vector in zip(weights, kernel):
+            for i, v in vector.items():
+                total[i] = total.get(i, F(0)) + weight * v
+        boundaries.append({i: v for i, v in total.items() if v})
+    return cocycle, boundaries, length
+
+
+@given(contained_systems())
+@settings(max_examples=150, deadline=None)
+def test_complement_kernel_matches_the_full_nullspace_oracle(system):
+    cocycle, boundaries, length = system
+    boundary_rank, kernel = _complement_kernel(cocycle, boundaries, length)
+    dimension, cocycles, coboundaries, _ = oracle_quotient(cocycle, boundaries, length)
+    assert (len(kernel), boundary_rank + len(kernel), boundary_rank) == \
+        (dimension, cocycles, coboundaries)
+    for vector in kernel:
+        for row in cocycle.row_dicts():
+            assert sum(v * vector.get(j, 0) for j, v in row.items()) == 0
+    assert matrix_from_columns(boundaries + kernel, length).rank() == \
+        matrix_from_columns(boundaries, length).rank() + dimension
+
+
+def test_complement_kernel_checks_containment_first():
+    cocycle = ExactMatrix.from_dense([[1, -1]])
+    with pytest.raises(RuntimeError, match="escapes the cocycle space"):
+        _complement_kernel(cocycle, [{0: F(1)}], 2)
+    assert _complement_kernel(cocycle, [{0: F(1, 2), 1: F(1, 2)}], 2) == (1, [])
+
+
+def _h1_top_system(coefficient, bound):
+    """The domain, cocycle matrix and coboundary vectors np_h1_top reduces."""
+    chart = Chart(coefficient.variables)
+    deg_f = max(coefficient.total_degree(), 0)
+    domain = TruncatedBasis.build(chart, FORM, 1, bound)
+    cocycle = TruncatedOperator.build(
+        domain, lambda form: np_cocycle_check_top(coefficient, form)).matrix
+    generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
+    coboundaries = TruncatedOperator.build(
+        generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain)[1:]
+    return domain, cocycle, coboundaries
+
+
+@pytest.mark.parametrize("bound", range(4, 9))
+@pytest.mark.parametrize("coefficient", [
+    R2SQ, x1 ** 3, x1 * x2 * x3, x1, x1 ** 2 * x2 + x3 ** 3, Polynomial.constant(R3.coordinates, 1),
+], ids=["r2", "x1^3", "x1x2x3", "x1", "x1^2x2+x3^3", "1"])
+def test_np_h1_top_matches_the_full_nullspace_oracle(coefficient, bound):
+    report = np_h1_top(coefficient, bound)
+    domain, cocycle, coboundaries = _h1_top_system(coefficient, bound)
+    dimension, cocycles, boundary_rank, kernel = oracle_quotient(
+        cocycle, coboundaries, len(domain))
+    assert (report.dimension, report.cocycle_dimension, report.coboundary_dimension) == \
+        (dimension, cocycles, boundary_rank)
+    assert report.representatives == tuple(domain.from_coordinates(v) for v in kernel)
 
 
 # -- duality -------------------------------------------------------------------------------

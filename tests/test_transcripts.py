@@ -33,6 +33,7 @@ REGULAR4 = "models/regular_r4.nmb"
 PLANE = "tests/transcripts/plane.nmb"
 SPACE = "tests/transcripts/space.nmb"
 R5 = "tests/transcripts/r5.nmb"
+PROBES = "tests/transcripts/probes.nmb"
 
 # (name, argv, exit code)
 CASES = [
@@ -47,6 +48,7 @@ CASES = [
     ("subcomplex-weighted", f"subcomplex {REGULAR3} L W --degree-bound 2", 0),
     ("flow", f"flow {SINGULAR} --scalars r2,h --start 1,0,0", 0),
     ("flow-probes", f"flow {SINGULAR} --scalars r2,h --start 1,0,0 --probes f:r2:h", 0),
+    ("flow-coordinate-probes", f"flow {PROBES} --scalars r2,h --start 1,0,0 --probes u:v:w", 0),
     # the other subcommands and verdicts
     ("bracket", f"bracket {SINGULAR} a b", 0),
     ("check-violated", f"check {R5} L", 1),
