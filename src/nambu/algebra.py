@@ -5,8 +5,10 @@ the zero polynomial is the empty map.  Everything here is exact: no floating
 point enters any computation, so kernel dimensions and identity checks are
 trustworthy.  The canonical term order is graded lexicographic (total degree
 first, then the exponent tuple), which fixes serialization and report output.
-The one way out to floats is ``compile_float``, which lowers a polynomial or
-rational function once into nested Horner steps for the numeric flow check.
+The one way out to floats is ``compile_float``, which lowers a polynomial
+once into nested Horner steps for the numeric flow check.  It lowers
+polynomials only: structures and model scalars are polynomial, and so is
+every function that a flow evaluates.
 
 Tensor coefficients are polynomials.  ``p / q`` is the polynomial quotient
 whenever q divides p, and a ``RationalFunction`` only when it does not, which
@@ -51,6 +53,10 @@ FloatFunction = Callable[[Sequence[float]], float]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug in the engine, not bad input."""
 
 
 def _as_fraction(value: int | Fraction) -> Fraction:
@@ -267,33 +273,12 @@ class Polynomial:
             out[tuple(lowered)] = coeff * k
         return Polynomial(self.variables, out)
 
-    def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
-        """Exact value at a rational point."""
-        values = [_as_fraction(v) for v in point]
-        if len(values) != len(self.variables):
-            raise ValueError("wrong number of coordinates")
-        total = ZERO
-        for exponent, coeff in self.sorted_terms():
-            term = coeff
-            for e, v in zip(exponent, values):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """Float value via Horner steps in the fixed variable order."""
-        values = list(point)
-        if len(values) != len(self.variables):
-            raise ValueError("wrong number of coordinates")
-        return self.compile_float()(values)
-
     def compile_float(self) -> FloatFunction:
         """Lower to a float function of a point, for evaluation at many points.
 
         The term order, grouping and float coefficients are fixed here once.
         The returned function only indexes the point, so it does not check
-        its length; ``evaluate_float`` is this function behind that check.
+        its length.
         """
         if not self.terms:
             return lambda point: 0.0
@@ -512,23 +497,6 @@ class RationalFunction:
             - self.numerator * self.denominator.diff(index),
             self.denominator * self.denominator)
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        values = list(point)
-        if len(values) != len(self.variables):
-            raise ValueError("wrong number of coordinates")
-        return self.compile_float()(values)
-
-    def compile_float(self) -> FloatFunction:
-        """Lower numerator and denominator once; see ``Polynomial.compile_float``."""
-        numerator = self.numerator.compile_float()
-        denominator = self.denominator.compile_float()
-
-        def quotient(point: Sequence[float]) -> float:
-            den = denominator(point)
-            return numerator(point) / den
-
-        return quotient
-
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"
 
@@ -609,26 +577,6 @@ class ExactMatrix:
                 if row and not (0 <= min(row) and max(row) < cols):
                     raise ValueError(f"column index outside 0..{cols - 1}")
             self._rows = row_dicts
-
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int | Fraction]]) -> "ExactMatrix":
-        data = [list(row) for row in entries]
-        rows = len(data)
-        cols = len(data[0]) if data else 0
-        out = cls(rows, cols)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                v = _as_fraction(value)
-                if v != 0:
-                    out._rows[i][j] = v
-        return out
-
-    def get(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("matrix index out of range")
-        return self._rows[i].get(j, ZERO)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:

@@ -3,8 +3,9 @@
 Exit codes form the contract for shell pipelines: 0 means the computation
 succeeded and any verdict passed, 1 means a mathematical failure (identity
 violation, infeasible potential, duality failure, drift beyond tolerance),
-2 means a usage error.  Text reports are byte-deterministic for identical
-inputs; JSON reports carry the same numbers plus a timing field.
+2 means a usage error and 3 an internal error (a failed consistency check).
+Text reports are byte-deterministic for identical inputs; JSON reports carry
+the same numbers plus a timing field.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import Polynomial
+from .algebra import InvariantError, Polynomial
 from .cohomology import (
     canonical_homology_dim,
     duality_report,
@@ -52,6 +53,7 @@ from .structures import (
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -493,6 +495,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     timing_ms = int(round((time.perf_counter() - started) * 1000))
     rendered = report.to_json(timing_ms) + "\n" if args.json else report.to_text()
     if args.out:

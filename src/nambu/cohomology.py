@@ -21,6 +21,7 @@ from math import lcm
 from .algebra import (
     ONE,
     ExactMatrix,
+    InvariantError,
     Polynomial,
     SparseVector,
     matrix_from_columns,
@@ -80,6 +81,12 @@ def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
     return True
 
 
+def _require_cocycles(cocycle: ExactMatrix, boundaries: list[SparseVector]) -> None:
+    if not _annihilates(cocycle, boundaries):
+        raise InvariantError("coboundary vector escapes the cocycle space; "
+                             "degree bookkeeping is inconsistent")
+
+
 def _complement_kernel(cocycle: ExactMatrix, boundaries: list[SparseVector],
                        length: int) -> tuple[int, list[SparseVector]]:
     """Rank of the coboundaries B and a basis of ker C modulo span B.
@@ -90,9 +97,7 @@ def _complement_kernel(cocycle: ExactMatrix, boundaries: list[SparseVector],
     Q^W.  Hence ker C is the direct sum of span B and ker(C|_W), and the
     kernel of C|_W padded with zeros on P is the basis.
     """
-    if not _annihilates(cocycle, boundaries):
-        raise RuntimeError("coboundary vector escapes the cocycle space; "
-                           "degree bookkeeping is inconsistent")
+    _require_cocycles(cocycle, boundaries)
     spanned = set(ExactMatrix(len(boundaries), length, boundaries).pivot_columns())
     kept = [j for j in range(length) if j not in spanned]
     position = {j: k for k, j in enumerate(kept)}
@@ -144,9 +149,8 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
         sharp_kernel = ker_sharp_basis(structure, degree, bound)
     boundary_vectors.extend(domain.to_coordinates(form) for form in sharp_kernel)
 
-    if cocycle_op is not None and not _annihilates(cocycle_op.matrix, boundary_vectors):
-        raise RuntimeError("coboundary vector escapes the cocycle space; "
-                           "degree bookkeeping is inconsistent")
+    if cocycle_op is not None:
+        _require_cocycles(cocycle_op.matrix, boundary_vectors)
 
     return cocycle_dimension - _rank_of_vectors(boundary_vectors, len(domain))
 
@@ -323,7 +327,7 @@ def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
         boundary_above = TruncatedOperator.build(above, lambda field: delta(volume, field))
         incoming = boundary_above.coordinates_in(domain, above_chains)
         if constraints is not None and not _annihilates(constraints, incoming):
-            raise RuntimeError("boundary image left the tangent chain space")
+            raise InvariantError("boundary image left the tangent chain space")
         incoming_rank = _rank_of_vectors(incoming, len(domain))
     return kernel_dim - incoming_rank
 
@@ -421,10 +425,10 @@ def _radial_split(polys: list[Polynomial], rotation: bool
     targets = polys + [Polynomial.zero(names)] * len(pairs)
     solution, _ = solve_labelled(columns, _equation_labels(targets))
     if solution is None:
-        raise RuntimeError("decomposition solve failed although the relations hold")
+        raise InvariantError("decomposition solve failed although the relations hold")
     scalars, tildes = unknown_split(solution)
     if equation_vector(scalars, tildes) != targets:
-        raise RuntimeError("decomposition re-substitution mismatch")
+        raise InvariantError("decomposition re-substitution mismatch")
     return scalars, tildes
 
 

@@ -197,10 +197,10 @@ class GradedTensor:
     def sorted_components(self) -> list[tuple[Index, Scalar]]:
         return sorted(self.components.items(), key=lambda item: item[0])
 
-    def _check_mate(self, other: "GradedTensor", *, same_variance: bool = True) -> None:
+    def _check_mate(self, other: "GradedTensor") -> None:
         if self.chart != other.chart:
             raise ValueError("tensors live on different charts")
-        if same_variance and self.variance != other.variance:
+        if self.variance != other.variance:
             raise ValueError(f"variance mismatch: {self.variance} vs {other.variance}")
 
     # -- linear operations ---------------------------------------------------

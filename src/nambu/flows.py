@@ -102,10 +102,6 @@ class ConservationReport:
         return all(d <= self.tolerance
                    for d in self.hamiltonian_drifts + self.probe_drifts)
 
-    @property
-    def worst(self) -> float:
-        return max(self.hamiltonian_drifts + self.probe_drifts, default=0.0)
-
 
 def conservation_check(structure: NambuStructure, scalars, probes=(),
                        tolerance: float = 1e-8):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Polynomial
-from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor, format_tensor, wedge
+from .exterior import FORM, MULTIVECTOR, Chart, GradedTensor, wedge
 from .modular import VolumeSpec
 from .structures import NambuStructure
 
@@ -99,8 +99,10 @@ class Binding:
     value: object  # Polynomial | GradedTensor | NambuStructure | VolumeSpec
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelFile:
+    """A parsed model; structures compare by identity, so models do too."""
+
     chart: Chart
     bindings: dict[str, Binding]
 
@@ -131,54 +133,6 @@ class ModelFile:
 
     def scalar(self, name: str) -> Polynomial:
         return self.binding(name, "scalar")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        if self.chart != other.chart or list(self.bindings) != list(other.bindings):
-            return False
-        for name, entry in self.bindings.items():
-            mate = other.bindings[name]
-            if entry.kind != mate.kind:
-                return False
-            ours, theirs = entry.value, mate.value
-            if isinstance(ours, NambuStructure):
-                if not isinstance(theirs, NambuStructure) or ours.tensor != theirs.tensor \
-                        or ours.order != theirs.order:
-                    return False
-            elif ours != theirs:
-                return False
-        return True
-
-    def to_text(self) -> str:
-        """Canonical serialization; reparsing yields an equal model."""
-        names = " ".join(self.chart.coordinates)
-        lines = [f"space {self.chart.dimension} coords {names}"]
-        for entry in self.bindings.values():
-            lines.append(_render_binding(self.chart, entry))
-        return "\n".join(lines) + "\n"
-
-
-def _render_binding(chart: Chart, entry: Binding) -> str:
-    if entry.kind == "scalar":
-        return f"scalar {entry.name} = {entry.value}"
-    if entry.kind in ("form", "mv"):
-        return f"{entry.kind} {entry.name} = {format_tensor(entry.value)}"
-    if entry.kind == "lambda":
-        structure = entry.value
-        return (f"lambda {entry.name} = {format_tensor(structure.tensor)} "
-                f"order {structure.order}")
-    if entry.kind == "volume":
-        volume = entry.value
-        if not volume.weight.is_zero() and not volume.coefficient.is_one():
-            raise ValueError("volumes with both weight and coefficient have no "
-                             "model-file syntax")
-        if not volume.weight.is_zero():
-            return f"volume {entry.name} = exp(-({volume.weight})) * std"
-        if not volume.coefficient.is_one():
-            return f"volume {entry.name} = ({volume.coefficient}) * std"
-        return f"volume {entry.name} = std"
-    raise ValueError(f"unknown binding kind {entry.kind}")
 
 
 class _Parser:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial
+from .algebra import InvariantError, Polynomial
 from .exterior import (
     FORM,
     MULTIVECTOR,
@@ -69,9 +69,6 @@ class VolumeSpec:
         """The unweighted top form coefficient * dx^1 ^ ... ^ dx^m."""
         m = self.chart.dimension
         return GradedTensor(self.chart, FORM, m, {tuple(range(m)): self.coefficient})
-
-    def is_standard(self) -> bool:
-        return self.coefficient.is_one() and self.weight.is_zero()
 
     def __str__(self) -> str:
         text = "std"
@@ -189,7 +186,7 @@ def modular_tensor(structure: NambuStructure, volume: VolumeSpec) -> GradedTenso
         lhs = pair(form, result)
         rhs = divergence(volume, hamiltonian_vf(structure, *coords))
         if lhs != rhs:
-            raise RuntimeError(
+            raise InvariantError(
                 "modular tensor self-check failed on coordinates "
                 f"{combo}: {lhs} vs {rhs}")
     return result

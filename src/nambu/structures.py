@@ -95,13 +95,6 @@ class NambuStructure:
         self.order = n
         self.tensor = tensor
 
-    @classmethod
-    def from_top_coefficient(cls, chart: Chart, coefficient: Polynomial) -> "NambuStructure":
-        """The top-order structure coefficient * e_1 ^ ... ^ e_m."""
-        tensor = GradedTensor(chart, MULTIVECTOR, chart.dimension,
-                              {tuple(range(chart.dimension)): coefficient})
-        return cls(tensor)
-
     @property
     def is_top_order(self) -> bool:
         return self.order == self.chart.dimension

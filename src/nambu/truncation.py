@@ -24,7 +24,7 @@ integers.  A guard checks the contract on every index: the second difference
 L(x_i x_j e_I) - x_i L(x_j e_I) - x_j L(x_i e_I) + x_i x_j L(e_I) must vanish
 for all i <= j.  The second difference is function-linear for an operator of
 order two, so the guard catches every such operator; a failure is an internal
-invariant error (``RuntimeError``), never a wrong matrix.  Every mapping in
+invariant error (``InvariantError``), never a wrong matrix.  Every mapping in
 the package (the bundle map, contractions, d, the boundary, f da - df ^ a)
 has order at most one.
 """
@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     ExactMatrix,
+    InvariantError,
     Polynomial,
     RationalFunction,
     SparseVector,
@@ -212,7 +213,7 @@ def _first_order_stencil(domain: TruncatedBasis,
             _accumulate(residual, firsts[i], units[j], -1)
             _accumulate(residual, base, both, 1)
             if residual:
-                raise RuntimeError(
+                raise InvariantError(
                     f"operator is not of first order on component {idx}: its second "
                     f"difference in {chart.coordinates[i]}, {chart.coordinates[j]} "
                     "is non-zero")
@@ -238,7 +239,7 @@ class TruncatedOperator:
     def build(cls, domain: TruncatedBasis,
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
         """Assemble from the first-order stencil of each index (see the
-        module docstring); raises ``RuntimeError`` when the guard fails."""
+        module docstring); raises ``InvariantError`` when the guard fails."""
         m = domain.chart.dimension
         stencils = {idx: _first_order_stencil(domain, mapping, idx)
                     for idx in dict.fromkeys(idx for idx, _ in domain.elements)}

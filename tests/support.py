@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.algebra import Polynomial, grlex_key, matrix_from_columns
+from nambu.algebra import ExactMatrix, Polynomial, grlex_key, matrix_from_columns
 from nambu.exterior import (
     FORM,
     MULTIVECTOR,
@@ -41,11 +41,11 @@ def radius_squared(chart: Chart) -> Polynomial:
 
 def singular_r3() -> NambuStructure:
     """The bundled singular example: (x1^2+x2^2+x3^2) e1^e2^e3 on R^3."""
-    return NambuStructure.from_top_coefficient(R3, radius_squared(R3))
+    return NambuStructure(GradedTensor(R3, MULTIVECTOR, 3, {(0, 1, 2): radius_squared(R3)}))
 
 
 def regular_r3() -> NambuStructure:
-    return NambuStructure.from_top_coefficient(R3, Polynomial.constant(R3.coordinates, 1))
+    return NambuStructure(GradedTensor.basis(R3, MULTIVECTOR, (0, 1, 2)))
 
 
 def regular_r4() -> NambuStructure:
@@ -56,6 +56,23 @@ def regular_r4() -> NambuStructure:
 def nondecomposable_r5() -> NambuStructure:
     tensor = GradedTensor(R5, MULTIVECTOR, 3, {(0, 1, 2): 1, (0, 3, 4): 1})
     return NambuStructure(tensor)
+
+
+def dense(rows) -> ExactMatrix:
+    """The exact matrix with the given dense rows of ints or Fractions."""
+    return ExactMatrix(len(rows), len(rows[0]) if rows else 0,
+                       [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows])
+
+
+def evaluate(poly: Polynomial, point) -> Fraction:
+    """Exact value at a rational point, the oracle of the float evaluator."""
+    total = Fraction(0)
+    for exponent, coeff in poly.terms.items():
+        term = coeff
+        for e, v in zip(exponent, point):
+            term *= Fraction(v) ** e
+        total += term
+    return total
 
 
 def rand_fraction(rng: random.Random) -> Fraction:

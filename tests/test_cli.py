@@ -312,6 +312,16 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert failure.value.code == 2
 
 
+def test_broken_invariant_is_internal_error(capsys):
+    with mock.patch("nambu.cohomology._annihilates", return_value=False):
+        code = main(["h1-top", SINGULAR, "--degree-bound", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal error: coboundary vector escapes the cocycle space; "
+                            "degree bookkeeping is inconsistent\n")
+
+
 def test_module_runs_as_a_program_from_a_checkout():
     root = MODELS.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

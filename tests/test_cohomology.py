@@ -50,6 +50,7 @@ from support import (
     _span_rank_extension,
     assert_elimination_matches_sympy,
     coords,
+    dense,
     form_cochain_coboundary,
     form_cochain_value,
     oracle_quotient,
@@ -781,7 +782,7 @@ def test_span_rank_extension_matches_greedy_rerank(case):
 
 
 def test_annihilates_is_the_containment_check():
-    matrix = ExactMatrix.from_dense([[1, -1], [2, -2]])
+    matrix = dense([[1, -1], [2, -2]])
     assert _annihilates(matrix, [])
     assert _annihilates(matrix, [{0: F(1), 1: F(1)}, {0: F(-3), 1: F(-3)}])
     assert not _annihilates(matrix, [{0: F(1), 1: F(1)}, {0: F(1)}])
@@ -799,7 +800,7 @@ def test_annihilates_is_the_containment_check():
     ([[1, 0], [F(5, 6), F(-1, 2)]], [{1: F(1, 5)}], False),
 ])
 def test_annihilates_clears_denominators_exactly(rows, vectors, expected):
-    matrix = ExactMatrix.from_dense(rows)
+    matrix = dense(rows)
     fraction_product = not any((matrix @ matrix_from_columns(vectors, matrix.cols)).row_dicts())
     assert fraction_product == expected
     assert _annihilates(matrix, vectors) == expected
@@ -807,7 +808,7 @@ def test_annihilates_clears_denominators_exactly(rows, vectors, expected):
 
 def test_annihilates_rejects_vectors_longer_than_the_rows():
     with pytest.raises(ValueError, match="row index"):
-        _annihilates(ExactMatrix.from_dense([[1, 1]]), [{2: F(1)}])
+        _annihilates(dense([[1, 1]]), [{2: F(1)}])
 
 
 @st.composite
@@ -846,7 +847,7 @@ def test_complement_kernel_matches_the_full_nullspace_oracle(system):
 
 
 def test_complement_kernel_checks_containment_first():
-    cocycle = ExactMatrix.from_dense([[1, -1]])
+    cocycle = dense([[1, -1]])
     with pytest.raises(RuntimeError, match="escapes the cocycle space"):
         _complement_kernel(cocycle, [{0: F(1)}], 2)
     assert _complement_kernel(cocycle, [{0: F(1, 2), 1: F(1, 2)}], 2) == (1, [])

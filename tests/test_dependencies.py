@@ -40,3 +40,68 @@ def test_project_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+# Definitions that no command reaches but that stay, with the reason.
+KEEP = {
+    "check_basic": "independent verifier of a basic volume, used by the acceptance gates",
+    "is_tangent": "independent verifier of tangency, used by the acceptance gates",
+    "conservation_report": "the benchmark's tracer wraps it and the acceptance gates import it",
+}
+
+
+def _definitions(node: ast.AST, prefix: str):
+    """``(qualified name, node)`` of every non-dunder function, class and method."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield name, child
+            yield from _definitions(child, name)
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _unreferenced(sources: list[Path]) -> list[str]:
+    """Qualified name of every definition that no code in ``sources`` names
+    outside the definition itself; ``__init__.py`` re-exports count for nothing.
+
+    The match is on names alone, so a definition that shares its name with
+    another referenced one passes: this is a lower bound on unused code.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sources if path.name != "__init__.py"}
+    references = {module: list(_references(tree)) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for qualified, node in _definitions(tree, module):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (where != module or line not in inside)
+                       for where, refs in references.items() for name, line in refs):
+                unused.append(qualified)
+    return sorted(unused)
+
+
+def test_every_definition_is_reached_from_the_package():
+    unused = [name for name in _unreferenced(SOURCES) if name != "cli.main"]
+    assert [name for name in unused if name.rpartition(".")[2] not in KEEP] == []
+    assert sorted(name.rpartition(".")[2] for name in unused) == sorted(KEEP)
+
+
+def test_unreferenced_definitions_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n\n\n"
+        "class Box:\n    def method(self):\n        return self.method\n\n"
+        "    def __len__(self):\n        return 0\n")
+    (tmp_path / "b.py").write_text("from .a import used\n\nVALUE = used()\n")
+    (tmp_path / "__init__.py").write_text("from .a import Box\nBox\n")
+    assert _unreferenced(sorted(tmp_path.glob("*.py"))) == \
+        ["a.Box", "a.Box.method", "a.recursive"]

@@ -34,6 +34,7 @@ PLANE = "tests/transcripts/plane.nmb"
 SPACE = "tests/transcripts/space.nmb"
 R5 = "tests/transcripts/r5.nmb"
 PROBES = "tests/transcripts/probes.nmb"
+RATIONAL = "tests/transcripts/rational.nmb"
 
 # (name, argv, exit code)
 CASES = [
@@ -66,6 +67,11 @@ CASES = [
     ("subcomplex-certificate", f"subcomplex {SINGULAR} --degree-bound 3", 1),
     ("duality-regular", f"duality {REGULAR3} --volume V --degree-bound 2", 0),
     ("modular-standard-volume", f"modular {SPACE}", 0),
+    ("duality-regular-r4", f"duality {REGULAR4} --degree-bound 2", 0),
+    # a non-constant polynomial volume: rational-function arithmetic
+    ("modular-rational", f"modular {RATIONAL}", 0),
+    ("potential-rational", f"potential {RATIONAL} --degree-bound 3", 1),
+    ("delta-rational", f"delta {RATIONAL} M", 0),
     # usage errors
     ("modular-lambda-overrides", f"modular {SINGULAR} nosuch --lambda L", 2),
     ("sharp-lambda-overrides", f"sharp {SINGULAR} a nosuch --lambda L", 2),
