@@ -153,18 +153,50 @@ volume W = exp(-x1) * std
 """
 
 
-def test_printed_bindings_parse_back():
-    """Each binding printed as the command line prints it (``str``, which is
-    ``format_tensor`` on tensors) parses back to an equal value."""
-    model = parse_model(FULL)
+def _printed_line(entry) -> str:
+    """A binding as the command line prints it (``str``, which is
+    ``format_tensor`` on tensors)."""
+    if entry.kind == "lambda":
+        return f"lambda {entry.name} = {entry.value.tensor} order {entry.value.order}"
+    return f"{entry.kind} {entry.name} = {entry.value}"
+
+
+def _printed_model(text: str) -> str:
+    """The space line and every binding of the model ``text``, printed."""
+    model = parse_model(text)
+    space = f"space {model.chart.dimension} coords {' '.join(model.chart.coordinates)}"
+    lines = [space] + [_printed_line(e) for e in model.bindings.values()]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_binding(entry, mate) -> None:
+    """Structures compare by identity, so a lambda compares tensor and order."""
+    assert mate.kind == entry.kind
+    if entry.kind == "lambda":
+        assert (mate.value.tensor, mate.value.order) == (entry.value.tensor, entry.value.order)
+    else:
+        assert mate.value == entry.value
+
+
+def _assert_same_model(text: str, again: str) -> None:
+    ours, theirs = parse_model(text), parse_model(again)
+    assert ours.chart == theirs.chart
+    assert list(ours.bindings) == list(theirs.bindings)
+    for name, entry in ours.bindings.items():
+        _assert_same_binding(entry, theirs.bindings[name])
+
+
+def test_round_trip_identity():
+    """Every printed binding of FULL parses back equal, alone in a fresh
+    model and all together; printing is a fixed point after one pass."""
     space = FULL.splitlines()[0]
-    for entry in model.bindings.values():
-        if entry.kind == "lambda":
-            line = f"lambda {entry.name} = {entry.value.tensor} order {entry.value.order}"
-        else:
-            line = f"{entry.kind} {entry.name} = {entry.value}"
-        again = parse_model(f"{space}\n{line}\n").bindings[entry.name].value
-        if entry.kind == "lambda":
-            assert (again.tensor, again.order) == (entry.value.tensor, entry.value.order)
-        else:
-            assert again == entry.value
+    for entry in parse_model(FULL).bindings.values():
+        alone = parse_model(f"{space}\n{_printed_line(entry)}\n")
+        _assert_same_binding(entry, alone.bindings[entry.name])
+    text = _printed_model(FULL)
+    _assert_same_model(FULL, text)
+    assert _printed_model(text) == text
+
+
+def test_round_trip_singular_model():
+    _assert_same_model(SINGULAR, _printed_model(SINGULAR))
