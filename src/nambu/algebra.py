@@ -34,8 +34,10 @@ leftover row, because it is the only left-kernel vector supported on the
 pivot rows and that row with a 1 there.  So every answer is the one
 Gauss-Jordan gives.  A column or coordinate vector is a
 ``SparseVector``: a map from position to its non-zero ``Fraction``; zeros are
-never stored.  Nullspace bases are returned in this format and
-``matrix_from_columns`` reads it.
+never stored.  Nullspace bases are returned in this format, and the one
+product, ``ExactMatrix.apply``, maps a list of them to their images.  It
+clears denominators per vector and per row and accumulates in ints, so a
+zero image costs no ``Fraction`` arithmetic at all.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -578,23 +580,35 @@ class ExactMatrix:
                     raise ValueError(f"column index outside 0..{cols - 1}")
             self._rows = row_dicts
 
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        out = ExactMatrix(self.rows, other.cols)
-        for i, row in enumerate(self._rows):
-            acc: dict[int, Fraction] = {}
-            for k, a in row.items():
-                for j, b in other._rows[k].items():
-                    s = acc.get(j, ZERO) + a * b
-                    if s == 0:
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = s
-            out._rows[i] = acc
-        return out
+    def apply(self, vectors: Sequence[SparseVector]) -> list[SparseVector]:
+        """The image ``A*v`` of each vector, computed in integers.
 
-    __matmul__ = matmul
+        Each vector is scaled by the lcm of its own denominators and each row
+        by the lcm of its entries on the vectors' support; the products are
+        accumulated as ints and divided back once per non-zero entry.
+        """
+        held: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        scales = []
+        for j, vector in enumerate(vectors):
+            if vector and not (0 <= min(vector) and max(vector) < self.cols):
+                raise ValueError(f"row index outside 0..{self.cols - 1}")
+            scale = lcm(*(v.denominator for v in vector.values()))
+            scales.append(scale)
+            for i, v in vector.items():
+                held[i][j] = v.numerator * (scale // v.denominator)
+        images: list[SparseVector] = [{} for _ in scales]
+        for r, row in enumerate(self._rows):
+            hits = [(held[i], a) for i, a in row.items() if held[i]]
+            scale = lcm(*(a.denominator for _, a in hits))
+            acc: dict[int, int] = {}
+            for column, a in hits:
+                a = a.numerator * (scale // a.denominator)
+                for j, b in column.items():
+                    acc[j] = acc.get(j, 0) + a * b
+            for j, total in acc.items():
+                if total:
+                    images[j][r] = Fraction(total, scale * scales[j])
+        return images
 
     def _echelon(self, rhs: Sequence[Fraction] | None = None
                  ) -> tuple[list[int], list[int], list[dict[int, int]],
@@ -810,15 +824,3 @@ def _back_substitute(pivots: list[int], echelon: list[dict[int, int]]) -> list[d
         _remove_content(row)
     return echelon
 
-
-def matrix_from_columns(columns: Iterable[SparseVector], nrows: int) -> ExactMatrix:
-    """Assemble a matrix whose j-th column is the j-th sparse vector given."""
-    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
-    width = 0
-    for column in columns:
-        for i, value in column.items():
-            if not 0 <= i < nrows:
-                raise ValueError(f"row index {i} outside 0..{nrows - 1}")
-            rows[i][width] = value
-        width += 1
-    return ExactMatrix(nrows, width, rows)

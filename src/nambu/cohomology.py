@@ -6,9 +6,11 @@ statement is a dimension that is stable across a window of bounds.  Degree
 bookkeeping is strict throughout: an operator's rows are the labels its
 images hold, so no image is ever clipped, coordinates in a truncated space
 raise rather than drop a term, and every quotient asserts that the
-coboundaries lie in the cocycles.  h1-top takes its quotient on a coordinate
-complement of the coboundaries (``_complement_kernel``); the foliated and
-canonical dimensions are dim(cocycles) - dim(coboundary span).
+coboundaries lie in the cocycles.  Every quotient, h1-top, foliated and
+canonical alike, is one ``_complement_kernel(cycles, boundaries)`` call: the
+kernel of the cycle matrix on a coordinate complement of the boundaries.
+Its length is the dimension, and for h1-top its vectors are the printed
+representatives.
 """
 
 from __future__ import annotations
@@ -16,16 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .algebra import (
-    ONE,
-    ExactMatrix,
-    InvariantError,
-    Polynomial,
-    SparseVector,
-    matrix_from_columns,
-)
+from .algebra import ExactMatrix, InvariantError, Polynomial, SparseVector
 from .exterior import (
     FORM,
     MULTIVECTOR,
@@ -51,59 +45,36 @@ from .truncation import (
 
 # -- shared linear-algebra helpers --------------------------------------------
 
-def _rank_of_vectors(vectors: list[SparseVector], length: int) -> int:
-    if not vectors:
-        return 0
-    return matrix_from_columns(vectors, length).rank()
-
-
 def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
-    """Whether the matrix sends every vector to zero, computed in integers.
-
-    A positive scaling of a row or of a vector does not change whether their
-    product is zero, so each vector is scaled by the lcm of its denominators
-    and each row by the lcm of its entries on the vectors' support.
-    """
-    scales = [lcm(*(v.denominator for v in vector.values())) for vector in vectors]
-    held = matrix_from_columns(
-        ({i: v.numerator * (s // v.denominator) for i, v in vector.items()}
-         for vector, s in zip(vectors, scales)), matrix.cols).row_dicts()
-    for row in matrix.row_dicts():
-        hits = [(held[i], a) for i, a in row.items() if held[i]]
-        scale = lcm(*(a.denominator for _, a in hits))
-        acc: dict[int, int] = {}
-        for column, a in hits:
-            a = a.numerator * (scale // a.denominator)
-            for j, b in column.items():
-                acc[j] = acc.get(j, 0) + a * b
-        if any(acc.values()):
-            return False
-    return True
+    """Whether the matrix sends every vector to zero, computed in integers."""
+    return not any(matrix.apply(vectors))
 
 
-def _require_cocycles(cocycle: ExactMatrix, boundaries: list[SparseVector]) -> None:
-    if not _annihilates(cocycle, boundaries):
+def _require_cocycles(cycles: ExactMatrix, boundaries: list[SparseVector]) -> None:
+    if not _annihilates(cycles, boundaries):
         raise InvariantError("coboundary vector escapes the cocycle space; "
                              "degree bookkeeping is inconsistent")
 
 
-def _complement_kernel(cocycle: ExactMatrix, boundaries: list[SparseVector],
-                       length: int) -> tuple[int, list[SparseVector]]:
-    """Rank of the coboundaries B and a basis of ker C modulo span B.
+def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
+                       ) -> tuple[int, list[SparseVector]]:
+    """Rank of the boundaries B and a basis of ker C modulo span B.
 
     With P the pivot columns of the matrix whose rows are B and W the other
     coordinates, the projection pi_P is an isomorphism on span B, so every
-    cocycle minus the B-vector with the same P-coordinates lies in ker C on
+    cycle minus the B-vector with the same P-coordinates lies in ker C on
     Q^W.  Hence ker C is the direct sum of span B and ker(C|_W), and the
-    kernel of C|_W padded with zeros on P is the basis.
+    kernel of C|_W padded with zeros on P is the basis.  B must lie in
+    ker C (D after D is zero); that is checked first.
     """
-    _require_cocycles(cocycle, boundaries)
+    _require_cocycles(cycles, boundaries)
+    length = cycles.cols
     spanned = set(ExactMatrix(len(boundaries), length, boundaries).pivot_columns())
     kept = [j for j in range(length) if j not in spanned]
     position = {j: k for k, j in enumerate(kept)}
-    restricted = ExactMatrix(cocycle.rows, len(kept), [
+    restricted = ExactMatrix(cycles.rows, len(kept), [
         {position[j]: v for j, v in row.items() if j in position}
-        for row in cocycle.row_dicts()])
+        for row in cycles.row_dicts()])
     return len(spanned), [{kept[k]: v for k, v in vector.items()}
                           for vector in restricted.nullspace()]
 
@@ -130,29 +101,21 @@ def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
     """Foliated cohomology at one degree; ``sharp_kernel`` is
     ``ker_sharp_basis(structure, degree, bound)`` when the caller has it."""
     chart = structure.chart
-    n = structure.order
     domain = TruncatedBasis.build(chart, FORM, degree, bound)
-
-    if degree < n:
-        cocycle_op = TruncatedOperator.build(
-            domain, lambda form: sharp(structure, degree + 1, ext_d(form)))
-        cocycle_dimension = len(domain) - cocycle_op.matrix.rank()
+    if degree < structure.order:
+        cycles = TruncatedOperator.build(
+            domain, lambda form: sharp(structure, degree + 1, ext_d(form))).matrix
     else:
-        cocycle_op = None
-        cocycle_dimension = len(domain)
+        cycles = ExactMatrix(0, len(domain))
 
-    boundary_vectors: list[SparseVector] = []
+    boundaries: list[SparseVector] = []
     if degree >= 1:
         previous = TruncatedBasis.build(chart, FORM, degree - 1, bound + 1)
-        boundary_vectors = TruncatedOperator.build(previous, ext_d).coordinates_in(domain)
+        boundaries = TruncatedOperator.build(previous, ext_d).coordinates_in(domain)
     if sharp_kernel is None:
         sharp_kernel = ker_sharp_basis(structure, degree, bound)
-    boundary_vectors.extend(domain.to_coordinates(form) for form in sharp_kernel)
-
-    if cocycle_op is not None:
-        _require_cocycles(cocycle_op.matrix, boundary_vectors)
-
-    return cocycle_dimension - _rank_of_vectors(boundary_vectors, len(domain))
+    boundaries.extend(domain.to_coordinates(form) for form in sharp_kernel)
+    return len(_complement_kernel(cycles, boundaries)[1])
 
 
 def foliated_cohomology_dim(structure: NambuStructure, degree: int,
@@ -215,7 +178,7 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
     coboundaries = TruncatedOperator.build(
         generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain)[1:]
-    boundary_rank, kernel = _complement_kernel(cocycle_op.matrix, coboundaries, len(domain))
+    boundary_rank, kernel = _complement_kernel(cocycle_op.matrix, coboundaries)
     return TopH1Report(
         bound=bound,
         dimension=len(kernel),
@@ -259,23 +222,16 @@ def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
     return kept
 
 
-def _tangent_chain_vectors(structure: NambuStructure, degree: int, bound: int,
-                           annihilators: list[GradedTensor],
-                           ) -> tuple[TruncatedBasis, list[SparseVector], ExactMatrix | None]:
-    """Coordinate basis of bounded-degree multivectors killed by the given
-    annihilator 1-forms of the structure, and the constraint matrix that cuts
-    them out; degree 0 is unconstrained and has no constraint matrix."""
-    chart = structure.chart
-    domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
-    if not annihilators or degree == 0:
-        return domain, [{j: ONE} for j in range(len(domain))], None
+def _tangent_constraints(domain: TruncatedBasis,
+                         annihilators: list[GradedTensor]) -> ExactMatrix:
+    """The rows whose kernel is the domain's multivectors killed by the given
+    annihilator 1-forms of the structure; degree 0 is unconstrained."""
     rows: list[dict[int, Fraction]] = []
-    for annihilator in annihilators:
-        block = TruncatedOperator.build(
-            domain, lambda field, a=annihilator: contract_form(a, field)).matrix
-        rows.extend(block.row_dicts())
-    constraints = ExactMatrix(len(rows), len(domain), rows)
-    return domain, constraints.nullspace(), constraints
+    if domain.degree >= 1:
+        for annihilator in annihilators:
+            rows.extend(TruncatedOperator.build(
+                domain, lambda field, a=annihilator: contract_form(a, field)).matrix.row_dicts())
+    return ExactMatrix(len(rows), len(domain), rows)
 
 
 def _check_homology_volume(volume: VolumeSpec) -> None:
@@ -309,27 +265,25 @@ def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
                             degree: int, bound: int, annihilators: list[GradedTensor],
                             above_annihilators: list[GradedTensor]) -> int:
     """Canonical homology at one degree, given the reduced annihilator 1-forms
-    at ``bound`` and (used below the top degree) at ``bound + 1``."""
-    n = structure.order
-    domain, chains, constraints = _tangent_chain_vectors(structure, degree, bound,
-                                                         annihilators)
-    if degree >= 1:
-        boundary = TruncatedOperator.build(domain, lambda field: delta(volume, field))
-        images = boundary.matrix @ matrix_from_columns(chains, len(domain))
-        kernel_dim = len(chains) - images.rank()
-    else:
-        kernel_dim = len(chains)
+    at ``bound`` and (used below the top degree) at ``bound + 1``.
 
-    incoming_rank = 0
-    if degree + 1 <= n:
-        above, above_chains, _ = _tangent_chain_vectors(structure, degree + 1, bound + 1,
-                                                        above_annihilators)
-        boundary_above = TruncatedOperator.build(above, lambda field: delta(volume, field))
-        incoming = boundary_above.coordinates_in(domain, above_chains)
-        if constraints is not None and not _annihilates(constraints, incoming):
-            raise InvariantError("boundary image left the tangent chain space")
-        incoming_rank = _rank_of_vectors(incoming, len(domain))
-    return kernel_dim - incoming_rank
+    The cycles are the tangency constraints stacked on the boundary; the
+    boundaries are the images of the tangent chains one degree up.
+    """
+    chart = structure.chart
+    domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
+    cycles = _tangent_constraints(domain, annihilators)
+    if degree >= 1:
+        boundary = TruncatedOperator.build(domain, lambda field: delta(volume, field)).matrix
+        cycles = ExactMatrix(cycles.rows + boundary.rows, len(domain),
+                             cycles.row_dicts() + boundary.row_dicts())
+    boundaries: list[SparseVector] = []
+    if degree < structure.order:
+        above = TruncatedBasis.build(chart, MULTIVECTOR, degree + 1, bound + 1)
+        chains = _tangent_constraints(above, above_annihilators).nullspace()
+        boundaries = TruncatedOperator.build(
+            above, lambda field: delta(volume, field)).coordinates_in(domain, chains)
+    return len(_complement_kernel(cycles, boundaries)[1])
 
 
 # -- the modular obstruction to the image subcomplex -----------------------------

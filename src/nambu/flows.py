@@ -13,7 +13,7 @@ function (``Polynomial.compile_float``) before the first point is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exterior import GradedTensor
 from .structures import NambuStructure, hamiltonian_vf, nambu_bracket

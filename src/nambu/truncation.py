@@ -45,7 +45,6 @@ from .algebra import (
     RationalFunction,
     SparseVector,
     grlex_key,
-    matrix_from_columns,
 )
 from .exterior import FORM, Chart, GradedTensor, Scalar
 from .structures import NambuStructure, sharp
@@ -146,22 +145,6 @@ class TruncatedBasis:
         return GradedTensor(self.chart, self.variance, self.degree, {
             idx: Polynomial(self.chart.coordinates, terms)
             for idx, terms in components.items()})
-
-
-def _labelled_rows(columns: Iterable[Iterable[tuple[Label, Fraction]]],
-                   rows: dict[Label, dict[int, Fraction]]) -> int:
-    """Add each column's (label, coefficient) entries to the row of its label,
-    opening rows in first-seen order; returns the number of columns.  Columns
-    are read once, so a generator keeps only the rows alive."""
-    width = 0
-    for column in columns:
-        for label, coeff in column:
-            row = rows.get(label)
-            if row is None:
-                row = rows[label] = {}
-            row[width] = coeff
-        width += 1
-    return width
 
 
 def _shift(exponent: Exponent, by: Exponent) -> Exponent:
@@ -299,16 +282,29 @@ class TruncatedOperator:
                        vectors: Sequence[SparseVector] | None = None) -> list[SparseVector]:
         """The image of each domain vector, or of each domain element when no
         vectors are given, as coordinates in ``basis``; raises as
-        ``to_coordinates`` does when an image leaves it."""
-        matrix = self.matrix
-        if vectors is not None:
-            matrix = matrix @ matrix_from_columns(vectors, len(self.domain))
-        columns: list[SparseVector] = [{} for _ in range(matrix.cols)]
-        for label, row in zip(self.labels, matrix.row_dicts()):
-            if row:
+        ``to_coordinates`` does when an image leaves it.
+
+        Without vectors this is the transpose of the matrix.  With vectors
+        the images come from ``ExactMatrix.apply``, and a label is looked up
+        in ``basis`` only when some image holds its row.
+        """
+        if vectors is None:
+            columns: list[SparseVector] = [{} for _ in range(self.matrix.cols)]
+            for label, row in zip(self.labels, self.matrix.row_dicts()):
                 at = basis.position(label)
                 for j, coeff in row.items():
                     columns[j][at] = coeff
+            return columns
+        positions: dict[int, int] = {}
+        columns = []
+        for image in self.matrix.apply(vectors):
+            column = {}
+            for r, coeff in image.items():
+                at = positions.get(r)
+                if at is None:
+                    at = positions[r] = basis.position(self.labels[r])
+                column[at] = coeff
+            columns.append(column)
         return columns
 
 
@@ -317,12 +313,20 @@ def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label,
     """Solve target = sum c_j columns_j exactly, one equation per label.
 
     Rows are numbered in first-seen order: the target's labels, then each
-    column's in turn; certificates list their labels in that order.
+    column's in turn; certificates list their labels in that order.  The
+    columns are read once, so a generator of them keeps only the rows alive.
     Returns (coefficients, None) when solvable, else (None, certificate)
     with a labelled left-kernel functional separating the target from the span.
     """
     rows: dict[Label, dict[int, Fraction]] = {label: {} for label in target}
-    width = _labelled_rows((column.items() for column in columns), rows)
+    width = 0
+    for column in columns:
+        for label, coeff in column.items():
+            row = rows.get(label)
+            if row is None:
+                row = rows[label] = {}
+            row[width] = coeff
+        width += 1
     rhs = [target.get(label, Fraction(0)) for label in rows]
     outcome = ExactMatrix(len(rows), width, list(rows.values())).solve(rhs)
     if outcome.feasible:

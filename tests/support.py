@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.algebra import ExactMatrix, Polynomial, grlex_key, matrix_from_columns
+from nambu.algebra import ExactMatrix, Polynomial, SparseVector, grlex_key
 from nambu.exterior import (
     FORM,
     MULTIVECTOR,
@@ -17,11 +17,16 @@ from nambu.exterior import (
     GradedTensor,
     Scalar,
     apply_vector,
+    contract_form,
+    ext_d,
     pair,
     sort_index,
     wedge_all,
 )
+from nambu.cohomology import reduce_annihilators
+from nambu.modular import delta
 from nambu.structures import NambuStructure, leibniz_bracket, sharp
+from nambu.truncation import TruncatedBasis, TruncatedOperator, ker_sharp_basis
 
 R3 = Chart.of("x1 x2 x3")
 R4 = Chart.of("x1 x2 x3 x4")
@@ -62,6 +67,48 @@ def dense(rows) -> ExactMatrix:
     """The exact matrix with the given dense rows of ints or Fractions."""
     return ExactMatrix(len(rows), len(rows[0]) if rows else 0,
                        [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows])
+
+
+def matrix_from_columns(columns, nrows: int) -> ExactMatrix:
+    """The matrix whose j-th column is the j-th sparse vector given."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    width = 0
+    for column in columns:
+        for i, value in column.items():
+            if not 0 <= i < nrows:
+                raise ValueError(f"row index {i} outside 0..{nrows - 1}")
+            rows[i][width] = value
+        width += 1
+    return ExactMatrix(nrows, width, rows)
+
+
+def matmul(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
+    """The product by Fraction arithmetic, the oracle of ``ExactMatrix.apply``."""
+    if left.cols != right.rows:
+        raise ValueError("inner dimensions disagree")
+    others = right.row_dicts()
+    rows = []
+    for row in left.row_dicts():
+        acc: dict[int, Fraction] = {}
+        for k, a in row.items():
+            for j, b in others[k].items():
+                s = acc.get(j, Fraction(0)) + a * b
+                if s == 0:
+                    acc.pop(j, None)
+                else:
+                    acc[j] = s
+        rows.append(acc)
+    return ExactMatrix(left.rows, right.cols, rows)
+
+
+def oracle_apply(matrix: ExactMatrix, vectors: list[SparseVector]) -> list[SparseVector]:
+    """The image of each vector, read off the columns of the Fraction product."""
+    product = matmul(matrix, matrix_from_columns(vectors, matrix.cols))
+    images: list[SparseVector] = [{} for _ in vectors]
+    for i, row in enumerate(product.row_dicts()):
+        for j, value in row.items():
+            images[j][i] = value
+    return images
 
 
 def evaluate(poly: Polynomial, point) -> Fraction:
@@ -258,6 +305,76 @@ def oracle_quotient(cocycle, boundaries, length):
     boundary_rank, chosen = _span_rank_extension(boundaries, cocycles, length)
     return (len(cocycles) - boundary_rank, len(cocycles), boundary_rank,
             [cocycles[pos] for pos in chosen])
+
+
+# -- nullity minus rank, as the oracle of the foliated and canonical quotients -----
+
+def _rank_of_vectors(vectors, length):
+    return matrix_from_columns(vectors, length).rank() if vectors else 0
+
+
+def oracle_foliated_dimension(structure, degree, bound):
+    """dim ker(sharp o d) minus the rank of the d-images and the sharp kernel."""
+    chart = structure.chart
+    domain = TruncatedBasis.build(chart, FORM, degree, bound)
+    if degree < structure.order:
+        cocycle_op = TruncatedOperator.build(
+            domain, lambda form: sharp(structure, degree + 1, ext_d(form)))
+        cocycle_dimension = len(domain) - cocycle_op.matrix.rank()
+    else:
+        cocycle_dimension = len(domain)
+    boundary_vectors = []
+    if degree >= 1:
+        previous = TruncatedBasis.build(chart, FORM, degree - 1, bound + 1)
+        boundary_vectors = TruncatedOperator.build(previous, ext_d).coordinates_in(domain)
+    boundary_vectors.extend(domain.to_coordinates(form)
+                            for form in ker_sharp_basis(structure, degree, bound))
+    return cocycle_dimension - _rank_of_vectors(boundary_vectors, len(domain))
+
+
+def _tangent_chain_vectors(structure, degree, bound, annihilators):
+    """The domain basis, a basis of its tangent chains and their constraints."""
+    domain = TruncatedBasis.build(structure.chart, MULTIVECTOR, degree, bound)
+    if not annihilators or degree == 0:
+        return domain, [{j: Fraction(1)} for j in range(len(domain))], None
+    rows = []
+    for annihilator in annihilators:
+        rows.extend(TruncatedOperator.build(
+            domain, lambda field, a=annihilator: contract_form(a, field)).matrix.row_dicts())
+    constraints = ExactMatrix(len(rows), len(domain), rows)
+    return domain, constraints.nullspace(), constraints
+
+
+def oracle_canonical_dimension(structure, volume, degree, bound):
+    """The nullity of the boundary on the tangent chains minus the rank of
+    the incoming images, each taken by its own elimination."""
+    n = structure.order
+    annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound))
+    domain, chains, constraints = _tangent_chain_vectors(structure, degree, bound,
+                                                         annihilators)
+    kernel_dim = len(chains)
+    if degree >= 1:
+        boundary = TruncatedOperator.build(domain, lambda field: delta(volume, field))
+        kernel_dim -= matmul(boundary.matrix, matrix_from_columns(chains, len(domain))).rank()
+    incoming_rank = 0
+    if degree < n:
+        above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
+        above, above_chains, _ = _tangent_chain_vectors(structure, degree + 1, bound + 1,
+                                                        above_annihilators)
+        boundary_above = TruncatedOperator.build(above, lambda field: delta(volume, field))
+        incoming = [{domain.position(boundary_above.labels[r]): v for r, v in image.items()}
+                    for image in oracle_apply(boundary_above.matrix, above_chains)]
+        assert constraints is None or not any(oracle_apply(constraints, incoming))
+        incoming_rank = _rank_of_vectors(incoming, len(domain))
+    return kernel_dim - incoming_rank
+
+
+def sign_flipped_delta(volume, field):
+    """delta after negating every component whose index holds 0: still of
+    first order, but no longer of square zero, so it breaks the complex."""
+    flipped = {index: -value if 0 in index else value
+               for index, value in field.components.items()}
+    return delta(volume, GradedTensor(field.chart, field.variance, field.degree, flipped))
 
 
 # -- form-represented cochains of the algebroid complex, as test oracles ----------

@@ -14,13 +14,15 @@ from nambu.algebra import (
     ExactMatrix,
     Polynomial,
     RationalFunction,
-    matrix_from_columns,
     variables,
 )
 from support import (
     assert_elimination_matches_sympy,
     dense,
     evaluate,
+    matmul,
+    matrix_from_columns,
+    oracle_apply,
     oracle_horner,
     oracle_long_division,
 )
@@ -278,13 +280,12 @@ def test_rational_normalization_idempotent_random(num, den):
 # -- exact matrices ----------------------------------------------------------
 
 def _times(matrix, vector):
-    """matrix * vector for a dense vector, as a sparse matrix product."""
-    column = {j: v for j, v in enumerate(vector) if v != 0}
-    product = matrix @ matrix_from_columns([column], matrix.cols)
-    return [row.get(0, 0) for row in product.row_dicts()]
+    """matrix * vector for a dense vector, by the Fraction product oracle."""
+    image, = oracle_apply(matrix, [{j: v for j, v in enumerate(vector) if v != 0}])
+    return [image.get(i, 0) for i in range(matrix.rows)]
 
 def _kills(matrix, basis):
-    return not any((matrix @ matrix_from_columns(basis, matrix.cols)).row_dicts())
+    return not any(oracle_apply(matrix, basis))
 
 def test_nullspace_of_identity_is_empty():
     assert dense([[1, 0], [0, 1]]).nullspace() == []
@@ -325,7 +326,10 @@ def test_solve_infeasible_has_certificate():
 def test_matmul_matches_dense():
     a = dense([[1, 2], [3, 4]])
     b = dense([[0, 1], [1, 0]])
-    assert a @ b == dense([[2, 1], [4, 3]])
+    assert matmul(a, b) == dense([[2, 1], [4, 3]])
+    # the columns of b, and the columns of a*b as their images
+    assert a.apply([{1: Fraction(1)}, {0: Fraction(1)}]) == \
+        [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(3)}]
 
 def test_column_keys_outside_the_matrix_are_rejected():
     with pytest.raises(ValueError):
@@ -333,7 +337,7 @@ def test_column_keys_outside_the_matrix_are_rejected():
     with pytest.raises(ValueError):
         ExactMatrix(1, 1, [{-1: Fraction(1)}])
     with pytest.raises(ValueError):
-        ExactMatrix(1, 2, [{-1: Fraction(1)}]) @ dense([[1], [2]])
+        ExactMatrix(1, 2, [{-1: Fraction(1)}]).apply([{0: Fraction(1), 1: Fraction(2)}])
 
 def test_matrix_from_columns():
     matrix = matrix_from_columns([{0: Fraction(1)}, {0: Fraction(2), 1: Fraction(5)}], 2)
@@ -341,6 +345,47 @@ def test_matrix_from_columns():
     for outside in (2, -1):
         with pytest.raises(ValueError):
             matrix_from_columns([{outside: Fraction(1)}], 2)
+        with pytest.raises(ValueError, match="row index"):
+            matrix.apply([{0: Fraction(1)}, {outside: Fraction(1)}])
+
+
+# few distinct values, so that products cancel often
+product_entries = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2)])
+
+
+@st.composite
+def products(draw):
+    """A matrix and a list of sparse vectors with fractional entries; matrix
+    rows and vectors may be empty, and so may the matrix and the list."""
+    cols = draw(st.integers(0, 4))
+    sparse = st.dictionaries(st.integers(0, cols - 1), product_entries) if cols \
+        else st.just({})
+    rows = draw(st.lists(sparse, max_size=4))
+    return ExactMatrix(len(rows), cols, rows), draw(st.lists(sparse, max_size=4))
+
+
+@given(products())
+@example((dense([[Fraction(1, 2), Fraction(1, 3)], [1, 0]]),
+          [{0: Fraction(2, 3), 1: Fraction(-1)}, {}, {1: Fraction(3, 4)}]))
+@example((dense([[1, 1, -2]]), [{0: Fraction(1, 2), 1: Fraction(3, 2), 2: Fraction(1)}]))
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_the_fraction_product(case):
+    matrix, vectors = case
+    assert matrix.apply(vectors) == oracle_apply(matrix, vectors)
+
+
+@given(products(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_rejects_a_vector_index_outside_the_matrix(case, data):
+    matrix, vectors = case
+    outside = data.draw(st.one_of(st.integers(-3, -1),
+                                  st.integers(matrix.cols, matrix.cols + 3)))
+    vectors.insert(data.draw(st.integers(0, len(vectors))), {outside: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="row index"):
+        matrix.apply(vectors)
+    with pytest.raises(ValueError, match="row index"):
+        oracle_apply(matrix, vectors)
 
 
 frac_rows = st.lists(st.lists(coeffs, min_size=3, max_size=3), min_size=1, max_size=4)

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from nambu.cli import main
+from support import sign_flipped_delta
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SINGULAR = str(MODELS / "singular_r3.nmb")
@@ -320,6 +321,15 @@ def test_broken_invariant_is_internal_error(capsys):
     assert captured.out == ""
     assert captured.err == ("internal error: coboundary vector escapes the cocycle space; "
                             "degree bookkeeping is inconsistent\n")
+
+
+def test_boundary_that_is_not_a_cycle_is_internal_error(capsys):
+    with mock.patch("nambu.cohomology.delta", sign_flipped_delta):
+        code = main(["canonical-homology", SINGULAR, "--degree", "1", "--degree-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
 
 
 def test_module_runs_as_a_program_from_a_checkout():

@@ -36,6 +36,37 @@ def test_foreign_imports_are_detected(tmp_path):
     assert _foreign_imports(probe) == ["numpy.linalg", "sympy"]
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Every name that a module imports and then never names; ``__future__``
+    imports are compiler directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in named]
+
+
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_imports_are_detected(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os.path\nimport sys as system\nimport json\n"
+                     "from math import gcd, lcm\nfrom . import algebra as alg\n\n"
+                     "VALUE = gcd(1, 2) + len(os.path.sep) + len(system.argv)\n")
+    assert _unused_imports(probe) == ["json", "lcm", "alg"]
+
+
 def test_project_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
