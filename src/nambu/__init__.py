@@ -9,7 +9,6 @@ files.
 
 from .algebra import (
     ExactMatrix,
-    LinearSolveResult,
     Polynomial,
     RationalFunction,
     variables,

@@ -42,7 +42,6 @@ zero image costs no ``Fraction`` arithmetic at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -538,23 +537,6 @@ def _reduce_fraction(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
     return num, den
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
-    """Outcome of an exact linear solve.
-
-    Exactly one of ``solution`` and ``certificate`` is set.  The certificate
-    is a left-kernel row ``y`` of the system matrix with ``y*b != 0``, which
-    proves infeasibility independently of the elimination that found it.
-    """
-
-    solution: tuple[Fraction, ...] | None
-    certificate: tuple[Fraction, ...] | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.solution is not None
-
-
 class ExactMatrix:
     """Sparse exact rational matrix with row-dict storage.
 
@@ -735,16 +717,19 @@ class ExactMatrix:
                     basis[free][pivot_col] = Fraction(-coeff, lead)
         return list(basis.values())
 
-    def solve(self, rhs: Sequence[int | Fraction]) -> LinearSolveResult:
-        """Solve ``A*x = b`` exactly, or certify that no solution exists.
+    def solve(self, rhs: Sequence[int | Fraction]
+              ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
+        """Solve ``A*x = b`` exactly: ``(x, None)``, or ``(None, y)`` with a
+        certificate ``y`` that no solution exists.
 
         The solution sets every free variable to zero, which makes it unique.
-        The certificate comes from the first leftover row, in echelon order,
-        whose entry of b did not cancel: its tail divided by its coefficient
-        on its own original row.  That is the one left-kernel vector supported
-        on the pivot rows and that row with a 1 at that row, so it is the
-        certificate Gauss-Jordan with the same row order reads off its
-        transform.
+        The certificate is a left-kernel row of A with ``y*b != 0``, so it
+        proves infeasibility independently of the elimination that found it.
+        It comes from the first leftover row, in echelon order, whose entry
+        of b did not cancel: its tail divided by its coefficient on its own
+        original row.  That is the one left-kernel vector supported on the
+        pivot rows and that row with a 1 at that row, so it is the certificate
+        Gauss-Jordan with the same row order reads off its transform.
         """
         b = [_as_fraction(v) for v in rhs]
         if len(b) != self.rows:
@@ -756,8 +741,7 @@ class ExactMatrix:
             tail = tails[r]
             if tail.get(-1):
                 lead = tail[r]
-                certificate = tuple(Fraction(tail.get(i, 0), lead) for i in range(self.rows))
-                return LinearSolveResult(solution=None, certificate=certificate)
+                return None, tuple(Fraction(tail.get(i, 0), lead) for i in range(self.rows))
         x = [ZERO] * self.cols
         for k in range(rank - 1, -1, -1):
             r, pivot_col = order[k], pivots[k]
@@ -767,7 +751,7 @@ class ExactMatrix:
                 if j != pivot_col and x[j]:
                     acc -= v * x[j]
             x[pivot_col] = acc / row[pivot_col]
-        return LinearSolveResult(solution=tuple(x), certificate=None)
+        return tuple(x), None
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         """The sparse rows themselves, not copies; callers must not change them."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .algebra import ExactMatrix, InvariantError, Polynomial, SparseVector
 from .exterior import (
@@ -30,16 +30,15 @@ from .exterior import (
     ext_d,
     wedge,
 )
-from .modular import VolumeSpec, delta, modular_tensor
+from .modular import VolumeSpec, delta, sharp_preimage
 from .structures import NambuStructure, sharp
 from .truncation import (
-    Label,
+    Certificate,
     TruncatedBasis,
     TruncatedOperator,
     ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
-    solve_labelled,
 )
 
 
@@ -48,12 +47,6 @@ from .truncation import (
 def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
     """Whether the matrix sends every vector to zero, computed in integers."""
     return not any(matrix.apply(vectors))
-
-
-def _require_cocycles(cycles: ExactMatrix, boundaries: list[SparseVector]) -> None:
-    if not _annihilates(cycles, boundaries):
-        raise InvariantError("coboundary vector escapes the cocycle space; "
-                             "degree bookkeeping is inconsistent")
 
 
 def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
@@ -67,7 +60,9 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
     kernel of C|_W padded with zeros on P is the basis.  B must lie in
     ker C (D after D is zero); that is checked first.
     """
-    _require_cocycles(cycles, boundaries)
+    if not _annihilates(cycles, boundaries):
+        raise InvariantError("coboundary vector escapes the cocycle space; "
+                             "degree bookkeeping is inconsistent")
     length = cycles.cols
     spanned = set(ExactMatrix(len(boundaries), length, boundaries).pivot_columns())
     kept = [j for j in range(length) if j not in spanned]
@@ -299,7 +294,7 @@ class SubcomplexReport:
     is_subcomplex: bool
     bound: int
     witness: GradedTensor | None
-    certificate: tuple[tuple[Label, Fraction], ...] | None
+    certificate: Certificate | None
 
 
 def subcomplex_check(structure: NambuStructure, volume: VolumeSpec,
@@ -307,11 +302,9 @@ def subcomplex_check(structure: NambuStructure, volume: VolumeSpec,
     """Decide whether the modular tensor is sharp of a bounded-degree 1-form."""
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
-    chart = structure.chart
-    tensor = modular_tensor(structure, volume)
-    domain = TruncatedBasis.build(chart, FORM, 1, bound)
-    images = [sharp(structure, 1, domain.tensor_of(j)) for j in range(len(domain))]
-    solution, certificate = solve_in_span(images, tensor)
+    domain = TruncatedBasis.build(structure.chart, FORM, 1, bound)
+    solution, certificate = sharp_preimage(
+        structure, volume, map(domain.tensor_of, range(len(domain))))
     if solution is not None:
         witness = domain.from_coordinates({j: c for j, c in enumerate(solution) if c})
         return SubcomplexReport(True, bound, witness, None)
@@ -320,20 +313,21 @@ def subcomplex_check(structure: NambuStructure, volume: VolumeSpec,
 
 # -- polynomial decomposition helpers (two- and three-variable) -------------------
 
-def _equation_labels(polys: list[Polynomial]) -> dict[Label, Fraction]:
-    return {((eq_index,), exponent): coeff for eq_index, poly in enumerate(polys)
-            for exponent, coeff in poly.terms.items()}
+def _radial_form(polys: list[Polynomial]) -> tuple[GradedTensor, Polynomial]:
+    """The 1-form sum P_i dx_i on the chart of the P_i, and the squared radius."""
+    chart = Chart(polys[0].variables)
+    xs = [chart.coordinate_polynomial(i) for i in range(chart.dimension)]
+    return (GradedTensor(chart, FORM, 1, {(i,): p for i, p in enumerate(polys)}),
+            sum((x * x for x in xs), chart.zero_polynomial()))
 
 
 def _radial_relations(polys: list[Polynomial]) -> list[Polynomial]:
     """r^2 (d_j P_i - d_i P_j) - 2 (P_i x_j - P_j x_i) for each i < j, in order,
-    where r^2 is the squared radius; all zero is the lemmas' hypothesis."""
-    names = polys[0].variables
-    xs = [Polynomial.variable(names, i) for i in range(len(names))]
-    radius = sum((x * x for x in xs), Polynomial.zero(names))
-    return [radius * (polys[i].diff(j) - polys[j].diff(i))
-            - 2 * (polys[i] * xs[j] - polys[j] * xs[i])
-            for i, j in combinations(range(len(polys)), 2)]
+    where r^2 is the squared radius: the negated components of the top-order
+    cocycle residual of P = sum P_i dx_i.  All zero is the lemmas' hypothesis."""
+    form, radius = _radial_form(polys)
+    residual = np_cocycle_check_top(radius, form)
+    return [-residual.component(pair) for pair in combinations(range(len(polys)), 2)]
 
 
 def _radial_split(polys: list[Polynomial], rotation: bool
@@ -342,48 +336,32 @@ def _radial_split(polys: list[Polynomial], rotation: bool
     whose radial relations hold.
 
     With ``rotation`` (two variables) the linear part also carries
-    b (x2, -x1).  The unknowns are a, then b, then each T_i's coefficients;
-    the equations are the components, then the curls for i < j.  The split
-    is found by one exact solve and re-verified by substitution.
+    b (x2, -x1).  A curl-free polynomial T is dg (the polynomial Poincare
+    lemma), so the split is one ``solve_in_span`` of the 1-form P against
+    sum x_i dx_i = d(r^2)/2, then x2 dx1 - x1 dx2, then r^2 d(x^beta) for
+    every non-constant beta of degree below deg P; T_i is d_i g.  The split
+    is unique, because r^2 divides no non-zero linear form, and it is
+    re-verified by substitution.
     """
-    names = polys[0].variables
-    m = len(names)
-    xs = [Polynomial.variable(names, i) for i in range(m)]
-    radius = sum((x * x for x in xs), Polynomial.zero(names))
-    pairs = list(combinations(range(m), 2))
-    tilde_bound = max(poly.total_degree() for poly in polys) - 2
-    monomials = monomials_up_to(m, tilde_bound) if tilde_bound >= 0 else []
-    scalar_count = 2 if rotation else 1
-    block = len(monomials)
-    unknowns = scalar_count + m * block
-
-    def unknown_split(values):
-        tildes = [Polynomial(names, dict(zip(monomials, values[scalar_count + i * block:])))
-                  for i in range(m)]
-        return list(values[:scalar_count]), tildes
-
-    def equation_vector(scalars, tildes):
-        linear = [scalars[0] * x for x in xs]
-        if rotation:
-            linear[0] = linear[0] + scalars[1] * xs[1]
-            linear[1] = linear[1] - scalars[1] * xs[0]
-        return [linear[i] + radius * tildes[i] for i in range(m)] + \
-            [tildes[i].diff(j) - tildes[j].diff(i) for i, j in pairs]
-
-    # each unknown's column is the image of its unit vector
-    columns = []
-    for pos in range(unknowns):
-        probe = [Fraction(0)] * unknowns
-        probe[pos] = Fraction(1)
-        columns.append(_equation_labels(equation_vector(*unknown_split(probe))))
-    targets = polys + [Polynomial.zero(names)] * len(pairs)
-    solution, _ = solve_labelled(columns, _equation_labels(targets))
+    form, radius = _radial_form(polys)
+    chart = form.chart
+    linear = [differential(chart, radius).scale(Fraction(1, 2))]
+    if rotation:
+        x1, x2 = map(chart.coordinate_polynomial, (0, 1))
+        linear.append(GradedTensor(chart, FORM, 1, {(0,): x2, (1,): -x1}))
+    exponents = monomials_up_to(chart.dimension, max(p.total_degree() for p in polys) - 1)[1:]
+    gradients = (differential(chart, Polynomial.monomial(chart.coordinates, e)).scale(radius)
+                 for e in exponents)
+    solution, _ = solve_in_span(chain(linear, gradients), form)
     if solution is None:
         raise InvariantError("decomposition solve failed although the relations hold")
-    scalars, tildes = unknown_split(solution)
-    if equation_vector(scalars, tildes) != targets:
+    scalars = list(solution[:len(linear)])
+    potential = Polynomial(chart.coordinates, dict(zip(exponents, solution[len(linear):])))
+    tilde = differential(chart, potential)
+    rebuilt = sum((part.scale(c) for c, part in zip(scalars, linear)), tilde.scale(radius))
+    if rebuilt != form or not ext_d(tilde).is_zero():
         raise InvariantError("decomposition re-substitution mismatch")
-    return scalars, tildes
+    return scalars, [tilde.component((i,)) for i in range(chart.dimension)]
 
 
 @dataclass(frozen=True)

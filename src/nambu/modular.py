@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterable
 
 from .algebra import InvariantError, Polynomial
 from .exterior import (
@@ -30,7 +30,7 @@ from .exterior import (
     wedge,
 )
 from .structures import NambuStructure, hamiltonian_vf, sharp
-from .truncation import ker_sharp_basis, monomials_up_to, solve_in_span
+from .truncation import Certificate, Solution, ker_sharp_basis, monomials_up_to, solve_in_span
 
 
 @dataclass(frozen=True)
@@ -202,12 +202,20 @@ class PotentialResult:
     """
 
     potential: Polynomial | None
-    certificate: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], Fraction], ...] | None
+    certificate: Certificate | None
     degree_bound: int
 
     @property
     def feasible(self) -> bool:
         return self.potential is not None
+
+
+def sharp_preimage(structure: NambuStructure, volume: VolumeSpec,
+                   forms: Iterable[GradedTensor]) -> Solution:
+    """Solve M = sum c_i sharp(forms_i) for the modular tensor M, exactly; the
+    forms stream into ``solve_in_span`` as their images and are never held."""
+    tensor = modular_tensor(structure, volume)
+    return solve_in_span((sharp(structure, 1, form) for form in forms), tensor)
 
 
 def modular_potential(structure: NambuStructure, volume: VolumeSpec,
@@ -216,18 +224,11 @@ def modular_potential(structure: NambuStructure, volume: VolumeSpec,
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     chart = structure.chart
-    n = structure.order
-    tensor = modular_tensor(structure, volume)
-    sign = 1 if (n - 1) % 2 == 0 else -1
-
+    sign = 1 if (structure.order - 1) % 2 == 0 else -1
     monomials = monomials_up_to(chart.dimension, degree_bound)
-    images = []
-    for exponent in monomials:
-        mono = Polynomial.monomial(chart.coordinates, exponent)
-        image = sharp(structure, 1, differential(chart, mono))
-        images.append(image if sign > 0 else -image)
-
-    solution, certificate = solve_in_span(images, tensor)
+    solution, certificate = sharp_preimage(structure, volume, (
+        differential(chart, Polynomial.monomial(chart.coordinates, exponent, sign))
+        for exponent in monomials))
     if solution is not None:
         terms = {exponent: coeff for exponent, coeff
                  in zip(monomials, solution) if coeff != 0}

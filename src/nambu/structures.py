@@ -142,9 +142,13 @@ def hamiltonian_vf(structure: NambuStructure, *scalars) -> GradedTensor:
     return sharp(structure, n - 1, _differentials(structure.chart, scalars))
 
 
+# check_fundamental_identity stops after this many failures
+MAX_VIOLATIONS = 5
+
+
 def check_fundamental_identity(structure: NambuStructure,
                                family: list[Polynomial] | None = None,
-                               max_violations: int = 5) -> FundamentalIdentityReport:
+                               ) -> FundamentalIdentityReport:
     """Evaluate the fundamental identity symbolically over a finite family.
 
     For each (n-1)-subset I of the family (the outer functions) the defect
@@ -153,7 +157,7 @@ def check_fundamental_identity(structure: NambuStructure,
     {f_I, {f_J}} - sum_k {f_J1, ..., {f_I, f_Jk}, ..., f_Jn} because
     L_X df = d(X f).  The identity is multilinear and skew, so subsets (rather
     than tuples) cover all cases up to sign.  A pass certifies the named
-    family only.  Stops after ``max_violations`` failures.
+    family only.  Stops after ``MAX_VIOLATIONS`` failures.
     """
     n = structure.order
     if family is None:
@@ -179,7 +183,7 @@ def check_fundamental_identity(structure: NambuStructure,
                     outer=tuple(names[i] for i in outer),
                     inner=tuple(names[i] for i in inner),
                     residual=residual))
-                if len(violations) >= max_violations:
+                if len(violations) >= MAX_VIOLATIONS:
                     return FundamentalIdentityReport(names, tuple(violations))
     return FundamentalIdentityReport(names, tuple(violations))
 

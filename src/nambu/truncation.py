@@ -53,6 +53,8 @@ Exponent = tuple[int, ...]
 Index = tuple[int, ...]
 Label = tuple[Index, Exponent]
 Certificate = tuple[tuple[Label, Fraction], ...]
+# (coefficients, None) for a solvable system, else (None, certificate)
+Solution = tuple[tuple[Fraction, ...] | None, Certificate | None]
 
 
 def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
@@ -214,7 +216,6 @@ class TruncatedOperator:
     is the image of basis element j, row i holds the coefficients of label
     ``labels[i]``, in component-then-graded-lex order; no row is all zero."""
 
-    domain: TruncatedBasis
     labels: tuple[Label, ...]
     matrix: ExactMatrix
 
@@ -275,23 +276,29 @@ class TruncatedOperator:
                 exponent.append(digit)
             labelled[indices[rank], tuple(exponent)] = rows[key]
         labels = tuple(sorted(labelled, key=lambda label: (label[0], grlex_key(label[1]))))
-        return cls(domain, labels,
-                   ExactMatrix(len(labels), len(domain), [labelled[label] for label in labels]))
+        return cls(labels, ExactMatrix(len(labels), len(domain),
+                                       [labelled[label] for label in labels]))
 
     def coordinates_in(self, basis: TruncatedBasis,
                        vectors: Sequence[SparseVector] | None = None) -> list[SparseVector]:
         """The image of each domain vector, or of each domain element when no
-        vectors are given, as coordinates in ``basis``; raises as
-        ``to_coordinates`` does when an image leaves it.
+        vectors are given, as coordinates in ``basis``.  The images are the
+        engine's own, so one that leaves ``basis`` is an ``InvariantError``.
 
         Without vectors this is the transpose of the matrix.  With vectors
         the images come from ``ExactMatrix.apply``, and a label is looked up
         in ``basis`` only when some image holds its row.
         """
+        def position(label: Label) -> int:
+            try:
+                return basis.position(label)
+            except ValueError as error:
+                raise InvariantError(f"an operator image leaves its basis: {error}") from None
+
         if vectors is None:
             columns: list[SparseVector] = [{} for _ in range(self.matrix.cols)]
             for label, row in zip(self.labels, self.matrix.row_dicts()):
-                at = basis.position(label)
+                at = position(label)
                 for j, coeff in row.items():
                     columns[j][at] = coeff
             return columns
@@ -302,14 +309,14 @@ class TruncatedOperator:
             for r, coeff in image.items():
                 at = positions.get(r)
                 if at is None:
-                    at = positions[r] = basis.position(self.labels[r])
+                    at = positions[r] = position(self.labels[r])
                 column[at] = coeff
             columns.append(column)
         return columns
 
 
 def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label, Fraction],
-                   ) -> tuple[tuple[Fraction, ...] | None, Certificate | None]:
+                   ) -> Solution:
     """Solve target = sum c_j columns_j exactly, one equation per label.
 
     Rows are numbered in first-seen order: the target's labels, then each
@@ -328,24 +335,24 @@ def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label,
             row[width] = coeff
         width += 1
     rhs = [target.get(label, Fraction(0)) for label in rows]
-    outcome = ExactMatrix(len(rows), width, list(rows.values())).solve(rhs)
-    if outcome.feasible:
-        return outcome.solution, None
-    assert outcome.certificate is not None
+    solution, certificate = ExactMatrix(len(rows), width, list(rows.values())).solve(rhs)
+    if certificate is None:
+        return solution, None
     return None, tuple((label, weight) for label, weight
-                       in zip(rows, outcome.certificate) if weight != 0)
+                       in zip(rows, certificate) if weight != 0)
 
 
-def solve_in_span(images: Sequence[GradedTensor],
-                  target: GradedTensor) -> tuple[tuple[Fraction, ...] | None,
-                                                 Certificate | None]:
+def solve_in_span(images: Iterable[GradedTensor], target: GradedTensor) -> Solution:
     """Solve target = sum c_i images_i exactly.
 
-    Images must be polynomial; the target may have rational-function
-    components, in which case each component equation is multiplied through
-    by its denominator.  Returns (coefficients, None) when solvable, else
-    (None, certificate) with a labelled left-kernel functional separating
-    the target from the span.
+    The package's one certified solve: the modular potential, the subcomplex
+    test and the decomposition lemmas all call it, and it runs on through
+    ``solve_labelled`` to ``ExactMatrix.solve``.  The images are read once,
+    so a generator of them is never held.  Images must be polynomial; the
+    target may have rational-function components, in which case each
+    component equation is multiplied through by its denominator.  Returns
+    (coefficients, None) when solvable, else (None, certificate) with a
+    labelled left-kernel functional separating the target from the span.
     """
     denominators = {idx: value.denominator for idx, value in target.components.items()
                     if isinstance(value, RationalFunction)}

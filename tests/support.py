@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.algebra import ExactMatrix, Polynomial, SparseVector, grlex_key
+from nambu.algebra import ExactMatrix, InvariantError, Polynomial, SparseVector, grlex_key
 from nambu.exterior import (
     FORM,
     MULTIVECTOR,
@@ -26,7 +26,13 @@ from nambu.exterior import (
 from nambu.cohomology import reduce_annihilators
 from nambu.modular import delta
 from nambu.structures import NambuStructure, leibniz_bracket, sharp
-from nambu.truncation import TruncatedBasis, TruncatedOperator, ker_sharp_basis
+from nambu.truncation import (
+    TruncatedBasis,
+    TruncatedOperator,
+    ker_sharp_basis,
+    monomials_up_to,
+    solve_labelled,
+)
 
 R3 = Chart.of("x1 x2 x3")
 R4 = Chart.of("x1 x2 x3 x4")
@@ -375,6 +381,68 @@ def sign_flipped_delta(volume, field):
     flipped = {index: -value if 0 in index else value
                for index, value in field.components.items()}
     return delta(volume, GradedTensor(field.chart, field.variance, field.degree, flipped))
+
+
+# -- the decomposition lemmas as one labelled system, as oracles of the r^2 split --
+
+def _equation_labels(polys):
+    return {((eq_index,), exponent): coeff for eq_index, poly in enumerate(polys)
+            for exponent, coeff in poly.terms.items()}
+
+
+def oracle_radial_relations(polys):
+    """r^2 (d_j P_i - d_i P_j) - 2 (P_i x_j - P_j x_i) for each i < j, in order,
+    expanded term by term."""
+    names = polys[0].variables
+    xs = [Polynomial.variable(names, i) for i in range(len(names))]
+    radius = sum((x * x for x in xs), Polynomial.zero(names))
+    return [radius * (polys[i].diff(j) - polys[j].diff(i))
+            - 2 * (polys[i] * xs[j] - polys[j] * xs[i])
+            for i, j in itertools.combinations(range(len(polys)), 2)]
+
+
+def oracle_radial_split(polys, rotation):
+    """P_i = a x_i (+ b (x2, -x1)) + r^2 T_i with curl-free T, as one labelled
+    system: the unknowns are a, then b, then each T_i's coefficients; the
+    equations are the components, then the curls for i < j."""
+    names = polys[0].variables
+    m = len(names)
+    xs = [Polynomial.variable(names, i) for i in range(m)]
+    radius = sum((x * x for x in xs), Polynomial.zero(names))
+    pairs = list(itertools.combinations(range(m), 2))
+    tilde_bound = max(poly.total_degree() for poly in polys) - 2
+    monomials = monomials_up_to(m, tilde_bound) if tilde_bound >= 0 else []
+    scalar_count = 2 if rotation else 1
+    block = len(monomials)
+    unknowns = scalar_count + m * block
+
+    def unknown_split(values):
+        tildes = [Polynomial(names, dict(zip(monomials, values[scalar_count + i * block:])))
+                  for i in range(m)]
+        return list(values[:scalar_count]), tildes
+
+    def equation_vector(scalars, tildes):
+        linear = [scalars[0] * x for x in xs]
+        if rotation:
+            linear[0] = linear[0] + scalars[1] * xs[1]
+            linear[1] = linear[1] - scalars[1] * xs[0]
+        return [linear[i] + radius * tildes[i] for i in range(m)] + \
+            [tildes[i].diff(j) - tildes[j].diff(i) for i, j in pairs]
+
+    # each unknown's column is the image of its unit vector
+    columns = []
+    for pos in range(unknowns):
+        probe = [Fraction(0)] * unknowns
+        probe[pos] = Fraction(1)
+        columns.append(_equation_labels(equation_vector(*unknown_split(probe))))
+    targets = polys + [Polynomial.zero(names)] * len(pairs)
+    solution, _ = solve_labelled(columns, _equation_labels(targets))
+    if solution is None:
+        raise InvariantError("decomposition solve failed although the relations hold")
+    scalars, tildes = unknown_split(solution)
+    if equation_vector(scalars, tildes) != targets:
+        raise InvariantError("decomposition re-substitution mismatch")
+    return scalars, tildes
 
 
 # -- form-represented cochains of the algebroid complex, as test oracles ----------

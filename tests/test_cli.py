@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from nambu.cli import main
+from nambu.exterior import ext_d
 from support import sign_flipped_delta
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -330,6 +331,25 @@ def test_boundary_that_is_not_a_cycle_is_internal_error(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+
+
+def _widened_d(tensor):
+    """d, with d of a 0-form multiplied by 1 + x1: still of first order, so
+    the stencil guard passes, but its images outgrow their coefficient bound."""
+    image = ext_d(tensor)
+    if tensor.degree:
+        return image
+    return image.scale(1 + tensor.chart.coordinate_polynomial(0))
+
+
+def test_image_outside_its_basis_is_internal_error(capsys):
+    with mock.patch("nambu.cohomology.ext_d", _widened_d):
+        code = main(["h1-top", SINGULAR, "--degree-bound", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "component (0,) monomial (1, 0, 4) exceeds the coefficient bound 4" in captured.err
 
 
 def test_module_runs_as_a_program_from_a_checkout():

@@ -16,6 +16,8 @@ from nambu.cohomology import (
     _annihilates,
     _complement_kernel,
     _foliated_dimension_at,
+    _radial_relations,
+    _radial_split,
     canonical_homology_dim,
     duality_report,
     foliated_cohomology_dim,
@@ -61,8 +63,11 @@ from support import (
     oracle_canonical_dimension,
     oracle_foliated_dimension,
     oracle_quotient,
+    oracle_radial_relations,
+    oracle_radial_split,
     radius_squared,
     rand_form,
+    rand_fraction,
     rand_mv,
     rand_poly,
     regular_r3,
@@ -257,15 +262,18 @@ def test_operator_coordinates_are_strict():
     assert operator.coordinates_in(high) == [
         high.to_coordinates(ext_d(low.tensor_of(j))) for j in range(len(low))]
     narrow = TruncatedBasis.build(R3, FORM, 1, 0)
-    with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
+    with pytest.raises(InvariantError, match="exceeds the coefficient bound 0"):
         operator.coordinates_in(narrow)
     # images of vectors: x1^2 - x2 has d outside the narrow basis, x2 + 3 inside
     vectors = [low.to_coordinates(GradedTensor.from_scalar(R3, FORM, x2 + 3)),
                low.to_coordinates(GradedTensor.from_scalar(R3, FORM, x1 * x1 - x2))]
     assert operator.coordinates_in(narrow, vectors[:1]) == \
         [{narrow.position(((1,), (0, 0, 0))): 1}]
-    with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
+    with pytest.raises(InvariantError, match="exceeds the coefficient bound 0"):
         operator.coordinates_in(narrow, vectors)
+    # the basis itself still reports a tensor outside it as a usage error
+    with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
+        narrow.to_coordinates(ext_d(low.tensor_of(len(low) - 1)))
 
 
 def test_d_after_d_is_the_zero_matrix():
@@ -609,6 +617,36 @@ def test_naka_triple_randomized_forward_compositions():
         assert rat.diff(1) == rbt.diff(0)
         assert rat.diff(2) == rct.diff(0)
         assert rbt.diff(2) == rct.diff(1)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_radial_split_matches_the_labelled_system_oracle(seed, m):
+    # P = a x + b (x2, -x1) + r^2 dg with deg g <= 4; rotation only on the plane
+    rng = random.Random(seed)
+    chart = Chart(("x1", "x2", "x3")[:m])
+    xs, radius = coords(chart), radius_squared(chart)
+    rotation = m == 2
+    scalars = [rand_fraction(rng) for _ in range(1 + rotation)]
+    g = rand_poly(rng, chart, max_degree=4)
+    polys = [scalars[0] * x + radius * g.diff(i) for i, x in enumerate(xs)]
+    if rotation:
+        polys[0] = polys[0] + scalars[1] * xs[1]
+        polys[1] = polys[1] - scalars[1] * xs[0]
+    assert all(relation.is_zero() for relation in _radial_relations(polys))
+    split = _radial_split(polys, rotation)
+    assert split == oracle_radial_split(polys, rotation)
+    assert split == (scalars, [g.diff(i) for i in range(m)])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_radial_relations_match_the_expanded_oracle(seed, m):
+    # the sign too, so the failed relation that naka-triple names cannot drift
+    rng = random.Random(seed)
+    chart = Chart(("x1", "x2", "x3")[:m])
+    polys = [rand_poly(rng, chart, max_degree=3) for _ in range(m)]
+    assert _radial_relations(polys) == oracle_radial_relations(polys)
 
 
 def test_dimension_window_stability():

@@ -136,3 +136,55 @@ def test_unreferenced_definitions_are_detected(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import Box\nBox\n")
     assert _unreferenced(sorted(tmp_path.glob("*.py"))) == \
         ["a.Box", "a.Box.method", "a.recursive"]
+
+
+# Dataclass fields that no code in the package reads but that stay, with the reason.
+KEEP_FIELDS = {
+    "modular.BasicVolumeViolation.condition":
+        "check_basic is an independent verifier, and the tests read its report",
+}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _unread_fields(sources: list[Path]) -> list[str]:
+    """``module.Class.field`` of every dataclass field that no code in
+    ``sources`` reads as an attribute; a store is not a read.
+
+    The match is on names alone, so a field that shares its name with
+    another attribute that is read passes: this is a lower bound on unread
+    fields.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sources}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                unread += [f"{module}.{node.name}.{statement.target.id}"
+                           for statement in node.body
+                           if isinstance(statement, ast.AnnAssign)
+                           and isinstance(statement.target, ast.Name)
+                           and statement.target.id not in read]
+    return sorted(unread)
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields(SOURCES) == sorted(KEEP_FIELDS)
+
+
+def test_unread_fields_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
+        "    label: str = ''\n\n\n"
+        "@dataclasses.dataclass\nclass Pair:\n    left: int\n    right: int\n\n\n"
+        "class Plain:\n    hidden: int\n\n\n"
+        "def use(p, q):\n    q.right = 1\n    return p.x + q.left\n")
+    (tmp_path / "b.py").write_text("from .a import Point\n\nVALUE = Point(1, 2).y\n")
+    assert _unread_fields(sorted(tmp_path.glob("*.py"))) == ["a.Pair.right", "a.Point.label"]

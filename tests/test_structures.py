@@ -211,7 +211,8 @@ def test_fundamental_identity_unlimited_builds_each_inner_form_once(monkeypatch)
         return differentials(chart, scalars)
 
     monkeypatch.setattr(structures, "_differentials", counting)
-    report = check_fundamental_identity(structure, family, 10 ** 9)
+    monkeypatch.setattr(structures, "MAX_VIOLATIONS", 10 ** 9)
+    report = check_fundamental_identity(structure, family)
     monkeypatch.undo()
     assert len(report.violations) > 5
     assert report == _bracket_expansion_report(structure, family, 10 ** 9)
@@ -231,7 +232,8 @@ def test_decomposability_witness_on_r5():
     assert report.residual is not None and not report.residual.is_zero()
 
 
-def test_fundamental_identity_matches_bracket_expansion():
+def test_fundamental_identity_matches_bracket_expansion(monkeypatch):
+    import nambu.structures as structures
     rng = random.Random(47)
     failing = 0
     for chart, order in [(R4, 3), (R5, 3), (R4, 4), (R5, 4)] * 5:
@@ -241,7 +243,8 @@ def test_fundamental_identity_matches_bracket_expansion():
             * rand_poly(rng, chart, max_degree=1, allow_zero=False)
             for _ in range(rng.randint(0, 2))]
         for limit in (1, 5, 10 ** 9):
-            report = check_fundamental_identity(structure, family, limit)
+            monkeypatch.setattr(structures, "MAX_VIOLATIONS", limit)
+            report = check_fundamental_identity(structure, family)
             assert report == _bracket_expansion_report(structure, family, limit)
         failing += not report.passed
     assert 0 < failing < 20
