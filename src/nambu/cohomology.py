@@ -303,8 +303,7 @@ def subcomplex_check(structure: NambuStructure, volume: VolumeSpec,
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
     domain = TruncatedBasis.build(structure.chart, FORM, 1, bound)
-    solution, certificate = sharp_preimage(
-        structure, volume, map(domain.tensor_of, range(len(domain))))
+    solution, certificate = sharp_preimage(structure, volume, domain, lambda form: form)
     if solution is not None:
         witness = domain.from_coordinates({j: c for j, c in enumerate(solution) if c})
         return SubcomplexReport(True, bound, witness, None)

@@ -346,7 +346,7 @@ def _parse_volume(parser: _Parser, tokens_rest: list[Token]) -> VolumeSpec:
         return VolumeSpec.standard(chart)
     tail = tokens_rest[-2:]
     if len(tail) != 2 or tail[0].text != "*" or tail[1].text != "std":
-        raise ModelError("a volume is 'std', 'poly * std' or 'exp(-poly) * std'",
+        raise ModelError("a volume is 'std', 'poly * std' or 'exp(poly) * std'",
                          tokens_rest[0].line, tokens_rest[0].column,
                          tokens_rest[-1].text)
     head = tokens_rest[:-2]
@@ -354,15 +354,15 @@ def _parse_volume(parser: _Parser, tokens_rest: list[Token]) -> VolumeSpec:
         inner = _Parser(head, chart, parser.bindings)
         inner.expect("exp")
         inner.expect("(")
-        inner.expect("-")
-        weight = inner.parse_expression()
+        exponent = inner.parse_expression()
         inner.expect(")")
         if inner.peek() is not None:
             raise inner.error("unexpected token after exp(...)", inner.peek())
-        if not isinstance(weight, Polynomial):
+        if not isinstance(exponent, Polynomial):
             raise ModelError("the exponential weight must be a scalar",
                              head[0].line, head[0].column)
-        return VolumeSpec.weighted(chart, weight)
+        # exp(E) is exp(-w) with the weight w = -E
+        return VolumeSpec.weighted(chart, -exponent)
     inner = _Parser(head, chart, parser.bindings)
     coefficient = inner.parse_expression()
     if inner.peek() is not None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable
 
-from .algebra import InvariantError, Polynomial
+from .algebra import InvariantError, Polynomial, RationalFunction
 from .exterior import (
     FORM,
     MULTIVECTOR,
@@ -30,7 +30,13 @@ from .exterior import (
     wedge,
 )
 from .structures import NambuStructure, hamiltonian_vf, sharp
-from .truncation import Certificate, Solution, ker_sharp_basis, monomials_up_to, solve_in_span
+from .truncation import (
+    Certificate,
+    Solution,
+    TruncatedBasis,
+    ker_sharp_basis,
+    solve_in_image,
+)
 
 
 @dataclass(frozen=True)
@@ -210,12 +216,31 @@ class PotentialResult:
         return self.potential is not None
 
 
-def sharp_preimage(structure: NambuStructure, volume: VolumeSpec,
-                   forms: Iterable[GradedTensor]) -> Solution:
-    """Solve M = sum c_i sharp(forms_i) for the modular tensor M, exactly; the
-    forms stream into ``solve_in_span`` as their images and are never held."""
+def sharp_preimage(structure: NambuStructure, volume: VolumeSpec, domain: TruncatedBasis,
+                   form_of: Callable[[GradedTensor], GradedTensor]) -> Solution:
+    """Solve M = sum c_j sharp(form_of(domain_j)) for the modular tensor M,
+    exactly, where ``form_of`` is a linear first-order map into 1-forms.
+
+    The columns come from the stencil of ``solve_in_image``, never from one
+    image per domain element.  A component of M with a denominator has its
+    equation multiplied through by it: the target keeps the numerator and the
+    mapping multiplies that component by the denominator, which keeps its
+    order at most one.
+    """
     tensor = modular_tensor(structure, volume)
-    return solve_in_span((sharp(structure, 1, form) for form in forms), tensor)
+    denominators = {idx: value.denominator for idx, value in tensor.components.items()
+                    if isinstance(value, RationalFunction)}
+    target = GradedTensor(structure.chart, MULTIVECTOR, tensor.degree, {
+        idx: value.numerator if idx in denominators else value
+        for idx, value in tensor.components.items()})
+
+    def mapping(element: GradedTensor) -> GradedTensor:
+        image = sharp(structure, 1, form_of(element))
+        return GradedTensor(image.chart, MULTIVECTOR, image.degree, {
+            idx: value * denominators[idx] if idx in denominators else value
+            for idx, value in image.components.items()})
+
+    return solve_in_image(domain, mapping, target)
 
 
 def modular_potential(structure: NambuStructure, volume: VolumeSpec,
@@ -225,14 +250,12 @@ def modular_potential(structure: NambuStructure, volume: VolumeSpec,
         raise ValueError("degree bound must be non-negative")
     chart = structure.chart
     sign = 1 if (structure.order - 1) % 2 == 0 else -1
-    monomials = monomials_up_to(chart.dimension, degree_bound)
-    solution, certificate = sharp_preimage(structure, volume, (
-        differential(chart, Polynomial.monomial(chart.coordinates, exponent, sign))
-        for exponent in monomials))
+    domain = TruncatedBasis.build(chart, FORM, 0, degree_bound)
+    solution, certificate = sharp_preimage(
+        structure, volume, domain, lambda g: differential(chart, g.scalar_value() * sign))
     if solution is not None:
-        terms = {exponent: coeff for exponent, coeff
-                 in zip(monomials, solution) if coeff != 0}
-        return PotentialResult(Polynomial(chart.coordinates, terms), None, degree_bound)
+        potential = domain.from_coordinates({j: c for j, c in enumerate(solution) if c})
+        return PotentialResult(potential.scalar_value(), None, degree_bound)
     return PotentialResult(None, certificate, degree_bound)
 
 

@@ -27,6 +27,21 @@ order two, so the guard catches every such operator; a failure is an internal
 invariant error (``InvariantError``), never a wrong matrix.  Every mapping in
 the package (the bundle map, contractions, d, the boundary, f da - df ^ a)
 has order at most one.
+
+The same stencil columns feed the certified solves of the modular tensor
+(``solve_in_image``), never sorted.  There the row order matters: rows are
+numbered in first-seen order, and that order picks the printed certificate.
+So each column lists its terms as the image itself would: component by
+component, in the order the components first appear in the fill (the base
+shifted by x^a, then the symbols for j ascending), and each component's
+terms in fill order.  The bundle map on 1-forms has order zero, so a column
+is the base shifted, and a shift keeps the image's order.  Sharp after d has
+no base, and the image of d(x^a) also runs over j ascending, each j adding
+one probe image, shifted; only the components interleave, when symbols of
+non-adjacent j share one, hence the regrouping.  Where contributions to one
+term cancel within a column and it is added again, the image re-lists the
+term last and the stencil keeps its place; apart from that the rows, and so
+the certificates, come out as from one whole image per basis element.
 """
 
 from __future__ import annotations
@@ -36,13 +51,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     ExactMatrix,
     InvariantError,
     Polynomial,
-    RationalFunction,
     SparseVector,
     grlex_key,
 )
@@ -112,11 +126,6 @@ class TruncatedBasis:
     @cached_property
     def positions(self) -> dict[tuple[Index, Exponent], int]:
         return {element: i for i, element in enumerate(self.elements)}
-
-    def tensor_of(self, position: int) -> GradedTensor:
-        idx, mono = self.elements[position]
-        coeff = Polynomial.monomial(self.chart.coordinates, mono)
-        return GradedTensor(self.chart, self.variance, self.degree, {idx: coeff})
 
     def to_coordinates(self, tensor: GradedTensor) -> SparseVector:
         """Coordinate vector of a tensor; raises if it lies outside the basis."""
@@ -210,41 +219,40 @@ def _first_order_stencil(domain: TruncatedBasis,
     return base, symbols
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Exact matrix of a linear first-order map on a truncated basis: column j
-    is the image of basis element j, row i holds the coefficients of label
-    ``labels[i]``, in component-then-graded-lex order; no row is all zero."""
+def _stencil_columns(domain: TruncatedBasis,
+                     mapping: Callable[[GradedTensor], GradedTensor],
+                     ) -> tuple[Iterator[dict[int, Fraction]], Callable[[int], Label]]:
+    """The image of each domain element in turn, assembled from the first-order
+    stencil of its index (see the module docstring), and the decoder of its keys.
 
-    labels: tuple[Label, ...]
-    matrix: ExactMatrix
+    A column maps integer keys to coefficients, in fill order: the base
+    shifted by x^a, then a_j x^(a - e_j) s_{I,j} for j ascending.  Entries
+    whose contributions cancel stay as zeros.  A key is the label's index
+    rank, then its exponent's digits in a radix that no shift by a domain
+    exponent overflows; ``label`` turns it back into a (component, monomial)
+    label.  The stencils are built, and the guard run, before this returns.
+    """
+    m = domain.chart.dimension
+    stencils = {idx: _first_order_stencil(domain, mapping, idx)
+                for idx in dict.fromkeys(idx for idx, _ in domain.elements)}
+    held = [label for base, symbols in stencils.values()
+            for part in (base, *symbols) for label in part]
+    radix = 1 + max((max(e) for _, e in held), default=0) \
+        + max((max(a) for _, a in domain.elements), default=0)
+    span = radix ** m
+    indices = sorted({idx for idx, _ in held})
+    rank_of = {idx: r for r, idx in enumerate(indices)}
 
-    @classmethod
-    def build(cls, domain: TruncatedBasis,
-              mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
-        """Assemble from the first-order stencil of each index (see the
-        module docstring); raises ``InvariantError`` when the guard fails."""
-        m = domain.chart.dimension
-        stencils = {idx: _first_order_stencil(domain, mapping, idx)
-                    for idx in dict.fromkeys(idx for idx, _ in domain.elements)}
-        held = [label for base, symbols in stencils.values()
-                for part in (base, *symbols) for label in part]
-        # A label becomes one integer: its index's rank, then its exponent's
-        # digits in a radix that no shift by a domain exponent overflows.
-        radix = 1 + max((max(e) for _, e in held), default=0) \
-            + max((max(a) for _, a in domain.elements), default=0)
-        span = radix ** m
-        rank_of = {idx: r for r, idx in enumerate(sorted({idx for idx, _ in held}))}
+    def keyed(part: dict[Label, Fraction]) -> list[tuple[int, Fraction]]:
+        return [(rank_of[idx] * span + _digits(e, radix), coeff)
+                for (idx, e), coeff in part.items()]
 
-        def keyed(part: dict[Label, Fraction]) -> list[tuple[int, Fraction]]:
-            return [(rank_of[idx] * span + _digits(e, radix), coeff)
-                    for (idx, e), coeff in part.items()]
+    keyed_stencils = {idx: (keyed(base), [keyed(symbol) for symbol in symbols])
+                      for idx, (base, symbols) in stencils.items()}
 
-        keyed_stencils = {idx: (keyed(base), [keyed(symbol) for symbol in symbols])
-                          for idx, (base, symbols) in stencils.items()}
+    def columns() -> Iterator[dict[int, Fraction]]:
         multiples: dict[tuple[Index, int, int], list[tuple[int, Fraction]]] = {}
-        rows: dict[int, dict[int, Fraction]] = {}
-        for col, (idx, exponent) in enumerate(domain.elements):
+        for idx, exponent in domain.elements:
             base, symbols = keyed_stencils[idx]
             at = _digits(exponent, radix)
             column = {key + at: coeff for key, coeff in base}
@@ -260,21 +268,43 @@ class TruncatedOperator:
                     key += shift
                     acc = column.get(key)
                     column[key] = coeff if acc is None else acc + coeff
+            yield column
+
+    def label(key: int) -> Label:
+        rank, code = divmod(key, span)
+        exponent = []
+        for _ in range(m):
+            code, digit = divmod(code, radix)
+            exponent.append(digit)
+        return indices[rank], tuple(exponent)
+
+    return columns(), label
+
+
+@dataclass(frozen=True)
+class TruncatedOperator:
+    """Exact matrix of a linear first-order map on a truncated basis: column j
+    is the image of basis element j, row i holds the coefficients of label
+    ``labels[i]``, in component-then-graded-lex order; no row is all zero."""
+
+    labels: tuple[Label, ...]
+    matrix: ExactMatrix
+
+    @classmethod
+    def build(cls, domain: TruncatedBasis,
+              mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
+        """Assemble from the first-order stencil of each index (see the
+        module docstring); raises ``InvariantError`` when the guard fails."""
+        columns, label = _stencil_columns(domain, mapping)
+        rows: dict[int, dict[int, Fraction]] = {}
+        for col, column in enumerate(columns):
             for key, coeff in column.items():
                 if coeff:
                     row = rows.get(key)
                     if row is None:
                         row = rows[key] = {}
                     row[col] = coeff
-        indices = sorted(rank_of, key=rank_of.__getitem__)
-        labelled = {}
-        for key in rows:
-            rank, code = divmod(key, span)
-            exponent = []
-            for _ in range(m):
-                code, digit = divmod(code, radix)
-                exponent.append(digit)
-            labelled[indices[rank], tuple(exponent)] = rows[key]
+        labelled = {label(key): row for key, row in rows.items()}
         labels = tuple(sorted(labelled, key=lambda label: (label[0], grlex_key(label[1]))))
         return cls(labels, ExactMatrix(len(labels), len(domain),
                                        [labelled[label] for label in labels]))
@@ -343,29 +373,49 @@ def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label,
 
 
 def solve_in_span(images: Iterable[GradedTensor], target: GradedTensor) -> Solution:
-    """Solve target = sum c_i images_i exactly.
+    """Solve target = sum c_i images_i exactly, for polynomial tensors.
 
-    The package's one certified solve: the modular potential, the subcomplex
-    test and the decomposition lemmas all call it, and it runs on through
-    ``solve_labelled`` to ``ExactMatrix.solve``.  The images are read once,
-    so a generator of them is never held.  Images must be polynomial; the
-    target may have rational-function components, in which case each
-    component equation is multiplied through by its denominator.  Returns
-    (coefficients, None) when solvable, else (None, certificate) with a
-    labelled left-kernel functional separating the target from the span.
+    The decomposition lemmas' solve: their images are a few hand-picked
+    tensors, not the images of a basis.  The images are read once, so a
+    generator of them is never held.  Returns (coefficients, None) when
+    solvable, else (None, certificate) with a labelled left-kernel
+    functional separating the target from the span.
     """
-    denominators = {idx: value.denominator for idx, value in target.components.items()
-                    if isinstance(value, RationalFunction)}
-    labelled_target = dict(_tensor_entries({
-        idx: value.numerator if idx in denominators else value
-        for idx, value in target.components.items()}))
+    return solve_labelled((dict(_tensor_entries(image.components)) for image in images),
+                          dict(_tensor_entries(target.components)))
 
-    def column(image: GradedTensor) -> dict[Label, Fraction]:
-        return dict(_tensor_entries({
-            idx: value * denominators[idx] if idx in denominators else value
-            for idx, value in image.components.items()}))
 
-    return solve_labelled(map(column, images), labelled_target)
+def solve_in_image(domain: TruncatedBasis, mapping: Callable[[GradedTensor], GradedTensor],
+                   target: GradedTensor) -> Solution:
+    """Solve target = sum c_j L(domain_j) exactly, for a linear first-order L.
+
+    The certified solves of the modular tensor run here.  The columns come
+    from the operator stencil, each listing its labels as the image would
+    (see the module docstring), and go straight to ``solve_labelled``; no
+    image of a domain element is ever built.  Each row's label is decoded
+    once.  The target must be polynomial.
+    """
+    columns, label = _stencil_columns(domain, mapping)
+    decoded: dict[int, Label] = {}
+
+    def labelled(column: dict[int, Fraction]) -> dict[Label, Fraction]:
+        # regroup the fill order by component, as the image lists its terms
+        parts: dict[Index, dict[Label, Fraction]] = {}
+        for key, coeff in column.items():
+            if coeff:
+                at = decoded.get(key)
+                if at is None:
+                    at = decoded[key] = label(key)
+                part = parts.get(at[0])
+                if part is None:
+                    part = parts[at[0]] = {}
+                part[at] = coeff
+        out = {}
+        for part in parts.values():
+            out.update(part)
+        return out
+
+    return solve_labelled(map(labelled, columns), dict(_tensor_entries(target.components)))
 
 
 def ker_sharp_basis(structure: NambuStructure, degree: int,

@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.algebra import ExactMatrix, InvariantError, Polynomial, SparseVector, grlex_key
+from nambu.algebra import (
+    ExactMatrix,
+    InvariantError,
+    Polynomial,
+    RationalFunction,
+    SparseVector,
+    grlex_key,
+)
 from nambu.exterior import (
     FORM,
     MULTIVECTOR,
@@ -24,7 +31,7 @@ from nambu.exterior import (
     wedge_all,
 )
 from nambu.cohomology import reduce_annihilators
-from nambu.modular import delta
+from nambu.modular import delta, modular_tensor
 from nambu.structures import NambuStructure, leibniz_bracket, sharp
 from nambu.truncation import (
     TruncatedBasis,
@@ -73,6 +80,13 @@ def dense(rows) -> ExactMatrix:
     """The exact matrix with the given dense rows of ints or Fractions."""
     return ExactMatrix(len(rows), len(rows[0]) if rows else 0,
                        [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows])
+
+
+def basis_tensor(domain: TruncatedBasis, position: int) -> GradedTensor:
+    """The tensor of one truncated basis element: a monomial on one index."""
+    idx, mono = domain.elements[position]
+    coeff = Polynomial.monomial(domain.chart.coordinates, mono)
+    return GradedTensor(domain.chart, domain.variance, domain.degree, {idx: coeff})
 
 
 def matrix_from_columns(columns, nrows: int) -> ExactMatrix:
@@ -443,6 +457,31 @@ def oracle_radial_split(polys, rotation):
     if equation_vector(scalars, tildes) != targets:
         raise InvariantError("decomposition re-substitution mismatch")
     return scalars, tildes
+
+
+# -- the modular tensor as sharp of a form, one image per basis element -----------
+
+def oracle_sharp_preimage(structure, volume, domain, form_of):
+    """Solve M = sum c_j sharp(form_of(domain_j)) as a stream of whole images:
+    one sharp image per domain element, each component with a denominator in
+    M multiplied through by it, labelled term by term in the image's order."""
+    tensor = modular_tensor(structure, volume)
+    denominators = {idx: value.denominator for idx, value in tensor.components.items()
+                    if isinstance(value, RationalFunction)}
+
+    def labelled(components):
+        return {(idx, exponent): coeff for idx, value in components.items()
+                for exponent, coeff in value.terms.items()}
+
+    target = labelled({idx: value.numerator if idx in denominators else value
+                       for idx, value in tensor.components.items()})
+
+    def column(position):
+        image = sharp(structure, 1, form_of(basis_tensor(domain, position)))
+        return labelled({idx: value * denominators[idx] if idx in denominators else value
+                         for idx, value in image.components.items()})
+
+    return solve_labelled(map(column, range(len(domain))), target)
 
 
 # -- form-represented cochains of the algebroid complex, as test oracles ----------

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from nambu.cli import main
-from nambu.exterior import ext_d
+from nambu.exterior import differential, ext_d
 from support import sign_flipped_delta
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -350,6 +350,20 @@ def test_image_outside_its_basis_is_internal_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert "component (0,) monomial (1, 0, 4) exceeds the coefficient bound 4" in captured.err
+
+
+def _second_order_differential(chart, scalar):
+    """d(x1 * d_1 g): of second order in g, so the potential's mapping is too."""
+    return differential(chart, chart.coordinate_polynomial(0) * scalar.diff(0))
+
+
+def test_second_order_potential_mapping_is_internal_error(capsys):
+    with mock.patch("nambu.modular.differential", _second_order_differential):
+        code = main(["potential", SINGULAR, "--degree-bound", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: operator is not of first order")
 
 
 def test_module_runs_as_a_program_from_a_checkout():

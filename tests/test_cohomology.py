@@ -53,6 +53,7 @@ from support import (
     R4,
     _span_rank_extension,
     assert_elimination_matches_sympy,
+    basis_tensor,
     coords,
     dense,
     form_cochain_coboundary,
@@ -121,7 +122,7 @@ def _operator_oracle(domain, codomain, mapping):
     """An operator matrix assembled independently of the engine: coordinates
     of each image in a full codomain basis, one row per codomain element."""
     return matrix_from_columns(
-        (codomain.to_coordinates(mapping(domain.tensor_of(j))) for j in range(len(domain))),
+        (codomain.to_coordinates(mapping(basis_tensor(domain, j))) for j in range(len(domain))),
         len(codomain))
 
 
@@ -131,7 +132,7 @@ def _per_element_oracle(domain, mapping):
     component-then-graded-lex order, each row filled in column order."""
     rows = {}
     for j in range(len(domain)):
-        for idx, value in mapping(domain.tensor_of(j)).components.items():
+        for idx, value in mapping(basis_tensor(domain, j)).components.items():
             for exponent, coeff in value.terms.items():
                 rows.setdefault((idx, exponent), {})[j] = coeff
     labels = tuple(sorted(rows, key=lambda label: (label[0], grlex_key(label[1]))))
@@ -260,7 +261,7 @@ def test_operator_coordinates_are_strict():
     high = TruncatedBasis.build(R3, FORM, 1, 1)
     operator = TruncatedOperator.build(low, ext_d)
     assert operator.coordinates_in(high) == [
-        high.to_coordinates(ext_d(low.tensor_of(j))) for j in range(len(low))]
+        high.to_coordinates(ext_d(basis_tensor(low, j))) for j in range(len(low))]
     narrow = TruncatedBasis.build(R3, FORM, 1, 0)
     with pytest.raises(InvariantError, match="exceeds the coefficient bound 0"):
         operator.coordinates_in(narrow)
@@ -273,7 +274,7 @@ def test_operator_coordinates_are_strict():
         operator.coordinates_in(narrow, vectors)
     # the basis itself still reports a tensor outside it as a usage error
     with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
-        narrow.to_coordinates(ext_d(low.tensor_of(len(low) - 1)))
+        narrow.to_coordinates(ext_d(basis_tensor(low, len(low) - 1)))
 
 
 def test_d_after_d_is_the_zero_matrix():
@@ -992,7 +993,7 @@ def test_duality_builds_each_operator_once(monkeypatch, structure, volume):
     seen = []
 
     def recording_build(cls, domain, mapping):
-        images = tuple(mapping(domain.tensor_of(j)) for j in range(len(domain)))
+        images = tuple(mapping(basis_tensor(domain, j)) for j in range(len(domain)))
         seen.append((domain, images))
         return build(cls, domain, mapping)
 
@@ -1000,7 +1001,7 @@ def test_duality_builds_each_operator_once(monkeypatch, structure, volume):
     duality_report(structure, volume, 2)
     assert len(seen) == len(set(seen))
     degree_one = TruncatedBasis.build(structure.chart, FORM, 1, 2)
-    sharp_images = tuple(sharp(structure, 1, degree_one.tensor_of(j))
+    sharp_images = tuple(sharp(structure, 1, basis_tensor(degree_one, j))
                          for j in range(len(degree_one)))
     assert seen.count((degree_one, sharp_images)) == 1
 

@@ -57,6 +57,18 @@ volume W = exp(-x1) * std
     assert model.volume("U").coefficient == x1 + 1
     assert model.volume("W").weight == x1
 
+def test_exp_volume_weight_is_the_negated_exponent():
+    model = parse_model("""\
+space 4 coords x1 x2 x3 x4
+volume W = exp(-x1*x4 - x2^2) * std
+volume V = exp(-x1) * std
+""")
+    y1, y2, _, y4 = variables("x1 x2 x3 x4")
+    assert model.volume("W").weight == y1 * y4 + y2 ** 2
+    assert str(model.volume("W")) == "exp(-(x1*x4 + x2**2)) * std"
+    assert model.volume("V").weight == y1
+    assert str(model.volume("V")) == "exp(-(x1)) * std"
+
 def test_form_and_mv_bindings():
     model = parse_model("""\
 space 3 coords x1 x2 x3

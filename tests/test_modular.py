@@ -5,9 +5,14 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nambu.truncation as truncation
+import support
 from nambu.algebra import Polynomial, RationalFunction
 from nambu.exterior import (
     FORM,
@@ -34,13 +39,17 @@ from nambu.modular import (
     modular_tensor,
     weighted_d,
 )
+from nambu.cohomology import subcomplex_check
 from nambu.model import parse_model
-from nambu.structures import hamiltonian_vf, sharp
+from nambu.structures import NambuStructure, hamiltonian_vf, sharp
 from nambu.truncation import TruncatedBasis
 from support import (
     R3,
     R4,
+    basis_tensor,
     coords,
+    nondecomposable_r5,
+    oracle_sharp_preimage,
     radius_squared,
     rand_mv,
     rand_poly,
@@ -210,7 +219,7 @@ def test_engine_values_on_the_bundled_models_are_polynomials(name):
     tensors = []
     for degree in range(structure.order + 1):
         forms = TruncatedBasis.build(chart, FORM, degree, 1)
-        for form in map(forms.tensor_of, range(len(forms))):
+        for form in (basis_tensor(forms, j) for j in range(len(forms))):
             tensors += [sharp(structure, degree, form), ext_d(form.scale(square))]
     tensors += [hamiltonian_vf(structure, *(xs[i] + square for i in combo))
                 for combo in itertools.combinations(range(chart.dimension), structure.order - 1)]
@@ -259,6 +268,84 @@ def test_modular_potential_solvable_case_r3():
     result = modular_potential(structure, volume, 2)
     assert result.feasible
     assert sharp(structure, 1, differential(R3, result.potential)) == tensor
+
+
+# -- the certified solves against one image per basis element ----------------------
+
+def _pencil_r4():
+    """(x1^2 + x4^2 + x2 x3)(e1^e2^e3 + e2^e3^e4): dx1 and dx4 both land on
+    e2^e3, with dx2 and dx3 landing elsewhere in between."""
+    y1, y2, y3, y4 = coords(R4)
+    f = y1 * y1 + y4 * y4 + y2 * y3
+    return NambuStructure(GradedTensor(R4, MULTIVECTOR, 3, {(0, 1, 2): f, (1, 2, 3): f}))
+
+
+def _sharp_case(kind, volume_kind, rng):
+    if kind == "top":
+        f = rand_poly(rng, R3, max_degree=2, allow_zero=False)
+        structure = NambuStructure(GradedTensor(R3, MULTIVECTOR, 3, {(0, 1, 2): f}))
+    else:
+        structure = nondecomposable_r5() if kind == "r5" else _pencil_r4()
+    chart = structure.chart
+    first = chart.coordinate_polynomial(0)
+    if volume_kind == "std":
+        return structure, VolumeSpec.standard(chart)
+    if volume_kind == "weighted":
+        return structure, VolumeSpec.weighted(chart, rand_poly(rng, chart, max_degree=2))
+    return structure, VolumeSpec(chart, 1 + first * first, chart.zero_polynomial())
+
+
+def _recorder(systems, solve):
+    """``solve`` that first keeps its system, with every column's labels in order."""
+    def recording(columns, target):
+        columns = [list(column.items()) for column in columns]
+        systems.append((columns, list(target.items())))
+        return solve(map(dict, columns), target)
+    return recording
+
+
+@given(st.sampled_from(["top", "r5", "pencil"]), st.sampled_from(["std", "weighted", "rational"]),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+@example("pencil", "std", 4, 0)
+@settings(max_examples=30, deadline=None)
+def test_potential_and_subcomplex_match_the_image_stream(kind, volume_kind, bound, seed):
+    # the same labelled system, label for label, and so the same (solution,
+    # certificate) pair, as one sharp image per basis element
+    structure, volume = _sharp_case(kind, volume_kind, random.Random(seed))
+    chart = structure.chart
+    sign = 1 if (structure.order - 1) % 2 == 0 else -1
+    scalars = TruncatedBasis.build(chart, FORM, 0, bound)
+    forms = TruncatedBasis.build(chart, FORM, 1, bound)
+    engine, oracle = [], []
+    with mock.patch("nambu.truncation.solve_labelled",
+                    _recorder(engine, truncation.solve_labelled)), \
+            mock.patch("support.solve_labelled", _recorder(oracle, support.solve_labelled)):
+        solution, certificate = oracle_sharp_preimage(
+            structure, volume, scalars, lambda g: differential(chart, g.scalar_value() * sign))
+        result = modular_potential(structure, volume, bound)
+        assert result.certificate == certificate
+        if solution is not None:
+            potential = GradedTensor.from_scalar(chart, FORM, result.potential)
+            assert scalars.to_coordinates(potential) == {j: c for j, c in enumerate(solution) if c}
+        assert result.feasible == (solution is not None)
+        solution, certificate = oracle_sharp_preimage(structure, volume, forms, lambda form: form)
+        report = subcomplex_check(structure, volume, bound)
+        assert report.certificate == certificate
+        if solution is not None:
+            assert forms.to_coordinates(report.witness) == {j: c for j, c in enumerate(solution) if c}
+        assert report.is_subcomplex == (solution is not None)
+    assert engine == oracle
+
+
+@pytest.mark.parametrize("bound", [4, 8])
+def test_sharp_runs_only_on_the_stencil_probes(bound):
+    # 1 + m + m(m+1)/2 = 10 probes per index on R^3, whatever the bound
+    with mock.patch("nambu.modular.sharp", wraps=sharp) as counted:
+        modular_potential(singular_r3(), STD3, bound)
+        assert counted.call_count == 10
+        counted.reset_mock()
+        subcomplex_check(singular_r3(), STD3, bound)
+        assert counted.call_count == 3 * 10
 
 
 # -- basic volumes ----------------------------------------------------------------
