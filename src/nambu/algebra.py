@@ -29,15 +29,18 @@ are those of Gauss-Jordan.  ``rank`` and ``pivot_columns`` stop there; only
 ``nullspace`` and ``solve`` back-substitute into ``Fraction``s.  The kernel
 basis with free slots set to 1/0 and the solution with free variables zero
 are unique, and so is the infeasibility certificate (a left-kernel row
-``y`` with ``y*A = 0`` and ``y*b != 0``) read off the first inconsistent
+``y`` with ``y*A = 0`` and ``y*b != 0``) of the first inconsistent
 leftover row, because it is the only left-kernel vector supported on the
-pivot rows and that row with a 1 there.  So every answer is the one
-Gauss-Jordan gives.  A column or coordinate vector is a
-``SparseVector``: a map from position to its non-zero ``Fraction``; zeros are
-never stored.  Nullspace bases are returned in this format, and the one
-product, ``ExactMatrix.apply``, maps a list of them to their images.  It
-clears denominators per vector and per row and accumulates in ints, so a
-zero image costs no ``Fraction`` arithmetic at all.
+pivot rows and that row with a 1 there.  No row carries that transform
+through the elimination: ``solve`` rebuilds it for the one row from the
+record of updates, and checks it on the given rows before returning it.
+So every answer is the one Gauss-Jordan gives.  A column or coordinate
+vector is a ``SparseVector``: a map from position to its non-zero
+``Fraction``; zeros are never stored.  Nullspace bases are returned in
+this format, and the one product, ``ExactMatrix.apply``, maps a list of
+them to their images.  It clears denominators per vector and per row and
+accumulates in ints, so a zero image costs no ``Fraction`` arithmetic at
+all.
 """
 
 from __future__ import annotations
@@ -594,7 +597,7 @@ class ExactMatrix:
 
     def _echelon(self, rhs: Sequence[Fraction] | None = None
                  ) -> tuple[list[int], list[int], list[dict[int, int]],
-                            list[dict[int, int]] | None]:
+                            list[int] | None, list[list[tuple[int, ...]]] | None]:
         """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
         Each row is scaled to integers by the lcm of its denominators.  The
@@ -610,32 +613,36 @@ class ExactMatrix:
         at its position, so both pick the same pivot rows and leave the same
         rows over, in the same order.
 
-        With ``rhs`` each row also carries a tail, where key -1 holds its
-        entry of b and key i its coefficient on original row i, so that the
-        row equals ``sum_i tail[i] * A[i]`` and ``tail[-1]`` is the same sum
-        over b.  Tails follow every update and share the content removal.
+        With ``rhs`` each row also carries its integer entry of b, which
+        follows every update and shares the content removal, and a history:
+        first ``(scale, g0)`` for ``row = scale * A[i] / g0``, then one
+        ``(a, c, sel, g)`` per update ``row <- (a*row - c*rows[sel]) / g``,
+        with ``g`` the content removed.  Row ``sel`` is a pivot by then and
+        never changes again, so a pivot row's history names only earlier
+        pivots.  ``_certificate`` rebuilds a row's transform from them.
 
-        Returns ``(pivots, order, rows, tails)``: the ascending pivot columns;
-        the original index of the row at each echelon position, pivot rows
-        first and the leftover rows after them; the integer rows by original
-        index; and the tails, or None without ``rhs``.
+        Returns ``(pivots, order, rows, b, history)``: the ascending pivot
+        columns; the original index of the row at each echelon position,
+        pivot rows first and the leftover rows after them; the integer rows
+        by original index; and the entries of b and the histories by
+        original index, both None without ``rhs``.
         """
         nrows, ncols = self.rows, self.cols
         rows: list[dict[int, int]] = []
-        tails: list[dict[int, int]] | None = None if rhs is None else []
+        bs: list[int] | None = None
+        history: list[list[tuple[int, ...]]] | None = None
+        if rhs is not None:
+            bs, history = [], []
         for i, row in enumerate(self._rows):
-            scale = lcm(*(v.denominator for v in row.values()))
-            tail = None
-            if tails is not None:
-                b = rhs[i]
-                scale = lcm(scale, b.denominator)
-                tail = {i: scale}
-                if b:
-                    tail[-1] = b.numerator * (scale // b.denominator)
-                tails.append(tail)
+            b = ZERO if rhs is None else rhs[i]
+            scale = lcm(b.denominator, *(v.denominator for v in row.values()))
             ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-            _remove_content(ints, tail)
+            b = b.numerator * (scale // b.denominator)
+            g = _remove_content(ints, b)
             rows.append(ints)
+            if bs is not None:
+                bs.append(b // g)
+                history.append([(scale, g)])
         index: list[set[int]] = [set() for _ in range(ncols)]
         for r, row in enumerate(rows):
             for j in row:
@@ -677,16 +684,18 @@ class ExactMatrix:
                             del row[j]
                             if j != col:
                                 index[j].discard(r)
-                tail = None
-                if tails is not None:
-                    tail = tails[r]
-                    _combine(tail, a, c, tails[sel])
-                _remove_content(row, tail)
+                if bs is None:
+                    _remove_content(row)
+                else:
+                    b = a * bs[r] - c * bs[sel]
+                    g = _remove_content(row, b)
+                    bs[r] = b // g
+                    history[r].append((a, c, sel, g))
             index[col] = set()
             pivots.append(col)
             if len(pivots) == nrows:
                 break
-        return pivots, order, rows, tails
+        return pivots, order, rows, bs, history
 
     def pivot_columns(self) -> list[int]:
         """Ascending pivot columns of the row echelon form.
@@ -706,7 +715,7 @@ class ExactMatrix:
         the free columns in ascending order, each with a 1 in its free slot
         and 0 in the other free slots, which makes the basis unique.
         """
-        pivots, order, rows, _ = self._echelon()
+        pivots, order, rows, _, _ = self._echelon()
         reduced = _back_substitute(pivots, [rows[r] for r in order[:len(pivots)]])
         pivot_set = set(pivots)
         basis = {free: {free: ONE} for free in range(self.cols) if free not in pivot_set}
@@ -725,33 +734,51 @@ class ExactMatrix:
         The solution sets every free variable to zero, which makes it unique.
         The certificate is a left-kernel row of A with ``y*b != 0``, so it
         proves infeasibility independently of the elimination that found it.
-        It comes from the first leftover row, in echelon order, whose entry
-        of b did not cancel: its tail divided by its coefficient on its own
-        original row.  That is the one left-kernel vector supported on the
-        pivot rows and that row with a 1 at that row, so it is the certificate
-        Gauss-Jordan with the same row order reads off its transform.
+        It is the transform of the first leftover row, in echelon order, whose
+        entry of b did not cancel, replayed from the elimination's history
+        and divided by its coefficient on that row.  That is the one
+        left-kernel vector supported on the pivot rows and that row with a 1
+        at that row, so it is the certificate Gauss-Jordan with the same row
+        order reads off its transform.  ``y*A = 0`` and ``y*b != 0`` are
+        checked on the given rows before it is returned; a failure raises
+        ``InvariantError``.
         """
         b = [_as_fraction(v) for v in rhs]
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        pivots, order, rows, tails = self._echelon(b)
-        assert tails is not None
+        pivots, order, rows, bs, history = self._echelon(b)
+        assert bs is not None and history is not None
         rank = len(pivots)
         for r in order[rank:]:
-            tail = tails[r]
-            if tail.get(-1):
-                lead = tail[r]
-                return None, tuple(Fraction(tail.get(i, 0), lead) for i in range(self.rows))
+            if bs[r]:
+                y = _certificate(history, order, r)
+                self._check_certificate(y, b)
+                certificate = [ZERO] * self.rows
+                for i, v in y.items():
+                    certificate[i] = v
+                return None, tuple(certificate)
         x = [ZERO] * self.cols
         for k in range(rank - 1, -1, -1):
             r, pivot_col = order[k], pivots[k]
             row = rows[r]
-            acc = Fraction(tails[r].get(-1, 0))
+            acc = Fraction(bs[r])
             for j, v in row.items():
                 if j != pivot_col and x[j]:
                     acc -= v * x[j]
             x[pivot_col] = acc / row[pivot_col]
         return tuple(x), None
+
+    def _check_certificate(self, y: SparseVector, b: Sequence[Fraction]) -> None:
+        """Raise ``InvariantError`` unless ``y*A = 0`` and ``y*b != 0``,
+        summed over the given ``Fraction`` rows on the support of ``y``."""
+        total: dict[int, Fraction] = {}
+        for i, weight in y.items():
+            for j, v in self._rows[i].items():
+                total[j] = total.get(j, ZERO) + weight * v
+        if any(total.values()):
+            raise InvariantError("infeasibility certificate does not annihilate the matrix")
+        if not sum((weight * b[i] for i, weight in y.items()), ZERO):
+            raise InvariantError("infeasibility certificate does not separate the right-hand side")
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         """The sparse rows themselves, not copies; callers must not change them."""
@@ -780,15 +807,53 @@ def _combine(row: dict[int, int], a: int, c: int, other: dict[int, int]) -> None
             row.pop(j, None)
 
 
-def _remove_content(row: dict[int, int], tail: dict[int, int] | None = None) -> None:
-    """Divide an integer row, and its tail if given, by their common gcd."""
-    g = gcd(*row.values(), *(tail or {}).values())
+def _remove_content(row: dict[int, int], b: int = 0) -> int:
+    """Divide an integer row by the gcd of its entries and ``b``; return the
+    divisor, which is 1 when there was nothing to divide."""
+    g = gcd(*row.values(), b)
     if g > 1:
         for j in row:
             row[j] //= g
-        if tail:
-            for j in tail:
-                tail[j] //= g
+        return g
+    return 1
+
+
+def _certificate(history: list[list[tuple[int, ...]]], order: list[int],
+                 r: int) -> SparseVector:
+    """The transform ``T`` of leftover row ``r``, with ``row = sum_i T[i]*A[i]``,
+    divided by ``T[r]``.
+
+    The rows that ``r``'s history reaches are collected by a work list, not
+    by recursion: a chain of pivots can be thousands deep.  They are replayed
+    in echelon order.  Each transform is an integer dict ``D`` times a scale
+    ``lam``; with ``lam_sel / lam = p/q`` an update ``(a, c, sel, g)`` makes
+    ``D`` ``q*a*D - c*p*D_sel`` and ``lam`` ``lam / (g*q)``, and the integer
+    content of ``D`` then moves into ``lam``.
+    """
+    reached = {r}
+    work = [r]
+    while work:
+        for step in history[work.pop()][1:]:
+            sel = step[2]
+            if sel not in reached:
+                reached.add(sel)
+                work.append(sel)
+    replayed: dict[int, tuple[dict[int, int], Fraction]] = {}
+    for t in [t for t in order if t in reached]:
+        steps = history[t]
+        scale, g0 = steps[0]
+        transform = {t: 1}
+        lam = Fraction(scale, g0)
+        for a, c, sel, g in steps[1:]:
+            other, lam_sel = replayed[sel]
+            ratio = lam_sel / lam
+            p, q = ratio.numerator, ratio.denominator
+            _combine(transform, q * a, c * p, other)
+            lam = lam * _remove_content(transform) / (g * q)
+        replayed[t] = transform, lam
+    transform = replayed[r][0]
+    lead = transform[r]
+    return {i: Fraction(v, lead) for i, v in transform.items()}
 
 
 def _back_substitute(pivots: list[int], echelon: list[dict[int, int]]) -> list[dict[int, int]]:

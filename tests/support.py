@@ -397,6 +397,30 @@ def sign_flipped_delta(volume, field):
     return delta(volume, GradedTensor(field.chart, field.variance, field.degree, flipped))
 
 
+def echelon_with_a_bad_record(corrupt_b: bool = False):
+    """``ExactMatrix._echelon`` with one corrupted record for ``solve``.
+
+    By default the history of the first leftover row whose entry of b did
+    not cancel gains an update that never ran, ``row <- row - rows[p]`` for
+    the first pivot row ``p``, so the certificate replayed from it no longer
+    annihilates the matrix.  With ``corrupt_b`` the first leftover row whose
+    entry did cancel gets a b entry of 1 instead, so its sound certificate
+    no longer separates b.  Without ``rhs`` nothing changes.
+    """
+    echelon = ExactMatrix._echelon
+
+    def corrupted(self, rhs=None):
+        pivots, order, rows, bs, history = echelon(self, rhs)
+        if history is not None:
+            leftover = order[len(pivots):]
+            if corrupt_b:
+                bs[next(r for r in leftover if not bs[r])] = 1
+            else:
+                history[next(r for r in leftover if bs[r])].append((1, 1, order[0], 1))
+        return pivots, order, rows, bs, history
+    return corrupted
+
+
 # -- the decomposition lemmas as one labelled system, as oracles of the r^2 split --
 
 def _equation_labels(polys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nambu.algebra import (
     ExactMatrix,
+    InvariantError,
     Polynomial,
     RationalFunction,
     variables,
@@ -19,6 +20,7 @@ from nambu.algebra import (
 from support import (
     assert_elimination_matches_sympy,
     dense,
+    echelon_with_a_bad_record,
     evaluate,
     matmul,
     matrix_from_columns,
@@ -522,6 +524,52 @@ def test_elimination_matches_gauss_jordan_sparse(seed):
         rhs = [Fraction(rng.randint(-3, 3)) if rng.random() < 0.1 else Fraction(0)
                for _ in range(nrows)]
     _assert_matches_gauss_jordan(matrix, rhs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_of_a_late_leftover_row_matches_gauss_jordan(seed):
+    # 150x100 at 3% density: the leftover rows come before row 149, which is
+    # a combination of 30 earlier rows and so stays in the last position.  b
+    # is consistent except on row 149, so every earlier leftover row's b
+    # cancels and the certificate belongs to row 149, whose history reaches
+    # more than 20 pivots.
+    rng = random.Random(2000 + seed)
+    nrows, ncols = 150, 100
+    rows = [{j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
+             for j in range(ncols) if rng.random() < 0.03} for _ in range(nrows - 1)]
+    last: dict[int, Fraction] = {}
+    for i in rng.sample(range(nrows - 1), 30):
+        weight = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        for j, v in rows[i].items():
+            last[j] = last.get(j, 0) + weight * v
+    rows.append({j: v for j, v in last.items() if v})
+    matrix = ExactMatrix(nrows, ncols, rows)
+    rhs = _times(matrix, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)])
+    rhs[-1] += 1
+    _assert_matches_gauss_jordan(matrix, rhs)
+    _, certificate = matrix.solve(rhs)
+    assert matrix.rank() < nrows - 1 and certificate[-1] == 1
+    assert sum(1 for weight in certificate if weight) > 21
+
+
+def test_certificate_of_a_deep_pivot_chain_is_replayed_without_recursion():
+    # r0 = e0, r_k = e_(k-1) + e_k: each pivot's history names the one before
+    # it, so the certificate of the leftover row e_2999 replays a chain of
+    # 3000 pivots; its weights alternate in sign
+    n = 3000
+    rows = [{0: Fraction(1)}] + [{k - 1: Fraction(1), k: Fraction(1)} for k in range(1, n)]
+    rows.append({n - 1: Fraction(1)})
+    rhs = [Fraction(0)] * n + [Fraction(1)]
+    solution, certificate = ExactMatrix(n + 1, n, rows).solve(rhs)
+    assert solution is None
+    assert certificate == tuple(Fraction((-1) ** (n - k)) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("corrupt_b, message", [(False, "annihilate"), (True, "separate")])
+def test_a_corrupted_certificate_is_an_invariant_error(monkeypatch, corrupt_b, message):
+    monkeypatch.setattr(ExactMatrix, "_echelon", echelon_with_a_bad_record(corrupt_b))
+    with pytest.raises(InvariantError, match=message):
+        dense([[1], [1], [1]]).solve([1, 1, 2])
 
 
 # -- the elimination against sympy (test-only dependency) --------------------

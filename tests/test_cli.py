@@ -11,9 +11,10 @@ from unittest import mock
 
 import pytest
 
+from nambu.algebra import ExactMatrix
 from nambu.cli import main
 from nambu.exterior import differential, ext_d
-from support import sign_flipped_delta
+from support import echelon_with_a_bad_record, sign_flipped_delta
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SINGULAR = str(MODELS / "singular_r3.nmb")
@@ -331,6 +332,16 @@ def test_boundary_that_is_not_a_cycle_is_internal_error(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+
+
+def test_certificate_that_fails_its_check_is_internal_error(capsys):
+    with mock.patch.object(ExactMatrix, "_echelon", echelon_with_a_bad_record()):
+        code = main(["potential", SINGULAR, "L", "V", "--degree-bound", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal error: infeasibility certificate does not "
+                            "annihilate the matrix\n")
 
 
 def _widened_d(tensor):
