@@ -58,13 +58,15 @@ EXIT_INTERNAL = 3
 
 @dataclass
 class Report:
-    command: str
+    """A handler's answer; ``main`` fills in the command name and the bound."""
+
     inputs: dict
     result: object
     certificates: object = None
-    degree_bound: int | None = None
     exit_code: int = EXIT_OK
     lines: list[str] = field(default_factory=list)
+    command: str = ""
+    degree_bound: int | None = None
 
     def to_json(self, timing_ms: int) -> str:
         payload = {
@@ -130,7 +132,7 @@ def _cmd_check(model: ModelFile, args, structure) -> Report:
                      "violations": len(identity.violations)},
         "decomposability": {"passed": shape.passed},
     }
-    return Report("check", {"structure": str(structure.tensor), "family": args.family},
+    return Report({"structure": str(structure.tensor), "family": args.family},
                   result, exit_code=EXIT_OK if passed else EXIT_MATH_FAILURE,
                   lines=lines)
 
@@ -139,7 +141,7 @@ def _cmd_sharp(model: ModelFile, args, structure) -> Report:
     form = model.binding(args.form, "form")
     image = sharp(structure, form.degree, form)
     text = format_tensor(image)
-    return Report("sharp", {"form": args.form, "degree": form.degree},
+    return Report({"form": args.form, "degree": form.degree},
                   {"image": text}, lines=[f"sharp({args.form}) = {text}"])
 
 
@@ -147,7 +149,7 @@ def _cmd_hamiltonian(model: ModelFile, args, structure) -> Report:
     scalars = _scalars_of(model, args.scalars)
     field_tensor = hamiltonian_vf(structure, *scalars)
     text = format_tensor(field_tensor)
-    return Report("hamiltonian", {"scalars": args.scalars}, {"field": text},
+    return Report({"scalars": args.scalars}, {"field": text},
                   lines=[f"hamiltonian field of ({args.scalars}) = {text}"])
 
 
@@ -156,7 +158,7 @@ def _cmd_bracket(model: ModelFile, args, structure) -> Report:
     right = model.binding(args.right, "form")
     value = leibniz_bracket(structure, left, right)
     text = format_tensor(value)
-    return Report("bracket", {"left": args.left, "right": args.right},
+    return Report({"left": args.left, "right": args.right},
                   {"bracket": text},
                   lines=[f"[[{args.left}, {args.right}]] = {text}"])
 
@@ -164,7 +166,7 @@ def _cmd_bracket(model: ModelFile, args, structure) -> Report:
 def _cmd_modular(model: ModelFile, args, structure, volume) -> Report:
     tensor = modular_tensor(structure, volume)
     text = format_tensor(tensor)
-    return Report("modular", {"volume": str(volume)}, {"tensor": text},
+    return Report({"volume": str(volume)}, {"tensor": text},
                   lines=[f"modular tensor = {text}"])
 
 
@@ -172,13 +174,11 @@ def _cmd_potential(model: ModelFile, args, structure, volume) -> Report:
     outcome = modular_potential(structure, volume, args.degree_bound)
     if outcome.feasible:
         text = str(outcome.potential)
-        return Report("potential", {"volume": str(volume)},
+        return Report({"volume": str(volume)},
                       {"feasible": True, "potential": text},
-                      degree_bound=args.degree_bound,
                       lines=[f"potential found at degree bound {args.degree_bound}: {text}"])
     return _certificate_report(
-        Report("potential", {"volume": str(volume)}, {"feasible": False},
-               degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
+        Report({"volume": str(volume)}, {"feasible": False}, exit_code=EXIT_MATH_FAILURE,
                lines=[f"infeasible at degree bound {args.degree_bound}",
                       "certificate functional (annihilates every candidate, not the tensor):"]),
         model.chart, outcome.certificate)
@@ -190,11 +190,11 @@ def _cmd_basic_volume(model: ModelFile, args, structure, volume) -> Report:
     try:
         mu = basic_volume(structure, volume, weight)
     except ValueError as exc:
-        return Report("basic-volume", {"volume": str(volume)},
+        return Report({"volume": str(volume)},
                       {"exists": False, "reason": str(exc)},
                       exit_code=EXIT_MATH_FAILURE,
                       lines=[str(exc)])
-    return Report("basic-volume", {"volume": str(volume)},
+    return Report({"volume": str(volume)},
                   {"exists": True, "form": str(mu)},
                   lines=[f"basic volume = {mu}"])
 
@@ -203,7 +203,7 @@ def _cmd_delta(model: ModelFile, args, volume) -> Report:
     tensor = model.binding(args.mv, "mv")
     image = delta(volume, tensor)
     text = format_tensor(image)
-    return Report("delta", {"mv": args.mv, "volume": str(volume)},
+    return Report({"mv": args.mv, "volume": str(volume)},
                   {"boundary": text}, lines=[f"boundary({args.mv}) = {text}"])
 
 
@@ -215,12 +215,11 @@ def _cmd_h1_top(model: ModelFile, args, structure) -> Report:
              f"cocycles {report.cocycle_dimension}, "
              f"coboundaries {report.coboundary_dimension}"]
     lines.extend(f"representative: {r}" for r in reps)
-    return Report("h1-top", {"coefficient": str(structure.top_coefficient())},
+    return Report({"coefficient": str(structure.top_coefficient())},
                   {"dimension": report.dimension,
                    "cocycles": report.cocycle_dimension,
                    "coboundaries": report.coboundary_dimension,
-                   "representatives": reps},
-                  degree_bound=args.degree_bound, lines=lines)
+                   "representatives": reps}, lines=lines)
 
 
 def _cmd_foliated(model: ModelFile, args, structure) -> Report:
@@ -232,32 +231,29 @@ def _cmd_foliated(model: ModelFile, args, structure) -> Report:
         stab += f" vs bound {args.degree_bound - 1}"
     lines = [f"foliated cohomology degree {args.degree} at bound {args.degree_bound}: "
              f"dimension {outcome.dimension} ({stab})"]
-    return Report("foliated", {"degree": args.degree},
+    return Report({"degree": args.degree},
                   {"dimension": outcome.dimension,
                    "previous_dimension": outcome.previous_dimension,
-                   "stabilized": outcome.stabilized},
-                  degree_bound=args.degree_bound, lines=lines)
+                   "stabilized": outcome.stabilized}, lines=lines)
 
 
 def _cmd_canonical(model: ModelFile, args, structure, volume) -> Report:
     dimension = canonical_homology_dim(structure, volume, args.degree, args.degree_bound)
     lines = [f"canonical homology degree {args.degree} at bound {args.degree_bound}: "
              f"dimension {dimension}"]
-    return Report("canonical-homology", {"degree": args.degree, "volume": str(volume)},
-                  {"dimension": dimension}, degree_bound=args.degree_bound, lines=lines)
+    return Report({"degree": args.degree, "volume": str(volume)},
+                  {"dimension": dimension}, lines=lines)
 
 
 def _cmd_subcomplex(model: ModelFile, args, structure, volume) -> Report:
     outcome = subcomplex_check(structure, volume, args.degree_bound)
     if outcome.is_subcomplex:
         witness = format_tensor(outcome.witness)
-        return Report("subcomplex", {"volume": str(volume)},
+        return Report({"volume": str(volume)},
                       {"is_subcomplex": True, "witness": witness},
-                      degree_bound=args.degree_bound,
                       lines=[f"yes: modular tensor = sharp({witness})"])
     return _certificate_report(
-        Report("subcomplex", {"volume": str(volume)}, {"is_subcomplex": False},
-               degree_bound=args.degree_bound, exit_code=EXIT_MATH_FAILURE,
+        Report({"volume": str(volume)}, {"is_subcomplex": False}, exit_code=EXIT_MATH_FAILURE,
                lines=[f"no: the modular tensor is not in the bundle image at bound "
                       f"{args.degree_bound}", "certificate functional:"]),
         model.chart, outcome.certificate)
@@ -280,9 +276,8 @@ def _cmd_duality(model: ModelFile, args, structure, volume) -> Report:
             "canonical_degree": row.canonical_degree,
         })
     lines.append(report.verdict)
-    return Report("duality", {"volume": str(volume)},
+    return Report({"volume": str(volume)},
                   {"holds": report.holds, "verdict": report.verdict, "rows": rows_json},
-                  degree_bound=args.degree_bound,
                   exit_code=EXIT_OK if report.holds else EXIT_MATH_FAILURE,
                   lines=lines)
 
@@ -292,7 +287,7 @@ def _cmd_naka_pair(model: ModelFile, args) -> Report:
     q = model.scalar(args.q)
     outcome = naka_pair(p, q)
     if not outcome.applicable:
-        return Report("naka-pair", {"p": args.p, "q": args.q},
+        return Report({"p": args.p, "q": args.q},
                       {"applicable": False,
                        "residual": str(outcome.hypothesis_residual)},
                       exit_code=EXIT_MATH_FAILURE,
@@ -302,7 +297,7 @@ def _cmd_naka_pair(model: ModelFile, args) -> Report:
               "p_tilde": str(outcome.p_tilde), "q_tilde": str(outcome.q_tilde)}
     lines = [f"a = {outcome.a}, b = {outcome.b}",
              f"p_tilde = {outcome.p_tilde}", f"q_tilde = {outcome.q_tilde}"]
-    return Report("naka-pair", {"p": args.p, "q": args.q}, result, lines=lines)
+    return Report({"p": args.p, "q": args.q}, result, lines=lines)
 
 
 def _cmd_naka_triple(model: ModelFile, args) -> Report:
@@ -311,7 +306,7 @@ def _cmd_naka_triple(model: ModelFile, args) -> Report:
     c = model.scalar(args.c)
     outcome = naka_triple(a, b, c)
     if not outcome.applicable:
-        return Report("naka-triple", {"a": args.a, "b": args.b, "c": args.c},
+        return Report({"a": args.a, "b": args.b, "c": args.c},
                       {"applicable": False, "failed_relation": outcome.failed_relation},
                       exit_code=EXIT_MATH_FAILURE,
                       lines=[f"hypothesis violated: {outcome.failed_relation} relation"])
@@ -320,8 +315,7 @@ def _cmd_naka_triple(model: ModelFile, args) -> Report:
               "tildes": [str(at), str(bt), str(ct)]}
     lines = [f"a = {outcome.a}",
              f"tildes = {at}; {bt}; {ct}"]
-    return Report("naka-triple", {"a": args.a, "b": args.b, "c": args.c},
-                  result, lines=lines)
+    return Report({"a": args.a, "b": args.b, "c": args.c}, result, lines=lines)
 
 
 def _cmd_flow(model: ModelFile, args, structure) -> Report:
@@ -342,7 +336,7 @@ def _cmd_flow(model: ModelFile, args, structure) -> Report:
         report = check(trajectory)
     except DivergentFlowError as exc:
         lines.append(f"diverged: {exc}")
-        return Report("flow", inputs, {"passed": False, "diverged": True, "reason": str(exc)},
+        return Report(inputs, {"passed": False, "diverged": True, "reason": str(exc)},
                       exit_code=EXIT_MATH_FAILURE, lines=lines)
     for name, drift in zip(args.scalars.split(","), report.hamiltonian_drifts):
         lines.append(f"drift of {name}: {drift:.3e}")
@@ -354,8 +348,7 @@ def _cmd_flow(model: ModelFile, args, structure) -> Report:
               "hamiltonian_drifts": list(report.hamiltonian_drifts),
               "probe_drifts": list(report.probe_drifts),
               "final_point": list(trajectory[-1])}
-    return Report("flow", inputs,
-                  result, exit_code=EXIT_OK if report.passed else EXIT_MATH_FAILURE,
+    return Report(inputs, result, exit_code=EXIT_OK if report.passed else EXIT_MATH_FAILURE,
                   lines=lines)
 
 
@@ -491,6 +484,8 @@ def main(argv=None) -> int:
         if "volume" in command.flags:
             resolved["volume"] = model.volume(args.volume)
         report = command.handler(model, args, **resolved)
+        report.command = args.command
+        report.degree_bound = getattr(args, "degree_bound", None)
     except (ModelError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

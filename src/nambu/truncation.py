@@ -10,9 +10,10 @@ basis, so a tensor is never silently clipped to a truncated space.
 
 An operator needs no codomain basis.  Its matrix has one column per domain
 element and one row per (component, monomial) label that some image holds,
-in component-then-graded-lex order, so every image fits by construction.
-Rank, pivot columns and the nullspace basis do not depend on the row order,
-nor on the all-zero rows a wider codomain would add.
+so every image fits by construction.  Rows are numbered in first-seen order:
+each image's labels in turn, as the image lists them.  Rank, pivot columns
+and the nullspace basis do not depend on the row order, nor on the all-zero
+rows a wider codomain would add.
 
 Operators are assembled from a first-order stencil, not from one image per
 basis element.  The contract is that the mapping is linear and of order at
@@ -28,20 +29,19 @@ invariant error (``InvariantError``), never a wrong matrix.  Every mapping in
 the package (the bundle map, contractions, d, the boundary, f da - df ^ a)
 has order at most one.
 
-The same stencil columns feed the certified solves of the modular tensor
-(``solve_in_image``), never sorted.  There the row order matters: rows are
-numbered in first-seen order, and that order picks the printed certificate.
-So each column lists its terms as the image itself would: component by
-component, in the order the components first appear in the fill (the base
-shifted by x^a, then the symbols for j ascending), and each component's
-terms in fill order.  The bundle map on 1-forms has order zero, so a column
-is the base shifted, and a shift keeps the image's order.  Sharp after d has
-no base, and the image of d(x^a) also runs over j ascending, each j adding
-one probe image, shifted; only the components interleave, when symbols of
-non-adjacent j share one, hence the regrouping.  Where contributions to one
-term cancel within a column and it is added again, the image re-lists the
-term last and the stencil keeps its place; apart from that the rows, and so
-the certificates, come out as from one whole image per basis element.
+Each column lists its terms as the image itself would, because the row
+order of a certified solve picks the printed certificate (``solve_in_image``):
+component by component, in the order the components first appear in the fill
+(the base shifted by x^a, then the symbols for j ascending), and each
+component's terms in fill order.  The bundle map on 1-forms has order zero,
+so a column is the base shifted, and a shift keeps the image's order.  Sharp
+after d has no base, and the image of d(x^a) also runs over j ascending, each
+j adding one probe image, shifted; only the components interleave, when
+symbols of non-adjacent j share one, hence the regrouping.  Where
+contributions to one term cancel within a column and it is added again, the
+image re-lists the term last and the stencil keeps its place; apart from that
+the rows, and so the certificates, come out as from one whole image per basis
+element.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .algebra import (
     ExactMatrix,
@@ -66,6 +66,7 @@ from .structures import NambuStructure, sharp
 Exponent = tuple[int, ...]
 Index = tuple[int, ...]
 Label = tuple[Index, Exponent]
+Key = TypeVar("Key", int, Label)
 Certificate = tuple[tuple[Label, Fraction], ...]
 # (coefficients, None) for a solvable system, else (None, certificate)
 Solution = tuple[tuple[Fraction, ...] | None, Certificate | None]
@@ -225,12 +226,13 @@ def _stencil_columns(domain: TruncatedBasis,
     """The image of each domain element in turn, assembled from the first-order
     stencil of its index (see the module docstring), and the decoder of its keys.
 
-    A column maps integer keys to coefficients, in fill order: the base
-    shifted by x^a, then a_j x^(a - e_j) s_{I,j} for j ascending.  Entries
-    whose contributions cancel stay as zeros.  A key is the label's index
-    rank, then its exponent's digits in a radix that no shift by a domain
-    exponent overflows; ``label`` turns it back into a (component, monomial)
-    label.  The stencils are built, and the guard run, before this returns.
+    A column maps integer keys to non-zero coefficients, listed as the image
+    lists its terms: the fill (the base shifted by x^a, then a_j x^(a - e_j)
+    s_{I,j} for j ascending) regrouped by component, in the order the
+    components first appear.  A key is the label's index rank, then its
+    exponent's digits in a radix that no shift by a domain exponent
+    overflows; ``label`` turns it back into a (component, monomial) label.
+    The stencils are built, and the guard run, before this returns.
     """
     m = domain.chart.dimension
     stencils = {idx: _first_order_stencil(domain, mapping, idx)
@@ -268,7 +270,14 @@ def _stencil_columns(domain: TruncatedBasis,
                     key += shift
                     acc = column.get(key)
                     column[key] = coeff if acc is None else acc + coeff
-            yield column
+            parts: dict[int, dict[int, Fraction]] = {}
+            for key, coeff in column.items():
+                if coeff:
+                    part = parts.get(key // span)
+                    if part is None:
+                        part = parts[key // span] = {}
+                    part[key] = coeff
+            yield {key: coeff for part in parts.values() for key, coeff in part.items()}
 
     def label(key: int) -> Label:
         rank, code = divmod(key, span)
@@ -281,11 +290,31 @@ def _stencil_columns(domain: TruncatedBasis,
     return columns(), label
 
 
+def _numbered_operator(columns: Iterable[dict[Key, Fraction]],
+                       label: Callable[[Key], Label]) -> TruncatedOperator:
+    """The operator with these columns, which store no zeros: one row per key,
+    labelled by ``label``, numbered in first-seen order and filled in column
+    order.  The columns are read once, so a generator of them keeps only the
+    rows alive."""
+    rows: dict[Key, dict[int, Fraction]] = {}
+    width = 0
+    for column in columns:
+        for key, coeff in column.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {}
+            row[width] = coeff
+        width += 1
+    return TruncatedOperator(tuple(map(label, rows)),
+                             ExactMatrix(len(rows), width, list(rows.values())))
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Exact matrix of a linear first-order map on a truncated basis: column j
     is the image of basis element j, row i holds the coefficients of label
-    ``labels[i]``, in component-then-graded-lex order; no row is all zero."""
+    ``labels[i]``, numbered in first-seen order over the images; no row is
+    all zero."""
 
     labels: tuple[Label, ...]
     matrix: ExactMatrix
@@ -295,19 +324,7 @@ class TruncatedOperator:
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
         """Assemble from the first-order stencil of each index (see the
         module docstring); raises ``InvariantError`` when the guard fails."""
-        columns, label = _stencil_columns(domain, mapping)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for col, column in enumerate(columns):
-            for key, coeff in column.items():
-                if coeff:
-                    row = rows.get(key)
-                    if row is None:
-                        row = rows[key] = {}
-                    row[col] = coeff
-        labelled = {label(key): row for key, row in rows.items()}
-        labels = tuple(sorted(labelled, key=lambda label: (label[0], grlex_key(label[1]))))
-        return cls(labels, ExactMatrix(len(labels), len(domain),
-                                       [labelled[label] for label in labels]))
+        return _numbered_operator(*_stencil_columns(domain, mapping))
 
     def coordinates_in(self, basis: TruncatedBasis,
                        vectors: Sequence[SparseVector] | None = None) -> list[SparseVector]:
@@ -345,27 +362,17 @@ class TruncatedOperator:
         return columns
 
 
-def solve_labelled(columns: Iterable[dict[Label, Fraction]], target: dict[Label, Fraction],
-                   ) -> Solution:
-    """Solve target = sum c_j columns_j exactly, one equation per label.
-
-    Rows are numbered in first-seen order: the target's labels, then each
-    column's in turn; certificates list their labels in that order.  The
-    columns are read once, so a generator of them keeps only the rows alive.
-    Returns (coefficients, None) when solvable, else (None, certificate)
-    with a labelled left-kernel functional separating the target from the span.
-    """
+def _certified_solve(operator: TruncatedOperator, target: dict[Label, Fraction]) -> Solution:
+    """Solve target = sum c_j column_j of the operator exactly, one equation
+    per label: the target's labels first, then the operator's rows in their
+    order.  Returns (coefficients, None) when solvable, else (None,
+    certificate) with a labelled left-kernel functional, its labels in that
+    order, separating the target from the span."""
     rows: dict[Label, dict[int, Fraction]] = {label: {} for label in target}
-    width = 0
-    for column in columns:
-        for label, coeff in column.items():
-            row = rows.get(label)
-            if row is None:
-                row = rows[label] = {}
-            row[width] = coeff
-        width += 1
+    rows.update(zip(operator.labels, operator.matrix.row_dicts()))
     rhs = [target.get(label, Fraction(0)) for label in rows]
-    solution, certificate = ExactMatrix(len(rows), width, list(rows.values())).solve(rhs)
+    solution, certificate = ExactMatrix(len(rows), operator.matrix.cols,
+                                        list(rows.values())).solve(rhs)
     if certificate is None:
         return solution, None
     return None, tuple((label, weight) for label, weight
@@ -381,41 +388,22 @@ def solve_in_span(images: Iterable[GradedTensor], target: GradedTensor) -> Solut
     solvable, else (None, certificate) with a labelled left-kernel
     functional separating the target from the span.
     """
-    return solve_labelled((dict(_tensor_entries(image.components)) for image in images),
-                          dict(_tensor_entries(target.components)))
+    operator = _numbered_operator(
+        (dict(_tensor_entries(image.components)) for image in images), lambda label: label)
+    return _certified_solve(operator, dict(_tensor_entries(target.components)))
 
 
 def solve_in_image(domain: TruncatedBasis, mapping: Callable[[GradedTensor], GradedTensor],
                    target: GradedTensor) -> Solution:
     """Solve target = sum c_j L(domain_j) exactly, for a linear first-order L.
 
-    The certified solves of the modular tensor run here.  The columns come
-    from the operator stencil, each listing its labels as the image would
-    (see the module docstring), and go straight to ``solve_labelled``; no
-    image of a domain element is ever built.  Each row's label is decoded
-    once.  The target must be polynomial.
+    The certified solves of the modular tensor run here, on the operator of
+    L; its rows come in the order that the images list their labels (see the
+    module docstring), and no image of a domain element is ever built.  The
+    target must be polynomial.
     """
-    columns, label = _stencil_columns(domain, mapping)
-    decoded: dict[int, Label] = {}
-
-    def labelled(column: dict[int, Fraction]) -> dict[Label, Fraction]:
-        # regroup the fill order by component, as the image lists its terms
-        parts: dict[Index, dict[Label, Fraction]] = {}
-        for key, coeff in column.items():
-            if coeff:
-                at = decoded.get(key)
-                if at is None:
-                    at = decoded[key] = label(key)
-                part = parts.get(at[0])
-                if part is None:
-                    part = parts[at[0]] = {}
-                part[at] = coeff
-        out = {}
-        for part in parts.values():
-            out.update(part)
-        return out
-
-    return solve_labelled(map(labelled, columns), dict(_tensor_entries(target.components)))
+    return _certified_solve(TruncatedOperator.build(domain, mapping),
+                            dict(_tensor_entries(target.components)))
 
 
 def ker_sharp_basis(structure: NambuStructure, degree: int,

@@ -38,7 +38,6 @@ from nambu.truncation import (
     TruncatedOperator,
     ker_sharp_basis,
     monomials_up_to,
-    solve_labelled,
 )
 
 R3 = Chart.of("x1 x2 x3")
@@ -419,6 +418,30 @@ def echelon_with_a_bad_record(corrupt_b: bool = False):
                 history[next(r for r in leftover if bs[r])].append((1, 1, order[0], 1))
         return pivots, order, rows, bs, history
     return corrupted
+
+
+# -- a labelled system solved column by column, as the oracle of the certified solves
+
+def solve_labelled(columns, target):
+    """Solve target = sum c_j columns_j exactly, one equation per label.
+
+    Rows are numbered in first-seen order: the target's labels, then each
+    column's in turn; certificates list their labels in that order.
+    Returns (coefficients, None) when solvable, else (None, certificate)
+    with a labelled left-kernel functional separating the target from the span.
+    """
+    rows = {label: {} for label in target}
+    width = 0
+    for column in columns:
+        for label, coeff in column.items():
+            rows.setdefault(label, {})[width] = coeff
+        width += 1
+    rhs = [target.get(label, Fraction(0)) for label in rows]
+    solution, certificate = ExactMatrix(len(rows), width, list(rows.values())).solve(rhs)
+    if certificate is None:
+        return solution, None
+    return None, tuple((label, weight) for label, weight
+                       in zip(rows, certificate) if weight != 0)
 
 
 # -- the decomposition lemmas as one labelled system, as oracles of the r^2 split --

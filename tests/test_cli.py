@@ -360,7 +360,7 @@ def test_image_outside_its_basis_is_internal_error(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
-    assert "component (0,) monomial (1, 0, 4) exceeds the coefficient bound 4" in captured.err
+    assert "component (2,) monomial (3, 0, 2) exceeds the coefficient bound 4" in captured.err
 
 
 def _second_order_differential(chart, scalar):

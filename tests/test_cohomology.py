@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nambu.algebra import ExactMatrix, InvariantError, Polynomial, grlex_key, variables
+from nambu.algebra import ExactMatrix, InvariantError, Polynomial, variables
 from nambu.cohomology import (
     _annihilates,
     _complement_kernel,
@@ -127,31 +127,34 @@ def _operator_oracle(domain, codomain, mapping):
 
 
 def _per_element_oracle(domain, mapping):
-    """Row labels and matrix from one image per basis element, the assembly
-    the stencil replaced: rows are the labels the images hold, in
-    component-then-graded-lex order, each row filled in column order."""
+    """Each label's row from one image per basis element, the assembly the
+    stencil replaced: the labels the images hold, each row filled in column
+    order."""
     rows = {}
     for j in range(len(domain)):
         for idx, value in mapping(basis_tensor(domain, j)).components.items():
             for exponent, coeff in value.terms.items():
                 rows.setdefault((idx, exponent), {})[j] = coeff
-    labels = tuple(sorted(rows, key=lambda label: (label[0], grlex_key(label[1]))))
-    return labels, ExactMatrix(len(labels), len(domain), [rows[label] for label in labels])
+    return rows
+
+
+def _entries_by_label(rows):
+    """label -> the row's (column, coefficient) entries, in their order."""
+    return {label: list(row.items()) for label, row in rows.items()}
+
+
+def _assert_rows_by_label(operator, domain, rows):
+    # one row per label, none repeated, and each row filled in the same
+    # column order, not only equal as a map
+    assert operator.matrix.cols == len(domain)
+    assert len(set(operator.labels)) == len(operator.labels) == operator.matrix.rows
+    assert _entries_by_label(dict(zip(operator.labels, operator.matrix.row_dicts()))) == \
+        _entries_by_label(rows)
 
 
 def _assert_stencil_matches_oracle(domain, mapping):
-    operator = TruncatedOperator.build(domain, mapping)
-    labels, matrix = _per_element_oracle(domain, mapping)
-    assert operator.labels == labels
-    assert operator.matrix == matrix
-    # row dicts filled in the same column order, not only equal as maps
-    assert [list(row) for row in operator.matrix.row_dicts()] == \
-        [list(row) for row in matrix.row_dicts()]
-
-
-def _without_zero_rows(matrix):
-    rows = [row for row in matrix.row_dicts() if row]
-    return ExactMatrix(len(rows), matrix.cols, rows)
+    _assert_rows_by_label(TruncatedOperator.build(domain, mapping), domain,
+                          _per_element_oracle(domain, mapping))
 
 
 # more than the coefficient degree of any bundled structure or annihilator
@@ -182,14 +185,16 @@ def _engine_operators(structure, bound):
 
 @pytest.mark.parametrize("name", ["regular_r3", "regular_r4", "singular_r3"])
 def test_operator_rows_are_the_codomain_rows_its_images_hold(name):
-    # same matrix as a full codomain gives, row for row, minus the zero rows
+    # the rows a full codomain gives, label for label, minus the zero rows
     model = parse_model((MODELS / f"{name}.nmb").read_text(encoding="utf-8"))
     structure = model.structure()
     operators = 0
     for bound in range(4):
         for domain, codomain, mapping in _engine_operators(structure, bound):
-            expected = _without_zero_rows(_operator_oracle(domain, codomain, mapping))
-            assert TruncatedOperator.build(domain, mapping).matrix == expected
+            full = _operator_oracle(domain, codomain, mapping).row_dicts()
+            _assert_rows_by_label(TruncatedOperator.build(domain, mapping), domain,
+                                  {label: row for label, row in zip(codomain.elements, full)
+                                   if row})
             operators += 1
     assert operators == 4 * (8 if structure.is_top_order else 7 + 4)
 
@@ -408,18 +413,19 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _record_labelled_systems(monkeypatch):
-    """Keep every (columns, target, outcome) that solve_labelled sees."""
+    """Keep every (rows by label, column count, target, outcome) that the
+    certified solve sees."""
     import nambu.truncation as truncation
-    solve = truncation.solve_labelled
+    solve = truncation._certified_solve
     systems = []
 
-    def recording(columns, target):
-        columns = list(columns)
-        outcome = solve(columns, target)
-        systems.append((columns, target, outcome))
+    def recording(operator, target):
+        outcome = solve(operator, target)
+        rows = dict(zip(operator.labels, operator.matrix.row_dicts()))
+        systems.append((rows, operator.matrix.cols, target, outcome))
         return outcome
 
-    monkeypatch.setattr(truncation, "solve_labelled", recording)
+    monkeypatch.setattr(truncation, "_certified_solve", recording)
     return systems
 
 
@@ -435,11 +441,12 @@ def test_labelled_certificates_hold_on_bundled_models(monkeypatch):
                 modular_potential(structure, model.volume(name), bound)
                 subcomplex_check(structure, model.volume(name), bound)
     certified = 0
-    for columns, target, (solution, certificate) in systems:
-        labels = set(target).union(*columns)
+    for rows, width, target, (solution, certificate) in systems:
+        labels = set(target).union(rows)
         if certificate is None:
+            assert len(solution) == width
             for label in labels:
-                image = sum((c * column.get(label, 0) for c, column in zip(solution, columns)),
+                image = sum((solution[j] * c for j, c in rows.get(label, {}).items()),
                             Fraction(0))
                 assert image == target.get(label, 0)
             continue
@@ -447,8 +454,8 @@ def test_labelled_certificates_hold_on_bundled_models(monkeypatch):
         weights = dict(certificate)
         assert len(weights) == len(certificate) and set(weights) <= labels
         assert all(weight != 0 for weight in weights.values())
-        for column in columns:
-            assert sum(w * column.get(label, 0) for label, w in weights.items()) == 0
+        for j in range(width):
+            assert sum(w * rows.get(label, {}).get(j, 0) for label, w in weights.items()) == 0
         assert sum(w * target.get(label, 0) for label, w in weights.items()) != 0
     assert len(systems) == 16 and 0 < certified < len(systems)
 

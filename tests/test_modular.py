@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import nambu.truncation as truncation
 import support
-from nambu.algebra import Polynomial, RationalFunction
+from nambu.algebra import ExactMatrix, Polynomial, RationalFunction
 from nambu.exterior import (
     FORM,
     MULTIVECTOR,
@@ -42,7 +42,7 @@ from nambu.modular import (
 from nambu.cohomology import subcomplex_check
 from nambu.model import parse_model
 from nambu.structures import NambuStructure, hamiltonian_vf, sharp
-from nambu.truncation import TruncatedBasis
+from nambu.truncation import TruncatedBasis, TruncatedOperator
 from support import (
     R3,
     R4,
@@ -295,12 +295,45 @@ def _sharp_case(kind, volume_kind, rng):
     return structure, VolumeSpec(chart, 1 + first * first, chart.zero_polynomial())
 
 
-def _recorder(systems, solve):
-    """``solve`` that first keeps its system, with every column's labels in order."""
+def _system(target, rows):
+    """The target's terms, then each row's label and entries, all in order."""
+    return list(target.items()), [(label, list(row.items())) for label, row in rows]
+
+
+def _engine_recorder(systems):
+    """The engine's certified solve, first keeping its target and operator rows."""
+    solve = truncation._certified_solve
+
+    def recording(operator, target):
+        systems.append(_system(target, zip(operator.labels, operator.matrix.row_dicts())))
+        return solve(operator, target)
+    return recording
+
+
+def _oracle_recorder(systems):
+    """The oracle's column solve, first keeping its target and the rows of its
+    columns, numbered in first-seen order."""
+    solve = support.solve_labelled
+
     def recording(columns, target):
-        columns = [list(column.items()) for column in columns]
-        systems.append((columns, list(target.items())))
-        return solve(map(dict, columns), target)
+        columns = list(columns)
+        rows = {}
+        for j, column in enumerate(columns):
+            for label, coeff in column.items():
+                rows.setdefault(label, {})[j] = coeff
+        systems.append(_system(target, rows.items()))
+        return solve(columns, target)
+    return recording
+
+
+def _solve_spy(solved):
+    """``ExactMatrix.solve``, first keeping its rows, each row's entries in
+    order, and its right-hand side."""
+    solve = ExactMatrix.solve
+
+    def recording(matrix, rhs):
+        solved.append(([list(row.items()) for row in matrix.row_dicts()], list(rhs)))
+        return solve(matrix, rhs)
     return recording
 
 
@@ -316,10 +349,10 @@ def test_potential_and_subcomplex_match_the_image_stream(kind, volume_kind, boun
     sign = 1 if (structure.order - 1) % 2 == 0 else -1
     scalars = TruncatedBasis.build(chart, FORM, 0, bound)
     forms = TruncatedBasis.build(chart, FORM, 1, bound)
-    engine, oracle = [], []
-    with mock.patch("nambu.truncation.solve_labelled",
-                    _recorder(engine, truncation.solve_labelled)), \
-            mock.patch("support.solve_labelled", _recorder(oracle, support.solve_labelled)):
+    engine, oracle, solved = [], [], []
+    with mock.patch("nambu.truncation._certified_solve", _engine_recorder(engine)), \
+            mock.patch("support.solve_labelled", _oracle_recorder(oracle)), \
+            mock.patch.object(ExactMatrix, "solve", _solve_spy(solved)):
         solution, certificate = oracle_sharp_preimage(
             structure, volume, scalars, lambda g: differential(chart, g.scalar_value() * sign))
         result = modular_potential(structure, volume, bound)
@@ -335,6 +368,36 @@ def test_potential_and_subcomplex_match_the_image_stream(kind, volume_kind, boun
             assert forms.to_coordinates(report.witness) == {j: c for j, c in enumerate(solution) if c}
         assert report.is_subcomplex == (solution is not None)
     assert engine == oracle
+    # the numbered systems that reach the elimination: oracle, engine, oracle, engine
+    assert len(solved) == 4 and solved[0::2] == solved[1::2]
+
+
+@pytest.mark.parametrize("bound", [2, 4])
+@pytest.mark.parametrize("structure", [singular_r3(), _pencil_r4()], ids=["singular_r3", "pencil"])
+def test_certified_solves_take_their_rows_from_the_operator(structure, bound):
+    # one builder: after the target's labels, the rows that reach the
+    # elimination are the operator's own rows, in its order
+    chart = structure.chart
+    volume = VolumeSpec.standard(chart)
+    sign = 1 if (structure.order - 1) % 2 == 0 else -1
+    target = {(idx, exponent): coeff
+              for idx, value in modular_tensor(structure, volume).components.items()
+              for exponent, coeff in value.terms.items()}
+    cases = [(modular_potential, TruncatedBasis.build(chart, FORM, 0, bound),
+              lambda g: sharp(structure, 1, differential(chart, g.scalar_value() * sign))),
+             (subcomplex_check, TruncatedBasis.build(chart, FORM, 1, bound),
+              lambda form: sharp(structure, 1, form))]
+    for command, domain, mapping in cases:
+        solved = []
+        with mock.patch.object(ExactMatrix, "solve", _solve_spy(solved)):
+            command(structure, volume, bound)
+        operator = TruncatedOperator.build(domain, mapping)
+        rows = dict(zip(operator.labels, operator.matrix.row_dicts()))
+        assert target and rows.keys() - target
+        expected = [rows.get(label, {}) for label in target] + \
+            [row for label, row in rows.items() if label not in target]
+        rhs = list(target.values()) + [0] * (len(expected) - len(target))
+        assert solved == [([list(row.items()) for row in expected], rhs)]
 
 
 @pytest.mark.parametrize("bound", [4, 8])
