@@ -25,11 +25,13 @@ is ``(p/g)*row - (f/g)*pivot`` followed by gcd content removal, and a
 column -> rows index finds the rows to update.  The pivot row of each column
 is the first row in the current order that holds it, swapped into place as
 Gauss-Jordan swaps it, so the pivot rows and the order of the leftover rows
-are those of Gauss-Jordan.  ``rank`` and ``pivot_columns`` stop there; only
-``nullspace`` and ``solve`` back-substitute into ``Fraction``s.  The kernel
-basis with free slots set to 1/0 and the solution with free variables zero
-are unique, and so is the infeasibility certificate (a left-kernel row
-``y`` with ``y*A = 0`` and ``y*b != 0``) of the first inconsistent
+are those of Gauss-Jordan.  ``rank`` and ``pivot_columns`` stop there.
+``solve`` eliminates ``[A | b]``, with b as one more column.  A feasible
+``solve`` and ``nullspace`` both back-substitute with ``_back_substitute``
+before they read ``Fraction``s off.  The kernel basis with free slots set
+to 1/0 and the solution with free variables zero are unique, and so is the
+infeasibility certificate (a left-kernel row ``y`` with ``y*A = 0`` and
+``y*b != 0``) of the row that b's column pivots on, the first inconsistent
 leftover row, because it is the only left-kernel vector supported on the
 pivot rows and that row with a 1 there.  No row carries that transform
 through the elimination: ``solve`` rebuilds it for the one row from the
@@ -595,9 +597,8 @@ class ExactMatrix:
                     images[j][r] = Fraction(total, scale * scales[j])
         return images
 
-    def _echelon(self, rhs: Sequence[Fraction] | None = None
-                 ) -> tuple[list[int], list[int], list[dict[int, int]],
-                            list[int] | None, list[list[tuple[int, ...]]] | None]:
+    def _echelon(self, history: list[list[tuple[int, ...]]] | None = None
+                 ) -> tuple[list[int], list[int], list[dict[int, int]]]:
         """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
         Each row is scaled to integers by the lcm of its denominators.  The
@@ -613,35 +614,26 @@ class ExactMatrix:
         at its position, so both pick the same pivot rows and leave the same
         rows over, in the same order.
 
-        With ``rhs`` each row also carries its integer entry of b, which
-        follows every update and shares the content removal, and a history:
-        first ``(scale, g0)`` for ``row = scale * A[i] / g0``, then one
+        A given ``history`` list receives one record per row: first
+        ``(scale, g0)`` for ``row = scale * A[i] / g0``, then one
         ``(a, c, sel, g)`` per update ``row <- (a*row - c*rows[sel]) / g``,
         with ``g`` the content removed.  Row ``sel`` is a pivot by then and
         never changes again, so a pivot row's history names only earlier
         pivots.  ``_certificate`` rebuilds a row's transform from them.
 
-        Returns ``(pivots, order, rows, b, history)``: the ascending pivot
-        columns; the original index of the row at each echelon position,
-        pivot rows first and the leftover rows after them; the integer rows
-        by original index; and the entries of b and the histories by
-        original index, both None without ``rhs``.
+        Returns ``(pivots, order, rows)``: the ascending pivot columns; the
+        original index of the row at each echelon position, pivot rows first
+        and the leftover rows after them; and the integer rows by original
+        index.
         """
         nrows, ncols = self.rows, self.cols
         rows: list[dict[int, int]] = []
-        bs: list[int] | None = None
-        history: list[list[tuple[int, ...]]] | None = None
-        if rhs is not None:
-            bs, history = [], []
-        for i, row in enumerate(self._rows):
-            b = ZERO if rhs is None else rhs[i]
-            scale = lcm(b.denominator, *(v.denominator for v in row.values()))
+        for row in self._rows:
+            scale = lcm(*(v.denominator for v in row.values()))
             ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-            b = b.numerator * (scale // b.denominator)
-            g = _remove_content(ints, b)
+            g = _remove_content(ints)
             rows.append(ints)
-            if bs is not None:
-                bs.append(b // g)
+            if history is not None:
                 history.append([(scale, g)])
         index: list[set[int]] = [set() for _ in range(ncols)]
         for r, row in enumerate(rows):
@@ -684,18 +676,14 @@ class ExactMatrix:
                             del row[j]
                             if j != col:
                                 index[j].discard(r)
-                if bs is None:
-                    _remove_content(row)
-                else:
-                    b = a * bs[r] - c * bs[sel]
-                    g = _remove_content(row, b)
-                    bs[r] = b // g
+                g = _remove_content(row)
+                if history is not None:
                     history[r].append((a, c, sel, g))
             index[col] = set()
             pivots.append(col)
             if len(pivots) == nrows:
                 break
-        return pivots, order, rows, bs, history
+        return pivots, order, rows
 
     def pivot_columns(self) -> list[int]:
         """Ascending pivot columns of the row echelon form.
@@ -715,7 +703,7 @@ class ExactMatrix:
         the free columns in ascending order, each with a 1 in its free slot
         and 0 in the other free slots, which makes the basis unique.
         """
-        pivots, order, rows, _, _ = self._echelon()
+        pivots, order, rows = self._echelon()
         reduced = _back_substitute(pivots, [rows[r] for r in order[:len(pivots)]])
         pivot_set = set(pivots)
         basis = {free: {free: ONE} for free in range(self.cols) if free not in pivot_set}
@@ -731,53 +719,61 @@ class ExactMatrix:
         """Solve ``A*x = b`` exactly: ``(x, None)``, or ``(None, y)`` with a
         certificate ``y`` that no solution exists.
 
-        The solution sets every free variable to zero, which makes it unique.
-        The certificate is a left-kernel row of A with ``y*b != 0``, so it
-        proves infeasibility independently of the elimination that found it.
-        It is the transform of the first leftover row, in echelon order, whose
-        entry of b did not cancel, replayed from the elimination's history
-        and divided by its coefficient on that row.  That is the one
-        left-kernel vector supported on the pivot rows and that row with a 1
-        at that row, so it is the certificate Gauss-Jordan with the same row
-        order reads off its transform.  ``y*A = 0`` and ``y*b != 0`` are
-        checked on the given rows before it is returned; a failure raises
-        ``InvariantError``.
+        One elimination of ``[A | b]``, with b as column ``cols``, answers
+        both: b's column is a pivot exactly when no solution exists.  Its
+        pivot row is the first leftover row of A, in echelon order, whose
+        entry of b did not cancel.  The certificate is that row's transform,
+        replayed from the elimination's history and divided by its
+        coefficient on that row: the one left-kernel vector of A supported on
+        the pivot rows and that row with a 1 there, which is the certificate
+        Gauss-Jordan with the same row order reads off its transform.  As
+        ``y*b != 0`` it proves infeasibility independently of the elimination
+        that found it; ``y*A = 0`` and ``y*b != 0`` are checked on the given
+        rows before it is returned, and a failure raises ``InvariantError``.
+
+        Otherwise the solution sets every free variable to zero, which makes
+        it unique: the free columns are deleted from the pivot rows, so
+        ``_back_substitute`` leaves each row with its pivot and b alone.
         """
-        b = [_as_fraction(v) for v in rhs]
-        if len(b) != self.rows:
+        if len(rhs) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        pivots, order, rows, bs, history = self._echelon(b)
-        assert bs is not None and history is not None
+        n = self.cols
+        augmented = ExactMatrix(self.rows, n + 1, [
+            {**row, n: v} if v else row for row, v in zip(self._rows, map(_as_fraction, rhs))])
+        history: list[list[tuple[int, ...]]] = []
+        pivots, order, rows = augmented._echelon(history)
         rank = len(pivots)
-        for r in order[rank:]:
-            if bs[r]:
-                y = _certificate(history, order, r)
-                self._check_certificate(y, b)
-                certificate = [ZERO] * self.rows
-                for i, v in y.items():
-                    certificate[i] = v
-                return None, tuple(certificate)
-        x = [ZERO] * self.cols
-        for k in range(rank - 1, -1, -1):
-            r, pivot_col = order[k], pivots[k]
-            row = rows[r]
-            acc = Fraction(bs[r])
-            for j, v in row.items():
-                if j != pivot_col and x[j]:
-                    acc -= v * x[j]
-            x[pivot_col] = acc / row[pivot_col]
+        if pivots and pivots[-1] == n:
+            y = _certificate(history, order, order[rank - 1])
+            augmented._check_certificate(y)
+            certificate = [ZERO] * self.rows
+            for i, v in y.items():
+                certificate[i] = v
+            return None, tuple(certificate)
+        kept = {*pivots, n}
+        echelon = [rows[r] for r in order[:rank]]
+        for row in echelon:
+            for j in [j for j in row if j not in kept]:
+                del row[j]
+        x = [ZERO] * n
+        for row, pivot_col in zip(_back_substitute(pivots, echelon), pivots):
+            if n in row:
+                x[pivot_col] = Fraction(row[n], row[pivot_col])
         return tuple(x), None
 
-    def _check_certificate(self, y: SparseVector, b: Sequence[Fraction]) -> None:
-        """Raise ``InvariantError`` unless ``y*A = 0`` and ``y*b != 0``,
-        summed over the given ``Fraction`` rows on the support of ``y``."""
+    def _check_certificate(self, y: SparseVector) -> None:
+        """Raise ``InvariantError`` unless ``y*[A | b] = [0 | s]`` with
+        ``s != 0``, for b the last column, summed in one pass over the given
+        ``Fraction`` rows on the support of ``y``."""
+        b = self.cols - 1
         total: dict[int, Fraction] = {}
         for i, weight in y.items():
             for j, v in self._rows[i].items():
                 total[j] = total.get(j, ZERO) + weight * v
+        separation = total.pop(b, ZERO)
         if any(total.values()):
             raise InvariantError("infeasibility certificate does not annihilate the matrix")
-        if not sum((weight * b[i] for i, weight in y.items()), ZERO):
+        if not separation:
             raise InvariantError("infeasibility certificate does not separate the right-hand side")
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
@@ -807,10 +803,10 @@ def _combine(row: dict[int, int], a: int, c: int, other: dict[int, int]) -> None
             row.pop(j, None)
 
 
-def _remove_content(row: dict[int, int], b: int = 0) -> int:
-    """Divide an integer row by the gcd of its entries and ``b``; return the
-    divisor, which is 1 when there was nothing to divide."""
-    g = gcd(*row.values(), b)
+def _remove_content(row: dict[int, int]) -> int:
+    """Divide an integer row by the gcd of its entries; return the divisor,
+    which is 1 when there was nothing to divide."""
+    g = gcd(*row.values())
     if g > 1:
         for j in row:
             row[j] //= g

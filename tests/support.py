@@ -301,6 +301,31 @@ def assert_elimination_matches_sympy(matrix):
     assert kernel == expected
 
 
+def assert_solve_matches_sympy(matrix, rhs):
+    """``solve`` agrees with ranks taken by sympy over QQ, and its answer
+    holds there: a solution satisfies ``A x = b`` and is zero off sympy's
+    pivot columns, a certificate satisfies ``y A = 0`` and ``y b != 0``."""
+    reference = _sympy_matrix(matrix)
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    column = DomainMatrix([[QQ(v.numerator, v.denominator)] for v in rhs],
+                          (matrix.rows, 1), QQ)
+    feasible = reference.hstack(column).rank() == reference.rank()
+    solution, certificate = matrix.solve(rhs)
+    assert (solution is not None) == feasible == (certificate is None)
+    if feasible:
+        x = DomainMatrix([[QQ(v.numerator, v.denominator)] for v in solution],
+                         (matrix.cols, 1), QQ)
+        assert reference * x == column
+        _, pivots = reference.rref()
+        assert all(v == 0 for j, v in enumerate(solution) if j not in pivots)
+    else:
+        y = DomainMatrix([[QQ(v.numerator, v.denominator) for v in certificate]],
+                         (1, matrix.rows), QQ)
+        assert (y * reference).is_zero_matrix
+        assert not (y * column).is_zero_matrix
+
+
 # -- the quotient by the full cocycle nullspace, as the oracle of the complement ---
 
 def _span_rank_extension(base, candidates, length):
@@ -399,24 +424,27 @@ def sign_flipped_delta(volume, field):
 def echelon_with_a_bad_record(corrupt_b: bool = False):
     """``ExactMatrix._echelon`` with one corrupted record for ``solve``.
 
-    By default the history of the first leftover row whose entry of b did
-    not cancel gains an update that never ran, ``row <- row - rows[p]`` for
-    the first pivot row ``p``, so the certificate replayed from it no longer
-    annihilates the matrix.  With ``corrupt_b`` the first leftover row whose
-    entry did cancel gets a b entry of 1 instead, so its sound certificate
-    no longer separates b.  Without ``rhs`` nothing changes.
+    It acts only when a history is kept and the last column, b's in
+    ``solve``, is a pivot.  By default the history of b's pivot row gains an
+    update that never ran, ``row <- row - rows[p]`` for the first pivot row
+    ``p``, so the certificate replayed from it no longer annihilates the
+    matrix.  With ``corrupt_b`` b's pivot row trades places in ``order``
+    with a leftover row that holds no b, so ``solve`` replays that row's
+    certificate, which is sound on A but does not separate b.
     """
     echelon = ExactMatrix._echelon
 
-    def corrupted(self, rhs=None):
-        pivots, order, rows, bs, history = echelon(self, rhs)
-        if history is not None:
-            leftover = order[len(pivots):]
+    def corrupted(self, history=None):
+        pivots, order, rows = echelon(self, history)
+        if history is not None and pivots and pivots[-1] == self.cols - 1:
+            k = len(pivots) - 1
             if corrupt_b:
-                bs[next(r for r in leftover if not bs[r])] = 1
+                other = next(pos for pos in range(k + 1, len(order))
+                             if self.cols - 1 not in rows[order[pos]])
+                order[k], order[other] = order[other], order[k]
             else:
-                history[next(r for r in leftover if bs[r])].append((1, 1, order[0], 1))
-        return pivots, order, rows, bs, history
+                history[order[k]].append((1, 1, order[0], 1))
+        return pivots, order, rows
     return corrupted
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nambu import algebra
 from nambu.algebra import (
     ExactMatrix,
     InvariantError,
@@ -19,6 +20,7 @@ from nambu.algebra import (
 )
 from support import (
     assert_elimination_matches_sympy,
+    assert_solve_matches_sympy,
     dense,
     echelon_with_a_bad_record,
     evaluate,
@@ -565,6 +567,30 @@ def test_certificate_of_a_deep_pivot_chain_is_replayed_without_recursion():
     assert certificate == tuple(Fraction((-1) ** (n - k)) for k in range(n + 1))
 
 
+def test_feasible_solve_back_substitutes_only_pivot_columns_and_b(monkeypatch):
+    # 3x6 of rank 3 with free columns 1, 4 and 5: they are dropped from the
+    # pivot rows before the one back-substitution, so x is zero there
+    matrix = dense([[1, 2, 0, 1, 3, 0],
+                    [0, 0, 1, 2, 1, 1],
+                    [2, 4, 1, 0, 0, 5]])
+    calls = []
+    back_substitute = algebra._back_substitute
+
+    def spy(pivots, echelon):
+        calls.append((list(pivots), [dict(row) for row in echelon]))
+        return back_substitute(pivots, echelon)
+
+    monkeypatch.setattr(algebra, "_back_substitute", spy)
+    solution, certificate = matrix.solve([1, 2, 3])
+    assert certificate is None
+    assert _times(matrix, solution) == [1, 2, 3]
+    assert len(calls) == 1
+    pivots, echelon = calls[0]
+    assert pivots == [0, 2, 3]
+    assert all(set(row) <= {0, 2, 3, 6} for row in echelon)
+    assert all(solution[j] == 0 for j in (1, 4, 5))
+
+
 @pytest.mark.parametrize("corrupt_b, message", [(False, "annihilate"), (True, "separate")])
 def test_a_corrupted_certificate_is_an_invariant_error(monkeypatch, corrupt_b, message):
     monkeypatch.setattr(ExactMatrix, "_echelon", echelon_with_a_bad_record(corrupt_b))
@@ -581,4 +607,12 @@ def test_elimination_matches_sympy_on_random_sparse(seed):
     density = rng.choice((0.05, 0.15, 0.4))
     rows = [{j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
              for j in range(ncols) if rng.random() < density} for _ in range(nrows)]
-    assert_elimination_matches_sympy(ExactMatrix(nrows, ncols, rows))
+    matrix = ExactMatrix(nrows, ncols, rows)
+    assert_elimination_matches_sympy(matrix)
+    # even seeds get a consistent b, odd seeds a random sparse one
+    if seed % 2 == 0:
+        rhs = _times(matrix, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)])
+    else:
+        rhs = [Fraction(rng.randint(-3, 3)) if rng.random() < 0.1 else Fraction(0)
+               for _ in range(nrows)]
+    assert_solve_matches_sympy(matrix, rhs)
