@@ -1,7 +1,13 @@
 """Exact multivariate polynomial, rational-function and linear algebra over Q.
 
-A polynomial is a sparse map from exponent tuples to ``Fraction`` coefficients;
-the zero polynomial is the empty map.  Everything here is exact: no floating
+A polynomial is a sparse map from exponent tuples to exact rational
+coefficients; the zero polynomial is the empty map.  A coefficient is an
+``int`` when it is integral and a ``Fraction`` when it is not: construction
+and ``_quotient``, the one coefficient division, turn an integral
+``Fraction`` into its int.  Ints are closed under ``+``, ``-`` and ``*``, so
+integral inputs stay in ints through every product, operator column and
+elimination.  ``Fraction`` arithmetic may leave an integral ``Fraction``,
+which equals and hashes as its int.  Everything here is exact: no floating
 point enters any computation, so kernel dimensions and identity checks are
 trustworthy.  The canonical term order is graded lexicographic (total degree
 first, then the exponent tuple), which fixes serialization and report output.
@@ -28,7 +34,7 @@ Gauss-Jordan swaps it, so the pivot rows and the order of the leftover rows
 are those of Gauss-Jordan.  ``rank`` and ``pivot_columns`` stop there.
 ``solve`` eliminates ``[A | b]``, with b as one more column.  A feasible
 ``solve`` and ``nullspace`` both back-substitute with ``_back_substitute``
-before they read ``Fraction``s off.  The kernel basis with free slots set
+before they read the exact quotients off.  The kernel basis with free slots set
 to 1/0 and the solution with free variables zero are unique, and so is the
 infeasibility certificate (a left-kernel row ``y`` with ``y*A = 0`` and
 ``y*b != 0``) of the row that b's column pivots on, the first inconsistent
@@ -37,12 +43,11 @@ pivot rows and that row with a 1 there.  No row carries that transform
 through the elimination: ``solve`` rebuilds it for the one row from the
 record of updates, and checks it on the given rows before returning it.
 So every answer is the one Gauss-Jordan gives.  A column or coordinate
-vector is a ``SparseVector``: a map from position to its non-zero
-``Fraction``; zeros are never stored.  Nullspace bases are returned in
+vector is a ``SparseVector``: a map from position to its non-zero exact
+coefficient; zeros are never stored.  Nullspace bases are returned in
 this format, and the one product, ``ExactMatrix.apply``, maps a list of
 them to their images.  It clears denominators per vector and per row and
-accumulates in ints, so a zero image costs no ``Fraction`` arithmetic at
-all.
+accumulates in ints, so a zero image costs no division at all.
 """
 
 from __future__ import annotations
@@ -53,24 +58,41 @@ from typing import Callable, Sequence
 
 Exponent = tuple[int, ...]
 
-SparseVector = dict[int, Fraction]
+Rational = int | Fraction
+
+SparseVector = dict[int, Rational]
 
 FloatFunction = Callable[[Sequence[float]], float]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed: a bug in the engine, not bad input."""
 
 
-def _as_fraction(value: int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Rational) -> Rational:
+    """The value as an ``int`` when it is integral, else as a ``Fraction``.
+
+    A ``bool`` becomes the plain int it equals, so it never prints as
+    ``True``; a float is never exact and raises ``TypeError``.
+    """
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _quotient(a: Rational, b: Rational) -> Rational:
+    """``a / b`` exactly: an ``int`` when the quotient is integral, else a
+    ``Fraction``.  Every coefficient division goes through here, since ``/``
+    on two ints gives a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
@@ -79,7 +101,8 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients: an
+    ``int`` when integral, else a ``Fraction``.
 
     Instances are immutable by convention: no method mutates ``terms`` after
     construction, so values may be shared freely between threads.
@@ -87,19 +110,19 @@ class Polynomial:
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: dict[Exponent, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str], terms: dict[Exponent, Rational] | None = None):
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
         self.variables = names
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Rational] = {}
         if terms:
             m = len(names)
             for exponent, coeff in terms.items():
                 if len(exponent) != m:
                     raise ValueError(f"exponent {exponent} has wrong length for {m} variables")
-                c = _as_fraction(coeff)
-                if c != 0:
+                c = _exact(coeff)
+                if c:
                     clean[tuple(exponent)] = c
         self.terms = clean
 
@@ -110,9 +133,9 @@ class Polynomial:
         return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables: Sequence[str], value: int | Fraction) -> "Polynomial":
-        c = _as_fraction(value)
-        if c == 0:
+    def constant(cls, variables: Sequence[str], value: Rational) -> "Polynomial":
+        c = _exact(value)
+        if not c:
             return cls(variables, {})
         return cls(variables, {(0,) * len(tuple(variables)): c})
 
@@ -123,12 +146,12 @@ class Polynomial:
             raise IndexError(f"variable index {index} out of range for {len(names)} variables")
         exponent = [0] * len(names)
         exponent[index] = 1
-        return cls(names, {tuple(exponent): ONE})
+        return cls(names, {tuple(exponent): 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exponent: Exponent,
-                 coeff: int | Fraction = 1) -> "Polynomial":
-        return cls(variables, {tuple(exponent): _as_fraction(coeff)})
+                 coeff: Rational = 1) -> "Polynomial":
+        return cls(variables, {tuple(exponent): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -142,11 +165,11 @@ class Polynomial:
         if len(self.terms) != 1:
             return False
         exponent, coeff = next(iter(self.terms.items()))
-        return not any(exponent) and coeff == ONE
+        return not any(exponent) and coeff == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if not self.terms:
-            return ZERO
+            return 0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -175,7 +198,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for exponent, coeff in rhs.terms.items():
-            acc = out.get(exponent, ZERO) + coeff
+            acc = out.get(exponent, 0) + coeff
             if acc == 0:
                 out.pop(exponent, None)
             else:
@@ -209,11 +232,11 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for ea, ca in self.terms.items():
             for eb, cb in rhs.terms.items():
                 exponent = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(exponent, ZERO) + ca * cb
+                acc = out.get(exponent, 0) + ca * cb
                 if acc == 0:
                     out.pop(exponent, None)
                 else:
@@ -260,7 +283,7 @@ class Polynomial:
     def __hash__(self) -> int:
         # a constant equals its value as a number, so it hashes as that number
         if self.is_constant():
-            return hash(self.terms.get((0,) * len(self.variables), ZERO))
+            return hash(self.terms.get((0,) * len(self.variables), 0))
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- calculus and evaluation -------------------------------------------
@@ -269,7 +292,7 @@ class Polynomial:
         """Formal partial derivative with respect to variable ``index``."""
         if not 0 <= index < len(self.variables):
             raise IndexError(f"variable index {index} out of range")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for exponent, coeff in self.terms.items():
             k = exponent[index]
             if k == 0:
@@ -290,7 +313,7 @@ class Polynomial:
             return lambda point: 0.0
         return _horner_plan(self.sorted_terms(), 0)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Rational]]:
         """Terms in ascending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
@@ -304,18 +327,17 @@ class Polynomial:
             k = self.constant_value()
             # descending grlex, the order long division finds the terms in
             return Polynomial(self.variables,
-                              {e: c / k for e, c in reversed(numerator.sorted_terms())})
+                              {e: _quotient(c, k) for e, c in reversed(numerator.sorted_terms())})
         lead_e, lead_c = max(self.terms.items(), key=lambda item: grlex_key(item[0]))
-        quotient: dict[Exponent, Fraction] = {}
+        quotient: dict[Exponent, Rational] = {}
         rest = numerator
         while not rest.is_zero():
             top_e, top_c = max(rest.terms.items(), key=lambda item: grlex_key(item[0]))
             diff = tuple(a - b for a, b in zip(top_e, lead_e))
             if any(d < 0 for d in diff):
                 return None
-            factor = Polynomial.monomial(self.variables, diff, top_c / lead_c)
-            quotient[diff] = top_c / lead_c
-            rest = rest - factor * self
+            quotient[diff] = c = _quotient(top_c, lead_c)
+            rest = rest - Polynomial.monomial(self.variables, diff, c) * self
         return Polynomial(self.variables, quotient)
 
     def __str__(self) -> str:
@@ -348,7 +370,7 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _horner_plan(terms: list[tuple[Exponent, Fraction]], axis: int) -> FloatFunction:
+def _horner_plan(terms: list[tuple[Exponent, Rational]], axis: int) -> FloatFunction:
     """Compile non-empty grlex-sorted terms into nested Horner steps, one
     variable per level from ``axis`` on.
 
@@ -365,7 +387,7 @@ def _horner_plan(terms: list[tuple[Exponent, Fraction]], axis: int) -> FloatFunc
     if axis == m:
         value = float(terms[0][1])  # every exponent is fixed: a single term
         return lambda point: value
-    groups: dict[int, list[tuple[Exponent, Fraction]]] = {}
+    groups: dict[int, list[tuple[Exponent, Rational]]] = {}
     for exponent, coeff in terms:
         groups.setdefault(exponent[axis], []).append((exponent, coeff))
     powers = sorted(groups, reverse=True)
@@ -495,7 +517,8 @@ class RationalFunction:
         (top_e, top_c), (low_e, low_c) = (
             max(p.terms.items(), key=lambda item: grlex_key(item[0]))
             for p in (self.numerator, self.denominator))
-        return hash((self.variables, tuple(a - b for a, b in zip(top_e, low_e)), top_c / low_c))
+        return hash((self.variables, tuple(a - b for a, b in zip(top_e, low_e)),
+                     _quotient(top_c, low_c)))
 
     def diff(self, index: int) -> "Polynomial | RationalFunction":
         return _divide(
@@ -536,7 +559,7 @@ def _reduce_fraction(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
                                          for e, c in den.terms.items()})
     lead = max(den.terms.items(), key=lambda item: grlex_key(item[0]))[1]
     if lead != 1:
-        inv = 1 / lead
+        inv = _quotient(1, lead)
         num = num * inv
         den = den * inv
     return num, den
@@ -552,7 +575,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int,
-                 row_dicts: list[dict[int, Fraction]] | None = None):
+                 row_dicts: list[dict[int, Rational]] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         self.rows = rows
@@ -594,21 +617,22 @@ class ExactMatrix:
                     acc[j] = acc.get(j, 0) + a * b
             for j, total in acc.items():
                 if total:
-                    images[j][r] = Fraction(total, scale * scales[j])
+                    images[j][r] = _quotient(total, scale * scales[j])
         return images
 
     def _echelon(self, history: list[list[tuple[int, ...]]] | None = None
                  ) -> tuple[list[int], list[int], list[dict[int, int]]]:
         """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
-        Each row is scaled to integers by the lcm of its denominators.  The
-        columns are taken left to right.  The pivot row of a column is the
-        first row in the current order that holds it, swapped into the next
-        echelon position.  Every other row that holds the column becomes
-        ``(p/g)*row - (f/g)*pivot``, where ``p`` is the pivot entry, ``f`` the
-        row's entry and ``g = gcd(p, f)``, and then loses its integer
-        content.  A column -> rows index over the rows that are not pivots yet
-        finds those rows without a scan over the others.  Pivot rows are
+        Each row is scaled to integers by the lcm of its denominators; a row
+        of ints, the common case, is copied as it is.  The columns are taken
+        left to right.  The pivot row of a column is the first row in the
+        current order that holds it, swapped into the next echelon position.
+        Every other row that holds the column becomes ``(p/g)*row -
+        (f/g)*pivot``, where ``p`` is the pivot entry, ``f`` the row's entry
+        and ``g = gcd(p, f)``, and then loses its integer content.  A column
+        -> rows index over the rows that are not pivots yet finds those rows
+        without a scan over the others.  Pivot rows are
         never changed again: there is no back-elimination.  A row that is
         not a pivot stays a non-zero multiple of the row Gauss-Jordan holds
         at its position, so both pick the same pivot rows and leave the same
@@ -629,8 +653,11 @@ class ExactMatrix:
         nrows, ncols = self.rows, self.cols
         rows: list[dict[int, int]] = []
         for row in self._rows:
-            scale = lcm(*(v.denominator for v in row.values()))
-            ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+            if all(type(v) is int for v in row.values()):
+                scale, ints = 1, dict(row)
+            else:
+                scale = lcm(*(v.denominator for v in row.values()))
+                ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
             g = _remove_content(ints)
             rows.append(ints)
             if history is not None:
@@ -706,16 +733,16 @@ class ExactMatrix:
         pivots, order, rows = self._echelon()
         reduced = _back_substitute(pivots, [rows[r] for r in order[:len(pivots)]])
         pivot_set = set(pivots)
-        basis = {free: {free: ONE} for free in range(self.cols) if free not in pivot_set}
+        basis = {free: {free: 1} for free in range(self.cols) if free not in pivot_set}
         for row, pivot_col in zip(reduced, pivots):
             lead = row[pivot_col]
             for free, coeff in row.items():
                 if free != pivot_col:
-                    basis[free][pivot_col] = Fraction(-coeff, lead)
+                    basis[free][pivot_col] = _quotient(-coeff, lead)
         return list(basis.values())
 
-    def solve(self, rhs: Sequence[int | Fraction]
-              ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
+    def solve(self, rhs: Sequence[Rational]
+              ) -> tuple[tuple[Rational, ...] | None, tuple[Rational, ...] | None]:
         """Solve ``A*x = b`` exactly: ``(x, None)``, or ``(None, y)`` with a
         certificate ``y`` that no solution exists.
 
@@ -739,14 +766,14 @@ class ExactMatrix:
             raise ValueError("right-hand side length mismatch")
         n = self.cols
         augmented = ExactMatrix(self.rows, n + 1, [
-            {**row, n: v} if v else row for row, v in zip(self._rows, map(_as_fraction, rhs))])
+            {**row, n: v} if v else row for row, v in zip(self._rows, map(_exact, rhs))])
         history: list[list[tuple[int, ...]]] = []
         pivots, order, rows = augmented._echelon(history)
         rank = len(pivots)
         if pivots and pivots[-1] == n:
             y = _certificate(history, order, order[rank - 1])
             augmented._check_certificate(y)
-            certificate = [ZERO] * self.rows
+            certificate = [0] * self.rows
             for i, v in y.items():
                 certificate[i] = v
             return None, tuple(certificate)
@@ -755,28 +782,28 @@ class ExactMatrix:
         for row in echelon:
             for j in [j for j in row if j not in kept]:
                 del row[j]
-        x = [ZERO] * n
+        x = [0] * n
         for row, pivot_col in zip(_back_substitute(pivots, echelon), pivots):
             if n in row:
-                x[pivot_col] = Fraction(row[n], row[pivot_col])
+                x[pivot_col] = _quotient(row[n], row[pivot_col])
         return tuple(x), None
 
     def _check_certificate(self, y: SparseVector) -> None:
         """Raise ``InvariantError`` unless ``y*[A | b] = [0 | s]`` with
         ``s != 0``, for b the last column, summed in one pass over the given
-        ``Fraction`` rows on the support of ``y``."""
+        rows on the support of ``y``."""
         b = self.cols - 1
-        total: dict[int, Fraction] = {}
+        total: dict[int, Rational] = {}
         for i, weight in y.items():
             for j, v in self._rows[i].items():
-                total[j] = total.get(j, ZERO) + weight * v
-        separation = total.pop(b, ZERO)
+                total[j] = total.get(j, 0) + weight * v
+        separation = total.pop(b, 0)
         if any(total.values()):
             raise InvariantError("infeasibility certificate does not annihilate the matrix")
         if not separation:
             raise InvariantError("infeasibility certificate does not separate the right-hand side")
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
+    def row_dicts(self) -> list[dict[int, Rational]]:
         """The sparse rows themselves, not copies; callers must not change them."""
         return self._rows
 
@@ -842,14 +869,14 @@ def _certificate(history: list[list[tuple[int, ...]]], order: list[int],
         lam = Fraction(scale, g0)
         for a, c, sel, g in steps[1:]:
             other, lam_sel = replayed[sel]
-            ratio = lam_sel / lam
+            ratio = Fraction(lam_sel, lam)
             p, q = ratio.numerator, ratio.denominator
             _combine(transform, q * a, c * p, other)
-            lam = lam * _remove_content(transform) / (g * q)
+            lam = Fraction(lam * _remove_content(transform), g * q)
         replayed[t] = transform, lam
     transform = replayed[r][0]
     lead = transform[r]
-    return {i: Fraction(v, lead) for i, v in transform.items()}
+    return {i: _quotient(v, lead) for i, v in transform.items()}
 
 
 def _back_substitute(pivots: list[int], echelon: list[dict[int, int]]) -> list[dict[int, int]]:

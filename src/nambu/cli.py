@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .algebra import InvariantError, Polynomial
@@ -430,7 +431,10 @@ COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state on it,
+    so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="nambu",
         description="Exact Nambu-Poisson calculus on polynomial coordinate charts")

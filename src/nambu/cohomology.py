@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .algebra import ExactMatrix, InvariantError, Polynomial, SparseVector
+from .algebra import ExactMatrix, InvariantError, Polynomial, Rational, SparseVector
 from .exterior import (
     FORM,
     MULTIVECTOR,
@@ -221,7 +221,7 @@ def _tangent_constraints(domain: TruncatedBasis,
                          annihilators: list[GradedTensor]) -> ExactMatrix:
     """The rows whose kernel is the domain's multivectors killed by the given
     annihilator 1-forms of the structure; degree 0 is unconstrained."""
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Rational]] = []
     if domain.degree >= 1:
         for annihilator in annihilators:
             rows.extend(TruncatedOperator.build(
@@ -330,7 +330,7 @@ def _radial_relations(polys: list[Polynomial]) -> list[Polynomial]:
 
 
 def _radial_split(polys: list[Polynomial], rotation: bool
-                  ) -> tuple[list[Fraction], list[Polynomial]]:
+                  ) -> tuple[list[Rational], list[Polynomial]]:
     """Split P_i = a x_i + r^2 T_i with d_j T_i = d_i T_j, for polynomials
     whose radial relations hold.
 
@@ -367,8 +367,8 @@ def _radial_split(polys: list[Polynomial], rotation: bool
 class PairDecomposition:
     applicable: bool
     hypothesis_residual: Polynomial | None
-    a: Fraction | None = None
-    b: Fraction | None = None
+    a: Rational | None = None
+    b: Rational | None = None
     p_tilde: Polynomial | None = None
     q_tilde: Polynomial | None = None
 
@@ -393,7 +393,7 @@ def naka_pair(p: Polynomial, q: Polynomial) -> PairDecomposition:
 class TripleDecomposition:
     applicable: bool
     failed_relation: str | None
-    a: Fraction | None = None
+    a: Rational | None = None
     tildes: tuple[Polynomial, Polynomial, Polynomial] | None = None
 
 

@@ -216,7 +216,7 @@ class _Parser:
     def parse_primary(self):
         token = self.next()
         if token.kind == "INT":
-            number = Fraction(int(token.text))
+            number = int(token.text)
             if (nxt := self.peek()) is not None and nxt.text == "/":
                 self.next()
                 denom = self.next()

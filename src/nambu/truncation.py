@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -57,6 +56,7 @@ from .algebra import (
     ExactMatrix,
     InvariantError,
     Polynomial,
+    Rational,
     SparseVector,
     grlex_key,
 )
@@ -67,9 +67,9 @@ Exponent = tuple[int, ...]
 Index = tuple[int, ...]
 Label = tuple[Index, Exponent]
 Key = TypeVar("Key", int, Label)
-Certificate = tuple[tuple[Label, Fraction], ...]
+Certificate = tuple[tuple[Label, Rational], ...]
 # (coefficients, None) for a solvable system, else (None, certificate)
-Solution = tuple[tuple[Fraction, ...] | None, Certificate | None]
+Solution = tuple[tuple[Rational, ...] | None, Certificate | None]
 
 
 def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
@@ -90,7 +90,7 @@ def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
     return out
 
 
-def _tensor_entries(components: dict[Index, Scalar]) -> Iterable[tuple[Label, Fraction]]:
+def _tensor_entries(components: dict[Index, Scalar]) -> Iterable[tuple[Label, Rational]]:
     """The (component, monomial) label and coefficient of every term."""
     for idx, value in components.items():
         if not isinstance(value, Polynomial):
@@ -148,7 +148,7 @@ class TruncatedBasis:
 
     def from_coordinates(self, vector: SparseVector) -> GradedTensor:
         size = len(self.elements)
-        components: dict[Index, dict[Exponent, Fraction]] = {}
+        components: dict[Index, dict[Exponent, Rational]] = {}
         for at, coeff in vector.items():
             if not 0 <= at < size:
                 raise ValueError(f"coordinate position {at} outside 0..{size - 1}")
@@ -171,7 +171,7 @@ def _digits(exponent: Exponent, radix: int) -> int:
     return code
 
 
-def _accumulate(acc: dict[Label, Fraction], entries: dict[Label, Fraction],
+def _accumulate(acc: dict[Label, Rational], entries: dict[Label, Rational],
                 by: Exponent, factor: int) -> None:
     """acc += factor * x^by * entries, dropping the entries that cancel."""
     for (idx, exponent), coeff in entries.items():
@@ -185,7 +185,7 @@ def _accumulate(acc: dict[Label, Fraction], entries: dict[Label, Fraction],
 
 def _first_order_stencil(domain: TruncatedBasis,
                          mapping: Callable[[GradedTensor], GradedTensor], idx: Index,
-                         ) -> tuple[dict[Label, Fraction], list[dict[Label, Fraction]]]:
+                         ) -> tuple[dict[Label, Rational], list[dict[Label, Rational]]]:
     """L(e_I) and the symbols s_{I,j} = L(x_j e_I) - x_j L(e_I), after the
     second-difference guard.  The probes are built directly, so they need not
     lie in the domain (a bound-0 domain holds no x_j e_I)."""
@@ -193,7 +193,7 @@ def _first_order_stencil(domain: TruncatedBasis,
     m = chart.dimension
     units = [tuple(int(k == j) for k in range(m)) for j in range(m)]
 
-    def image(exponent: Exponent) -> dict[Label, Fraction]:
+    def image(exponent: Exponent) -> dict[Label, Rational]:
         coeff = Polynomial.monomial(chart.coordinates, exponent)
         probe = GradedTensor(chart, domain.variance, domain.degree, {idx: coeff})
         return dict(_tensor_entries(mapping(probe).components))
@@ -222,7 +222,7 @@ def _first_order_stencil(domain: TruncatedBasis,
 
 def _stencil_columns(domain: TruncatedBasis,
                      mapping: Callable[[GradedTensor], GradedTensor],
-                     ) -> tuple[Iterator[dict[int, Fraction]], Callable[[int], Label]]:
+                     ) -> tuple[Iterator[dict[int, Rational]], Callable[[int], Label]]:
     """The image of each domain element in turn, assembled from the first-order
     stencil of its index (see the module docstring), and the decoder of its keys.
 
@@ -245,15 +245,15 @@ def _stencil_columns(domain: TruncatedBasis,
     indices = sorted({idx for idx, _ in held})
     rank_of = {idx: r for r, idx in enumerate(indices)}
 
-    def keyed(part: dict[Label, Fraction]) -> list[tuple[int, Fraction]]:
+    def keyed(part: dict[Label, Rational]) -> list[tuple[int, Rational]]:
         return [(rank_of[idx] * span + _digits(e, radix), coeff)
                 for (idx, e), coeff in part.items()]
 
     keyed_stencils = {idx: (keyed(base), [keyed(symbol) for symbol in symbols])
                       for idx, (base, symbols) in stencils.items()}
 
-    def columns() -> Iterator[dict[int, Fraction]]:
-        multiples: dict[tuple[Index, int, int], list[tuple[int, Fraction]]] = {}
+    def columns() -> Iterator[dict[int, Rational]]:
+        multiples: dict[tuple[Index, int, int], list[tuple[int, Rational]]] = {}
         for idx, exponent in domain.elements:
             base, symbols = keyed_stencils[idx]
             at = _digits(exponent, radix)
@@ -270,7 +270,7 @@ def _stencil_columns(domain: TruncatedBasis,
                     key += shift
                     acc = column.get(key)
                     column[key] = coeff if acc is None else acc + coeff
-            parts: dict[int, dict[int, Fraction]] = {}
+            parts: dict[int, dict[int, Rational]] = {}
             for key, coeff in column.items():
                 if coeff:
                     part = parts.get(key // span)
@@ -290,13 +290,13 @@ def _stencil_columns(domain: TruncatedBasis,
     return columns(), label
 
 
-def _numbered_operator(columns: Iterable[dict[Key, Fraction]],
+def _numbered_operator(columns: Iterable[dict[Key, Rational]],
                        label: Callable[[Key], Label]) -> TruncatedOperator:
     """The operator with these columns, which store no zeros: one row per key,
     labelled by ``label``, numbered in first-seen order and filled in column
     order.  The columns are read once, so a generator of them keeps only the
     rows alive."""
-    rows: dict[Key, dict[int, Fraction]] = {}
+    rows: dict[Key, dict[int, Rational]] = {}
     width = 0
     for column in columns:
         for key, coeff in column.items():
@@ -362,15 +362,15 @@ class TruncatedOperator:
         return columns
 
 
-def _certified_solve(operator: TruncatedOperator, target: dict[Label, Fraction]) -> Solution:
+def _certified_solve(operator: TruncatedOperator, target: dict[Label, Rational]) -> Solution:
     """Solve target = sum c_j column_j of the operator exactly, one equation
     per label: the target's labels first, then the operator's rows in their
     order.  Returns (coefficients, None) when solvable, else (None,
     certificate) with a labelled left-kernel functional, its labels in that
     order, separating the target from the span."""
-    rows: dict[Label, dict[int, Fraction]] = {label: {} for label in target}
+    rows: dict[Label, dict[int, Rational]] = {label: {} for label in target}
     rows.update(zip(operator.labels, operator.matrix.row_dicts()))
-    rhs = [target.get(label, Fraction(0)) for label in rows]
+    rhs = [target.get(label, 0) for label in rows]
     solution, certificate = ExactMatrix(len(rows), operator.matrix.cols,
                                         list(rows.values())).solve(rhs)
     if certificate is None:

@@ -246,9 +246,38 @@ def oracle_long_division(divisor: Polynomial, numerator: Polynomial) -> Polynomi
         shift = tuple(a - b for a, b in zip(top_e, lead_e))
         if any(d < 0 for d in shift):
             return None
-        quotient[shift] = top_c / lead_c
-        rest = rest - Polynomial.monomial(divisor.variables, shift, top_c / lead_c) * divisor
+        quotient[shift] = Fraction(top_c) / lead_c
+        rest = rest - Polynomial.monomial(divisor.variables, shift, quotient[shift]) * divisor
     return Polynomial(divisor.variables, quotient)
+
+
+# -- Fraction-only term dicts, as the oracle of the int-or-Fraction coefficients ---
+
+def fraction_terms(poly: Polynomial) -> dict:
+    """The terms with every coefficient as a ``Fraction``."""
+    return {e: Fraction(c) for e, c in poly.terms.items()}
+
+
+def oracle_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b on Fraction term dicts, without zero terms."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_derivative(a: dict, index: int) -> dict:
+    return {e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
+            for e, c in a.items() if e[index]}
 
 
 # -- per-call Horner recursion, as the oracle of the compiled float evaluator ------

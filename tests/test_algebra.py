@@ -24,11 +24,15 @@ from support import (
     dense,
     echelon_with_a_bad_record,
     evaluate,
+    fraction_terms,
     matmul,
     matrix_from_columns,
     oracle_apply,
+    oracle_derivative,
     oracle_horner,
     oracle_long_division,
+    oracle_product,
+    oracle_sum,
 )
 
 x1, x2, x3 = variables("x1 x2 x3")
@@ -279,6 +283,105 @@ def test_rational_normalization_idempotent_random(num, den):
     assert first == second
     assert first.numerator == second.numerator
     assert first.denominator == second.denominator
+
+
+# -- the coefficient representation ------------------------------------------
+
+int_polys = st.dictionaries(exponents, st.integers(-5, 5), max_size=4).map(
+    lambda terms: Polynomial(VARS, terms))
+any_polys = st.one_of(int_polys, polys)
+constants = st.one_of(st.integers(-4, 4), coeffs).filter(bool)
+
+
+def _integral(*polys) -> bool:
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def _assert_exact(poly, integral):
+    """No coefficient is a float or a bool; with integral inputs each is an int."""
+    for c in poly.terms.values():
+        assert type(c) in ((int,) if integral else (int, Fraction))
+
+
+def _assert_normal(poly):
+    """The normal form that construction and division give: a coefficient is
+    an int exactly when it is integral."""
+    for c in poly.terms.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+def test_exact_rejects_floats_and_turns_bools_into_ints():
+    for bad in (0.5, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            Polynomial.constant(VARS, bad)
+        with pytest.raises(TypeError):
+            Polynomial(VARS, {(1, 0, 0): bad})
+        with pytest.raises(TypeError):
+            x1 * bad
+    assert Polynomial.constant(VARS, True).terms == {(0, 0, 0): 1}
+    assert str(x1 * True + True) == "x1 + 1"
+    _assert_normal(Polynomial(VARS, {(0, 0, 0): Fraction(4, 2), (1, 0, 0): True,
+                                     (0, 1, 0): Fraction(1, 2)}))
+
+
+@given(any_polys, any_polys, st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_keep_coefficients_exact(a, b, power, index):
+    integral = _integral(a, b)
+    fa, fb = fraction_terms(a), fraction_terms(b)
+    powered = {(0, 0, 0): Fraction(1)}
+    for _ in range(power):
+        powered = oracle_product(powered, fa)
+    for result, expected in ((a + b, oracle_sum(fa, fb)), (a - b, oracle_sum(fa, fb, -1)),
+                             (-a, oracle_sum({}, fa, -1)), (a * b, oracle_product(fa, fb)),
+                             (a ** power, powered), (a.diff(index), oracle_derivative(fa, index))):
+        assert result.terms == expected
+        _assert_exact(result, integral)
+
+
+@given(any_polys, any_polys.filter(lambda p: not p.is_zero()), constants)
+@settings(max_examples=150, deadline=None)
+def test_division_keeps_coefficients_exact(numerator, divisor, constant):
+    integral = _integral(numerator, divisor)
+    by_constant = numerator / constant
+    assert type(by_constant) is Polynomial
+    assert by_constant.terms == {e: c / constant for e, c in fraction_terms(numerator).items()}
+    _assert_normal(by_constant)
+    product = numerator * divisor
+    exact = divisor.divides_exactly(product)
+    assert exact == numerator and exact == oracle_long_division(divisor, product)
+    _assert_normal(exact)
+    _assert_exact(exact, integral and divisor.sorted_terms()[-1][1] in (1, -1))
+    quotient = numerator / divisor
+    if type(quotient) is Polynomial:
+        _assert_normal(quotient)
+        assert oracle_product(fraction_terms(quotient), fraction_terms(divisor)) == \
+            fraction_terms(numerator)
+        return
+    top, bottom = quotient.numerator, quotient.denominator
+    for part in (top, bottom):
+        _assert_exact(part, False)
+    assert bottom.sorted_terms()[-1][1] == 1
+    assert oracle_product(fraction_terms(top), fraction_terms(divisor)) == \
+        oracle_product(fraction_terms(numerator), fraction_terms(bottom))
+    doubled = RationalFunction(numerator * 2, divisor * 2)
+    assert doubled == quotient and hash(doubled) == hash(quotient)
+
+
+def test_exact_answers_of_an_integer_matrix_are_ints_when_integral():
+    matrix = ExactMatrix(2, 3, [{0: 1, 1: 2}, {1: 2, 2: 1}])
+    kernel, = matrix.nullspace()
+    assert kernel == {0: 1, 1: Fraction(-1, 2), 2: 1}
+    assert {j: type(v) for j, v in kernel.items()} == {0: int, 1: Fraction, 2: int}
+    solution, _ = matrix.solve([5, 4])
+    assert solution == (1, 2, 0) and all(type(v) is int for v in solution)
+    assert matrix.solve([4, 3])[0] == (1, Fraction(3, 2), 0)
+    _, certificate = ExactMatrix(2, 1, [{0: 2}, {0: 4}]).solve([1, 1])
+    assert certificate == (-2, 1) and all(type(v) is int for v in certificate)
+    images = matrix.apply([{0: 1, 2: Fraction(1, 2)}, {1: 1}])
+    assert images == [{0: 1, 1: Fraction(1, 2)}, {0: 2, 1: 2}]
+    assert [[type(v) for v in image.values()] for image in images] == \
+        [[int, Fraction], [int, int]]
 
 
 # -- exact matrices ----------------------------------------------------------

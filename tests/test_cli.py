@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from nambu.algebra import ExactMatrix
-from nambu.cli import main
+from nambu.cli import _build_parser, main
 from nambu.exterior import differential, ext_d
 from support import echelon_with_a_bad_record, sign_flipped_delta
 
@@ -270,6 +270,21 @@ def test_json_deterministic_apart_from_timing(capsys):
     first.pop("timing_ms")
     second.pop("timing_ms")
     assert first == second
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    # main parses with one parser per process, so each call must start from
+    # the defaults whatever the call before it set
+    _, text = run(capsys, "h1-top", SINGULAR, "--degree-bound", "2")
+    code = main(["h1-top", SINGULAR, "--degree-bound", "3", "--lambda", "nosuch"])
+    assert code == 2 and capsys.readouterr().err.startswith("error: ")
+    target = tmp_path / "report.json"
+    assert main(["h1-top", SINGULAR, "--degree-bound", "3", "--json", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text())["degree_bound"] == 3
+    assert run(capsys, "h1-top", SINGULAR, "--degree-bound", "2") == (0, text)
+    assert run(capsys, "sharp", SINGULAR, "a") == (0, "sharp(a) = (x1**2 + x2**2 + x3**2) * @3\n")
+    assert _build_parser() is _build_parser()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

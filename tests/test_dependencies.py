@@ -188,3 +188,47 @@ def test_unread_fields_are_detected(tmp_path):
         "def use(p, q):\n    q.right = 1\n    return p.x + q.left\n")
     (tmp_path / "b.py").write_text("from .a import Point\n\nVALUE = Point(1, 2).y\n")
     assert _unread_fields(sorted(tmp_path.glob("*.py"))) == ["a.Pair.right", "a.Point.label"]
+
+
+# Functions that divide with ``/``, with the reason.  An exact coefficient is
+# an int when integral, and ``/`` on two ints gives a float, so every
+# coefficient division goes through ``algebra._quotient``, which has none.
+DIVIDES = {
+    "flows.integrate_hamiltonian": "the float integrator's step h / 6",
+    "modular.flat_inverse": "a tensor component over the volume's polynomial coefficient, "
+                            "by Polynomial.__truediv__",
+    "modular.divergence": "X(u) / u on polynomials, by Polynomial.__truediv__",
+}
+
+
+def _dividers(sources: list[Path]) -> list[str]:
+    """Qualified name of the innermost function or class around every ``/``
+    and ``/=``; one outside any of them is named by its module."""
+    found = set()
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.add(name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+            else:
+                visit(child, name)
+
+    for path in sources:
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return sorted(found)
+
+
+def test_every_division_is_float_code_or_polynomial():
+    assert _dividers(SOURCES) == sorted(DIVIDES)
+
+
+def test_stray_divisions_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "RATIO = 1 / 3\n\n\n"
+        "def half(a, b):\n    return a // 2 + b % 2\n\n\n"
+        "def mean(values):\n    return sum(values) / len(values)\n\n\n"
+        "class Box:\n    def __truediv__(self, other):\n        return self\n\n"
+        "    def scale(self, k):\n        k /= 2\n        return lambda v: v * k\n")
+    assert _dividers(sorted(tmp_path.glob("*.py"))) == ["a", "a.Box.scale", "a.mean"]
