@@ -590,6 +590,14 @@ class ExactMatrix:
                     raise ValueError(f"column index outside 0..{cols - 1}")
             self._rows = row_dicts
 
+    @classmethod
+    def _of_rows(cls, cols: int, row_dicts: list[dict[int, Rational]]) -> "ExactMatrix":
+        """The matrix over rows whose keys are already known to lie in
+        0..cols-1, such as an operator's own rows; they are not checked again."""
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix._rows = len(row_dicts), cols, row_dicts
+        return matrix
+
     def apply(self, vectors: Sequence[SparseVector]) -> list[SparseVector]:
         """The image ``A*v`` of each vector, computed in integers.
 
@@ -765,7 +773,7 @@ class ExactMatrix:
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length mismatch")
         n = self.cols
-        augmented = ExactMatrix(self.rows, n + 1, [
+        augmented = ExactMatrix._of_rows(n + 1, [
             {**row, n: v} if v else row for row, v in zip(self._rows, map(_exact, rhs))])
         history: list[list[tuple[int, ...]]] = []
         pivots, order, rows = augmented._echelon(history)

@@ -16,7 +16,6 @@ representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 
 from .algebra import ExactMatrix, InvariantError, Polynomial, Rational, SparseVector
@@ -34,8 +33,10 @@ from .modular import VolumeSpec, delta, sharp_preimage
 from .structures import NambuStructure, sharp
 from .truncation import (
     Certificate,
+    FirstOrderMap,
     TruncatedBasis,
     TruncatedOperator,
+    bundle_map,
     ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
@@ -64,10 +65,11 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
         raise InvariantError("coboundary vector escapes the cocycle space; "
                              "degree bookkeeping is inconsistent")
     length = cycles.cols
-    spanned = set(ExactMatrix(len(boundaries), length, boundaries).pivot_columns())
+    # ``apply`` has checked the keys of the boundaries, and ``kept`` numbers C|_W
+    spanned = set(ExactMatrix._of_rows(length, boundaries).pivot_columns())
     kept = [j for j in range(length) if j not in spanned]
     position = {j: k for k, j in enumerate(kept)}
-    restricted = ExactMatrix(cycles.rows, len(kept), [
+    restricted = ExactMatrix._of_rows(len(kept), [
         {position[j]: v for j, v in row.items() if j in position}
         for row in cycles.row_dicts()])
     return len(spanned), [{kept[k]: v for k, v in vector.items()}
@@ -226,7 +228,7 @@ def _tangent_constraints(domain: TruncatedBasis,
         for annihilator in annihilators:
             rows.extend(TruncatedOperator.build(
                 domain, lambda field, a=annihilator: contract_form(a, field)).matrix.row_dicts())
-    return ExactMatrix(len(rows), len(domain), rows)
+    return ExactMatrix._of_rows(len(domain), rows)
 
 
 def _check_homology_volume(volume: VolumeSpec) -> None:
@@ -248,19 +250,27 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
     if not 0 <= degree <= n:
         raise ValueError("homology degree out of range 0..n")
     _check_homology_volume(volume)
-    annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound))
+    bundle = bundle_map(structure, 1)
+    annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound, bundle))
     above_annihilators = []
     if degree < n:
-        above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
-    return _canonical_dimension_at(structure, volume, degree, bound,
+        above_annihilators = reduce_annihilators(
+            ker_sharp_basis(structure, 1, bound + 1, bundle))
+    return _canonical_dimension_at(structure, _boundary_map(volume), degree, bound,
                                    annihilators, above_annihilators)
 
 
-def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
+def _boundary_map(volume: VolumeSpec) -> FirstOrderMap:
+    """The boundary of the volume, built on the chains of two bounds."""
+    return FirstOrderMap(lambda field: delta(volume, field))
+
+
+def _canonical_dimension_at(structure: NambuStructure, boundary: FirstOrderMap,
                             degree: int, bound: int, annihilators: list[GradedTensor],
                             above_annihilators: list[GradedTensor]) -> int:
-    """Canonical homology at one degree, given the reduced annihilator 1-forms
-    at ``bound`` and (used below the top degree) at ``bound + 1``.
+    """Canonical homology at one degree, given the boundary map, and the
+    reduced annihilator 1-forms at ``bound`` and (used below the top degree)
+    at ``bound + 1``.
 
     The cycles are the tangency constraints stacked on the boundary; the
     boundaries are the images of the tangent chains one degree up.
@@ -269,15 +279,13 @@ def _canonical_dimension_at(structure: NambuStructure, volume: VolumeSpec,
     domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
     cycles = _tangent_constraints(domain, annihilators)
     if degree >= 1:
-        boundary = TruncatedOperator.build(domain, lambda field: delta(volume, field)).matrix
-        cycles = ExactMatrix(cycles.rows + boundary.rows, len(domain),
-                             cycles.row_dicts() + boundary.row_dicts())
+        rows = TruncatedOperator.build(domain, boundary).matrix.row_dicts()
+        cycles = ExactMatrix._of_rows(len(domain), cycles.row_dicts() + rows)
     boundaries: list[SparseVector] = []
     if degree < structure.order:
         above = TruncatedBasis.build(chart, MULTIVECTOR, degree + 1, bound + 1)
         chains = _tangent_constraints(above, above_annihilators).nullspace()
-        boundaries = TruncatedOperator.build(
-            above, lambda field: delta(volume, field)).coordinates_in(domain, chains)
+        boundaries = TruncatedOperator.build(above, boundary).coordinates_in(domain, chains)
     return len(_complement_kernel(cycles, boundaries)[1])
 
 
@@ -338,13 +346,15 @@ def _radial_split(polys: list[Polynomial], rotation: bool
     b (x2, -x1).  A curl-free polynomial T is dg (the polynomial Poincare
     lemma), so the split is one ``solve_in_span`` of the 1-form P against
     sum x_i dx_i = d(r^2)/2, then x2 dx1 - x1 dx2, then r^2 d(x^beta) for
-    every non-constant beta of degree below deg P; T_i is d_i g.  The split
-    is unique, because r^2 divides no non-zero linear form, and it is
-    re-verified by substitution.
+    every non-constant beta of degree below deg P; T_i is d_i g.  Every
+    candidate has integer coefficients, so integral P give an all-integer
+    solve.  The split is unique, because r^2 divides no non-zero linear
+    form, and it is re-verified by substitution.
     """
     form, radius = _radial_form(polys)
     chart = form.chart
-    linear = [differential(chart, radius).scale(Fraction(1, 2))]
+    linear = [GradedTensor(chart, FORM, 1, {(i,): chart.coordinate_polynomial(i)
+                                            for i in range(chart.dimension)})]
     if rotation:
         x1, x2 = map(chart.coordinate_polynomial, (0, 1))
         linear.append(GradedTensor(chart, FORM, 1, {(0,): x2, (1,): -x1}))
@@ -467,16 +477,18 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
     _check_homology_volume(volume)
     n = structure.order
     constant_structure = all(v.is_constant() for v in structure.tensor.components.values())
-    one_form_kernel = ker_sharp_basis(structure, 1, bound)
+    bundle = bundle_map(structure, 1)
+    boundary = _boundary_map(volume)
+    one_form_kernel = ker_sharp_basis(structure, 1, bound, bundle)
     annihilators = reduce_annihilators(one_form_kernel)
-    above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1))
+    above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1, bundle))
     rows = []
     holds = True
     for degree in range(n + 1):
         foliated = _foliated_dimension_at(structure, degree, bound,
                                           one_form_kernel if degree == 1 else None)
         canonical_degree = n - degree
-        canonical = _canonical_dimension_at(structure, volume, canonical_degree, bound,
+        canonical = _canonical_dimension_at(structure, boundary, canonical_degree, bound,
                                             annihilators, above_annihilators)
         np_dim: int | None
         if degree == 0:

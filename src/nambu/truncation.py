@@ -29,19 +29,33 @@ invariant error (``InvariantError``), never a wrong matrix.  Every mapping in
 the package (the bundle map, contractions, d, the boundary, f da - df ^ a)
 has order at most one.
 
+A stencil does not depend on the coefficient bound.  A ``FirstOrderMap``
+wraps a mapping and keeps the stencil of each index it is built on, so a
+report that builds one map at several bounds (the boundary on the chains
+of two bounds, the degree-1 bundle map at bound and bound + 1) calls the
+mapping, and runs the guard, once per index.  ``build`` re-keys the kept
+stencils for each domain and still takes a plain callable, which gets a
+map of its own.  A report makes its maps and drops them with its answer;
+nothing is cached across reports.
+
 Each column lists its terms as the image itself would, because the row
 order of a certified solve picks the printed certificate (``solve_in_image``):
 component by component, in the order the components first appear in the fill
 (the base shifted by x^a, then the symbols for j ascending), and each
-component's terms in fill order.  The bundle map on 1-forms has order zero,
-so a column is the base shifted, and a shift keeps the image's order.  Sharp
-after d has no base, and the image of d(x^a) also runs over j ascending, each
-j adding one probe image, shifted; only the components interleave, when
-symbols of non-adjacent j share one, hence the regrouping.  Where
-contributions to one term cancel within a column and it is added again, the
-image re-lists the term last and the stencil keeps its place; apart from that
-the rows, and so the certificates, come out as from one whole image per basis
-element.
+component's terms in fill order.  A column's terms are a subsequence of its
+index's fill, so where the fill lists each component in one block the fill
+order is already that order.  This is decided once per index, when its
+stencil is built, and only the other indices' columns are regrouped.  On
+the bundled models only f da - df ^ a interleaves, where the base and the
+symbols of non-adjacent j share components; the boundary of a weighted
+volume and sharp after d can on other structures.  An index of order zero, all
+symbols zero (the bundle map on forms, a contraction), has the base shifted
+as its column, with nothing to accumulate, and a shift keeps the image's
+order.  Sharp after d has no base, and the image of d(x^a) also runs over j
+ascending, each j adding one probe image, shifted.  Where contributions to
+one term cancel within a column and it is added again, the image re-lists
+the term last and the stencil keeps its place; apart from that the rows,
+and so the certificates, come out as from one whole image per basis element.
 """
 
 from __future__ import annotations
@@ -183,9 +197,37 @@ def _accumulate(acc: dict[Label, Rational], entries: dict[Label, Rational],
             acc.pop(label, None)
 
 
+def _in_blocks(parts: Iterable[dict[Label, Rational]]) -> bool:
+    """Whether the labels of the parts, in turn, list each component in one
+    contiguous block."""
+    left: set[Index] = set()
+    current = None
+    for part in parts:
+        for idx, _ in part:
+            if idx != current:
+                if idx in left:
+                    return False
+                left.add(current)
+                current = idx
+    return True
+
+
+class _Stencil:
+    """L(e_I) and the symbols s_{I,j} of one index, and whether the fill
+    (base, then the symbols for j ascending) lists each component in one
+    block."""
+
+    __slots__ = ("base", "symbols", "blocked")
+
+    def __init__(self, base: dict[Label, Rational], symbols: list[dict[Label, Rational]]):
+        self.base = base
+        self.symbols = symbols
+        self.blocked = _in_blocks([base, *symbols])
+
+
 def _first_order_stencil(domain: TruncatedBasis,
                          mapping: Callable[[GradedTensor], GradedTensor], idx: Index,
-                         ) -> tuple[dict[Label, Rational], list[dict[Label, Rational]]]:
+                         ) -> _Stencil:
     """L(e_I) and the symbols s_{I,j} = L(x_j e_I) - x_j L(e_I), after the
     second-difference guard.  The probes are built directly, so they need not
     lie in the domain (a bound-0 domain holds no x_j e_I)."""
@@ -217,31 +259,62 @@ def _first_order_stencil(domain: TruncatedBasis,
         symbol = dict(first)
         _accumulate(symbol, base, unit, -1)
         symbols.append(symbol)
-    return base, symbols
+    return _Stencil(base, symbols)
 
 
-def _stencil_columns(domain: TruncatedBasis,
-                     mapping: Callable[[GradedTensor], GradedTensor],
-                     ) -> tuple[Iterator[dict[int, Rational]], Callable[[int], Label]]:
+class FirstOrderMap:
+    """A linear mapping of order at most one, with the stencil of each index
+    it has been built on (see the module docstring).
+
+    The mapping, and the guard with it, runs on the first build that holds
+    an index.  A guard that fails stores nothing, so every later build fails
+    the same way.  Calling the map calls the mapping.
+    """
+
+    __slots__ = ("mapping", "_stencils")
+
+    def __init__(self, mapping: Callable[[GradedTensor], GradedTensor]):
+        self.mapping = mapping
+        self._stencils: dict[tuple[Chart, str, Index], _Stencil] = {}
+
+    def __call__(self, tensor: GradedTensor) -> GradedTensor:
+        return self.mapping(tensor)
+
+    def stencil(self, domain: TruncatedBasis, idx: Index) -> _Stencil:
+        key = (domain.chart, domain.variance, idx)
+        stencil = self._stencils.get(key)
+        if stencil is None:
+            stencil = self._stencils[key] = _first_order_stencil(domain, self.mapping, idx)
+        return stencil
+
+
+def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
+                     ) -> tuple[Iterator[Iterable[tuple[int, Rational]]],
+                                Callable[[Iterable[int]], tuple[Label, ...]]]:
     """The image of each domain element in turn, assembled from the first-order
     stencil of its index (see the module docstring), and the decoder of its keys.
 
-    A column maps integer keys to non-zero coefficients, listed as the image
-    lists its terms: the fill (the base shifted by x^a, then a_j x^(a - e_j)
-    s_{I,j} for j ascending) regrouped by component, in the order the
-    components first appear.  A key is the label's index rank, then its
+    A column is the (key, coefficient) pairs of the image, listed as the
+    image lists its terms: the fill (the base shifted by x^a, then a_j
+    x^(a - e_j) s_{I,j} for j ascending), regrouped by component in the
+    order the components first appear where the index's fill does not list
+    each component in one block.  A coefficient may be zero where
+    contributions cancel.  A key is the label's index rank, then its
     exponent's digits in a radix that no shift by a domain exponent
-    overflows; ``label`` turns it back into a (component, monomial) label.
-    The stencils are built, and the guard run, before this returns.
+    overflows; ``labels`` turns keys back into (component, monomial) labels,
+    decoding each exponent once.  The stencils are built, and the guard run,
+    before this returns.
     """
     m = domain.chart.dimension
-    stencils = {idx: _first_order_stencil(domain, mapping, idx)
+    stencils = {idx: mapping.stencil(domain, idx)
                 for idx in dict.fromkeys(idx for idx, _ in domain.elements)}
-    held = [label for base, symbols in stencils.values()
-            for part in (base, *symbols) for label in part]
+    held = [label for stencil in stencils.values()
+            for part in (stencil.base, *stencil.symbols) for label in part]
+    exponents = dict.fromkeys(a for _, a in domain.elements)
     radix = 1 + max((max(e) for _, e in held), default=0) \
-        + max((max(a) for _, a in domain.elements), default=0)
+        + max((max(a) for a in exponents), default=0)
     span = radix ** m
+    units = [radix ** j for j in range(m)]
     indices = sorted({idx for idx, _ in held})
     rank_of = {idx: r for r, idx in enumerate(indices)}
 
@@ -249,64 +322,92 @@ def _stencil_columns(domain: TruncatedBasis,
         return [(rank_of[idx] * span + _digits(e, radix), coeff)
                 for (idx, e), coeff in part.items()]
 
-    keyed_stencils = {idx: (keyed(base), [keyed(symbol) for symbol in symbols])
-                      for idx, (base, symbols) in stencils.items()}
+    # no symbols at all for an index of order zero
+    keyed_stencils = {
+        idx: (keyed(stencil.base),
+              [keyed(symbol) for symbol in stencil.symbols] if any(stencil.symbols) else None,
+              stencil.blocked)
+        for idx, stencil in stencils.items()}
+    # the code of x^a, then (j, a_j, code of x^(a - e_j)) for each a_j > 0
+    plans = {}
+    for exponent in exponents:
+        at = _digits(exponent, radix)
+        plans[exponent] = at, [(j, power, at - units[j])
+                               for j, power in enumerate(exponent) if power]
 
-    def columns() -> Iterator[dict[int, Rational]]:
+    def columns() -> Iterator[Iterable[tuple[int, Rational]]]:
         multiples: dict[tuple[Index, int, int], list[tuple[int, Rational]]] = {}
         for idx, exponent in domain.elements:
-            base, symbols = keyed_stencils[idx]
-            at = _digits(exponent, radix)
+            base, symbols, blocked = keyed_stencils[idx]
+            at, steps = plans[exponent]
+            if symbols is None:
+                yield [(key + at, coeff) for key, coeff in base]
+                continue
             column = {key + at: coeff for key, coeff in base}
-            for j, power in enumerate(exponent):
-                if not power:
-                    continue
-                scaled = multiples.get((idx, j, power))
-                if scaled is None:
-                    scaled = multiples[idx, j, power] = [(key, power * coeff)
-                                                         for key, coeff in symbols[j]]
-                shift = at - radix ** j
+            for j, power, shift in steps:
+                scaled = symbols[j]
+                if power > 1:
+                    scaled = multiples.get((idx, j, power))
+                    if scaled is None:
+                        scaled = multiples[idx, j, power] = [(key, power * coeff)
+                                                             for key, coeff in symbols[j]]
                 for key, coeff in scaled:
                     key += shift
                     acc = column.get(key)
                     column[key] = coeff if acc is None else acc + coeff
-            parts: dict[int, dict[int, Rational]] = {}
+            if blocked:
+                yield column.items()
+                continue
+            parts: dict[int, list[tuple[int, Rational]]] = {}
             for key, coeff in column.items():
-                if coeff:
-                    part = parts.get(key // span)
-                    if part is None:
-                        part = parts[key // span] = {}
-                    part[key] = coeff
-            yield {key: coeff for part in parts.values() for key, coeff in part.items()}
+                if not coeff:
+                    continue
+                part = parts.get(key // span)
+                if part is None:
+                    parts[key // span] = [(key, coeff)]
+                else:
+                    part.append((key, coeff))
+            yield [pair for part in parts.values() for pair in part]
 
-    def label(key: int) -> Label:
-        rank, code = divmod(key, span)
-        exponent = []
-        for _ in range(m):
-            code, digit = divmod(code, radix)
-            exponent.append(digit)
-        return indices[rank], tuple(exponent)
+    def labels(keys: Iterable[int]) -> tuple[Label, ...]:
+        decoded: dict[int, Exponent] = {}
+        out = []
+        for key in keys:
+            rank, code = divmod(key, span)
+            exponent = decoded.get(code)
+            if exponent is None:
+                digits = []
+                rest = code
+                for _ in range(m):
+                    rest, digit = divmod(rest, radix)
+                    digits.append(digit)
+                exponent = decoded[code] = tuple(digits)
+            out.append((indices[rank], exponent))
+        return tuple(out)
 
-    return columns(), label
+    return columns(), labels
 
 
-def _numbered_operator(columns: Iterable[dict[Key, Rational]],
-                       label: Callable[[Key], Label]) -> TruncatedOperator:
-    """The operator with these columns, which store no zeros: one row per key,
-    labelled by ``label``, numbered in first-seen order and filled in column
-    order.  The columns are read once, so a generator of them keeps only the
-    rows alive."""
+def _numbered_operator(columns: Iterable[Iterable[tuple[Key, Rational]]],
+                       labels: Callable[[Iterable[Key]], tuple[Label, ...]],
+                       ) -> TruncatedOperator:
+    """The operator with these columns, each given as (key, coefficient)
+    pairs with distinct keys: one row per key with a non-zero coefficient,
+    numbered in first-seen order and filled in column order, and labelled by
+    ``labels`` of the keys in that order.  The columns are read once, so a
+    generator of them keeps only the rows alive."""
     rows: dict[Key, dict[int, Rational]] = {}
     width = 0
     for column in columns:
-        for key, coeff in column.items():
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = {}
-            row[width] = coeff
+        for key, coeff in column:
+            if coeff:
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {width: coeff}
+                else:
+                    row[width] = coeff
         width += 1
-    return TruncatedOperator(tuple(map(label, rows)),
-                             ExactMatrix(len(rows), width, list(rows.values())))
+    return TruncatedOperator(labels(rows), ExactMatrix._of_rows(width, list(rows.values())))
 
 
 @dataclass(frozen=True)
@@ -323,7 +424,11 @@ class TruncatedOperator:
     def build(cls, domain: TruncatedBasis,
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
         """Assemble from the first-order stencil of each index (see the
-        module docstring); raises ``InvariantError`` when the guard fails."""
+        module docstring); raises ``InvariantError`` when the guard fails.
+        A ``FirstOrderMap`` lends the stencils it already holds, and keeps
+        the ones built here."""
+        if not isinstance(mapping, FirstOrderMap):
+            mapping = FirstOrderMap(mapping)
         return _numbered_operator(*_stencil_columns(domain, mapping))
 
     def coordinates_in(self, basis: TruncatedBasis,
@@ -371,8 +476,8 @@ def _certified_solve(operator: TruncatedOperator, target: dict[Label, Rational])
     rows: dict[Label, dict[int, Rational]] = {label: {} for label in target}
     rows.update(zip(operator.labels, operator.matrix.row_dicts()))
     rhs = [target.get(label, 0) for label in rows]
-    solution, certificate = ExactMatrix(len(rows), operator.matrix.cols,
-                                        list(rows.values())).solve(rhs)
+    solution, certificate = ExactMatrix._of_rows(operator.matrix.cols,
+                                                 list(rows.values())).solve(rhs)
     if certificate is None:
         return solution, None
     return None, tuple((label, weight) for label, weight
@@ -389,7 +494,7 @@ def solve_in_span(images: Iterable[GradedTensor], target: GradedTensor) -> Solut
     functional separating the target from the span.
     """
     operator = _numbered_operator(
-        (dict(_tensor_entries(image.components)) for image in images), lambda label: label)
+        (_tensor_entries(image.components) for image in images), tuple)
     return _certified_solve(operator, dict(_tensor_entries(target.components)))
 
 
@@ -406,11 +511,19 @@ def solve_in_image(domain: TruncatedBasis, mapping: Callable[[GradedTensor], Gra
                             dict(_tensor_entries(target.components)))
 
 
-def ker_sharp_basis(structure: NambuStructure, degree: int,
-                    degree_bound: int) -> list[GradedTensor]:
-    """Exact basis of the bounded-degree kernel of the degree-k bundle map."""
+def bundle_map(structure: NambuStructure, degree: int) -> FirstOrderMap:
+    """The degree-k bundle map, whose stencils one report shares across bounds."""
+    return FirstOrderMap(lambda form: sharp(structure, degree, form))
+
+
+def ker_sharp_basis(structure: NambuStructure, degree: int, degree_bound: int,
+                    bundle: FirstOrderMap | None = None) -> list[GradedTensor]:
+    """Exact basis of the bounded-degree kernel of the degree-k bundle map;
+    ``bundle`` is ``bundle_map(structure, degree)`` when the caller shares one."""
     if not 0 <= degree <= structure.order:
         raise ValueError("form degree out of range 0..n")
+    if bundle is None:
+        bundle = bundle_map(structure, degree)
     domain = TruncatedBasis.build(structure.chart, FORM, degree, degree_bound)
-    operator = TruncatedOperator.build(domain, lambda form: sharp(structure, degree, form))
+    operator = TruncatedOperator.build(domain, bundle)
     return [domain.from_coordinates(vec) for vec in operator.matrix.nullspace()]

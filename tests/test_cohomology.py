@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 from unittest import mock
 
@@ -42,6 +44,7 @@ from nambu.model import parse_model
 from nambu.modular import VolumeSpec, delta, modular_potential
 from nambu.structures import NambuStructure, sharp
 from nambu.truncation import (
+    FirstOrderMap,
     TruncatedBasis,
     TruncatedOperator,
     ker_sharp_basis,
@@ -126,15 +129,55 @@ def _operator_oracle(domain, codomain, mapping):
         len(codomain))
 
 
+def _labels(tensor):
+    """The (component, monomial) label of every term, as the tensor lists them."""
+    return [(idx, exponent) for idx, value in tensor.components.items()
+            for exponent in value.terms]
+
+
+def _shifted(labels, by):
+    """The labels with their monomials multiplied by x^by."""
+    return [(idx, tuple(map(add, exponent, by))) for idx, exponent in labels]
+
+
 def _per_element_oracle(domain, mapping):
     """Each label's row from one image per basis element, the assembly the
-    stencil replaced: the labels the images hold, each row filled in column
-    order."""
+    stencil replaced, numbered as the stencil documents it.  Each column
+    lists its image's labels in fill order (L(e_I) shifted by x^a, then each
+    symbol L(x_j e_I) - x_j L(e_I) for a_j > 0, shifted by x^(a - e_j), each
+    label where it first appears; a symbol lists the labels of L(x_j e_I),
+    then those of x_j L(e_I), that it holds), grouped by component in the
+    order the components first appear.  Rows are numbered in first-seen
+    order and filled in column order."""
+    chart = domain.chart
+    fills = {}
     rows = {}
-    for j in range(len(domain)):
-        for idx, value in mapping(basis_tensor(domain, j)).components.items():
-            for exponent, coeff in value.terms.items():
-                rows.setdefault((idx, exponent), {})[j] = coeff
+    for j, (idx, exponent) in enumerate(domain.elements):
+        if idx not in fills:
+            unit = GradedTensor(chart, domain.variance, domain.degree, {idx: chart.scalar(1)})
+            base = mapping(unit)
+            symbols = []
+            for x in coords(chart):
+                first, shifted = mapping(unit.scale(x)), base.scale(x)
+                held = set(_labels(first - shifted))
+                symbols.append([label for label in dict.fromkeys(_labels(first) + _labels(shifted))
+                                if label in held])
+            fills[idx] = _labels(base), symbols
+        base, symbols = fills[idx]
+        fill = _shifted(base, exponent)
+        for k, power in enumerate(exponent):
+            if power:
+                fill += _shifted(symbols[k], tuple(e - (i == k) for i, e in enumerate(exponent)))
+        terms = {(i, e): coeff for i, value in mapping(basis_tensor(domain, j)).components.items()
+                 for e, coeff in value.terms.items()}
+        listed = [label for label in dict.fromkeys(fill) if label in terms]
+        assert len(listed) == len(terms)
+        blocks = {}
+        for label in listed:
+            blocks.setdefault(label[0], []).append(label)
+        for block in blocks.values():
+            for label in block:
+                rows.setdefault(label, {})[j] = terms[label]
     return rows
 
 
@@ -152,9 +195,18 @@ def _assert_rows_by_label(operator, domain, rows):
         _entries_by_label(rows)
 
 
+def _numbered_rows(operator):
+    """The operator's labels in row order, each with its row's entries in order."""
+    return [(label, list(row.items()))
+            for label, row in zip(operator.labels, operator.matrix.row_dicts())]
+
+
 def _assert_stencil_matches_oracle(domain, mapping):
-    _assert_rows_by_label(TruncatedOperator.build(domain, mapping), domain,
-                          _per_element_oracle(domain, mapping))
+    # the same labels in the same row order, and each row's entries in order
+    operator = TruncatedOperator.build(domain, mapping)
+    rows = _per_element_oracle(domain, mapping)
+    _assert_rows_by_label(operator, domain, rows)
+    assert _numbered_rows(operator) == [(label, list(row.items())) for label, row in rows.items()]
 
 
 # more than the coefficient degree of any bundled structure or annihilator
@@ -253,6 +305,103 @@ def test_second_order_mapping_breaks_the_stencil_guard(bound):
     # a first-order operator with a non-constant symbol passes the guard
     _assert_stencil_matches_oracle(
         scalars, lambda g: GradedTensor.from_scalar(R3, FORM, x2 * x3 * g.scalar_value().diff(0)))
+
+
+@pytest.mark.parametrize("bound", [0, 2])
+def test_order_zero_columns_are_the_base_shifted(bound):
+    # sharp and a contraction are function-linear: every symbol is zero
+    structure = singular_r3()
+    annihilator = dx(R3, 1).scale(x2) + dx(R3, 3)
+    cases = [(TruncatedBasis.build(R3, FORM, k, bound),
+              FirstOrderMap(lambda form, k=k: sharp(structure, k, form))) for k in range(4)]
+    cases.append((TruncatedBasis.build(R3, MULTIVECTOR, 2, bound),
+                  FirstOrderMap(lambda field: contract_form(annihilator, field))))
+    for domain, mapping in cases:
+        _assert_stencil_matches_oracle(domain, mapping)
+        assert not any(any(mapping.stencil(domain, idx).symbols) for idx, _ in domain.elements)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 4])
+def test_a_fill_that_interleaves_components_is_regrouped(bound):
+    # f da - df ^ a on the singular structure: the fill of e_1 lists dx1^dx2
+    # and dx1^dx3 in the base, then dx1^dx2 in the x2 symbol and dx1^dx3 in
+    # the x3 symbol, so columns with a_2, a_3 > 0 are regrouped
+    f = singular_r3().top_coefficient()
+    forms = TruncatedBasis.build(R3, FORM, 1, bound)
+    cocycle = FirstOrderMap(lambda form: np_cocycle_check_top(f, form))
+    _assert_stencil_matches_oracle(forms, cocycle)
+    assert not any(cocycle.stencil(forms, (i,)).blocked for i in range(3))
+
+
+def _shared_cases():
+    """(variance, degree, maker of a fresh mapping) on R^3 and R^4."""
+    singular, regular = singular_r3(), regular_r4()
+    f = singular.top_coefficient()
+    return [(R3, MULTIVECTOR, 2, lambda: lambda field: delta(STD3, field)),
+            (R4, MULTIVECTOR, 3, lambda: lambda field: delta(STD4, field)),
+            (R3, FORM, 1, lambda: lambda form: np_cocycle_check_top(f, form)),
+            (R3, FORM, 1, lambda: lambda form: sharp(singular, 2, ext_d(form))),
+            (R4, FORM, 1, lambda: lambda form: sharp(regular, 1, form))]
+
+
+@pytest.mark.parametrize("bounds", [(1, 2), (2, 1), (0, 3)])
+def test_a_map_shared_across_bounds_builds_what_fresh_maps_build(bounds):
+    # the same rows, label and entry order included, and the mapping runs
+    # only in the first build, on the stencil probes
+    for chart, variance, degree, fresh in _shared_cases():
+        calls = []
+        mapping = fresh()
+
+        def counted(tensor, mapping=mapping):
+            calls.append(tensor)
+            return mapping(tensor)
+
+        shared = FirstOrderMap(counted)
+        m = chart.dimension
+        for step, bound in enumerate(bounds):
+            domain = TruncatedBasis.build(chart, variance, degree, bound)
+            assert _numbered_rows(TruncatedOperator.build(domain, shared)) == \
+                _numbered_rows(TruncatedOperator.build(domain, fresh()))
+            probes = len(dict.fromkeys(idx for idx, _ in domain.elements)) * \
+                (1 + m + m * (m + 1) // 2)
+            assert len(calls) == (probes if step == 0 else 0)
+            calls.clear()
+
+
+@pytest.mark.parametrize("bounds", [(0, 3), (3, 0), (2, 2)])
+def test_a_shared_second_order_map_fails_its_guard_at_every_build(bounds):
+    def second_derivative(g):
+        return GradedTensor.from_scalar(R3, FORM, g.scalar_value().diff(0).diff(0))
+
+    shared = FirstOrderMap(second_derivative)
+    for bound in bounds:
+        with pytest.raises(InvariantError, match="not of first order"):
+            TruncatedOperator.build(TruncatedBasis.build(R3, FORM, 0, bound), shared)
+
+
+def test_duality_calls_each_shared_map_once_per_probe(monkeypatch):
+    # the boundary runs on degree k chains at bound b and at b + 1, and the
+    # degree-1 bundle map at b and b + 1; each probe is mapped once
+    import nambu.cohomology as cohomology
+    import nambu.truncation as truncation
+    boundary_probes, bundle_probes = [], []
+
+    def recording_delta(volume, field):
+        boundary_probes.append(field)
+        return delta(volume, field)
+
+    def recording_sharp(structure, degree, form):
+        bundle_probes.append(form)
+        return sharp(structure, degree, form)
+
+    monkeypatch.setattr(cohomology, "delta", recording_delta)
+    monkeypatch.setattr(truncation, "sharp", recording_sharp)
+    report = duality_report(regular_r4(), STD4, 2)
+    assert report.holds
+    for probes in (boundary_probes, bundle_probes):
+        assert probes and max(Counter(probes).values()) == 1
+    # chains of every degree from 1 to the order were mapped
+    assert {field.degree for field in boundary_probes} == {1, 2, 3}
 
 
 def test_non_polynomial_image_is_rejected():
@@ -645,6 +794,42 @@ def test_radial_split_matches_the_labelled_system_oracle(seed, m):
     split = _radial_split(polys, rotation)
     assert split == oracle_radial_split(polys, rotation)
     assert split == (scalars, [g.diff(i) for i in range(m)])
+
+
+def test_radial_split_solves_in_integers_on_integral_inputs(monkeypatch):
+    # every entry that reaches the elimination is an int, and the answers are
+    # the known ones and the labelled system's
+    rng = random.Random(89)
+    cases = []
+    for m in (2, 3, 2, 3):
+        chart = Chart(("x1", "x2", "x3")[:m])
+        xs, radius = coords(chart), radius_squared(chart)
+        g = 6 * rand_poly(rng, chart, max_degree=4)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        polys = [a * x + radius * g.diff(i) for i, x in enumerate(xs)]
+        if m == 2:
+            polys = [polys[0] + b * xs[1], polys[1] - b * xs[0]]
+        split = ([a, b][:4 - m], [g.diff(i) for i in range(m)])
+        assert oracle_radial_split(polys, m == 2) == split
+        cases.append((polys, split))
+    solved = []
+    solve = ExactMatrix.solve
+
+    def recording(matrix, rhs):
+        solved.append([v for row in matrix.row_dicts() for v in row.values()] + list(rhs))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(ExactMatrix, "solve", recording)
+    radius2 = y1 ** 2 + y2 ** 2
+    pair = naka_pair(y1 + radius2 * y1, y2 + radius2 * y2)
+    assert (pair.a, pair.b, pair.p_tilde, pair.q_tilde) == (1, 0, y1, y2)
+    triple = naka_triple(3 * z1 + RADIUS3 * z2 * z3, 3 * z2 + RADIUS3 * z1 * z3,
+                         3 * z3 + RADIUS3 * z1 * z2)
+    assert (triple.a, triple.tildes) == (3, (z2 * z3, z1 * z3, z1 * z2))
+    for polys, split in cases:
+        assert _radial_split(polys, len(polys) == 2) == split
+    assert len(solved) == 2 + len(cases)
+    assert all(type(v) is int for entries in solved for v in entries)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))

@@ -400,6 +400,22 @@ def test_certified_solves_take_their_rows_from_the_operator(structure, bound):
         assert solved == [([list(row.items()) for row in expected], rhs)]
 
 
+def test_certified_solves_check_no_row_again(monkeypatch):
+    # the numbering puts every key in range, so neither the operator, nor
+    # the labelled system, nor [A | b] re-checks the rows they share
+    checked = []
+    init = ExactMatrix.__init__
+
+    def counting(matrix, rows, cols, row_dicts=None):
+        checked.append((rows, cols))
+        init(matrix, rows, cols, row_dicts)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counting)
+    assert not modular_potential(singular_r3(), STD3, 8).feasible
+    assert not subcomplex_check(singular_r3(), STD3, 4).is_subcomplex
+    assert checked == []
+
+
 @pytest.mark.parametrize("bound", [4, 8])
 def test_sharp_runs_only_on_the_stencil_probes(bound):
     # 1 + m + m(m+1)/2 = 10 probes per index on R^3, whatever the bound
