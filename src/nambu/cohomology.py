@@ -36,6 +36,7 @@ from .truncation import (
     FirstOrderMap,
     TruncatedBasis,
     TruncatedOperator,
+    _sharp_kernel,
     bundle_map,
     ker_sharp_basis,
     monomials_up_to,
@@ -251,11 +252,11 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
         raise ValueError("homology degree out of range 0..n")
     _check_homology_volume(volume)
     bundle = bundle_map(structure, 1)
-    annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound, bundle))
+    annihilators = reduce_annihilators(_sharp_kernel(bundle, structure.chart, 1, bound))
     above_annihilators = []
     if degree < n:
         above_annihilators = reduce_annihilators(
-            ker_sharp_basis(structure, 1, bound + 1, bundle))
+            _sharp_kernel(bundle, structure.chart, 1, bound + 1))
     return _canonical_dimension_at(structure, _boundary_map(volume), degree, bound,
                                    annihilators, above_annihilators)
 
@@ -479,9 +480,9 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
     constant_structure = all(v.is_constant() for v in structure.tensor.components.values())
     bundle = bundle_map(structure, 1)
     boundary = _boundary_map(volume)
-    one_form_kernel = ker_sharp_basis(structure, 1, bound, bundle)
+    one_form_kernel = _sharp_kernel(bundle, structure.chart, 1, bound)
     annihilators = reduce_annihilators(one_form_kernel)
-    above_annihilators = reduce_annihilators(ker_sharp_basis(structure, 1, bound + 1, bundle))
+    above_annihilators = reduce_annihilators(_sharp_kernel(bundle, structure.chart, 1, bound + 1))
     rows = []
     holds = True
     for degree in range(n + 1):

@@ -50,12 +50,12 @@ the bundled models only f da - df ^ a interleaves, where the base and the
 symbols of non-adjacent j share components; the boundary of a weighted
 volume and sharp after d can on other structures.  An index of order zero, all
 symbols zero (the bundle map on forms, a contraction), has the base shifted
-as its column, with nothing to accumulate, and a shift keeps the image's
-order.  Sharp after d has no base, and the image of d(x^a) also runs over j
-ascending, each j adding one probe image, shifted.  Where contributions to
-one term cancel within a column and it is added again, the image re-lists
-the term last and the stencil keeps its place; apart from that the rows,
-and so the certificates, come out as from one whole image per basis element.
+as its column, and a shift keeps the image's order.  Sharp after d has no
+base, and the image of d(x^a) also runs over j ascending, each j adding one
+probe image, shifted.  Where contributions to one term cancel within a
+column and it is added again, the image re-lists the term last and the
+stencil keeps its place; apart from that the rows, and so the
+certificates, come out as from one whole image per basis element.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ class FirstOrderMap:
 
     The mapping, and the guard with it, runs on the first build that holds
     an index.  A guard that fails stores nothing, so every later build fails
-    the same way.  Calling the map calls the mapping.
+    the same way.  Calling the map calls the mapping, so a map stands
+    wherever a mapping does.
     """
 
     __slots__ = ("mapping", "_stencils")
@@ -322,10 +323,8 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
         return [(rank_of[idx] * span + _digits(e, radix), coeff)
                 for (idx, e), coeff in part.items()]
 
-    # no symbols at all for an index of order zero
     keyed_stencils = {
-        idx: (keyed(stencil.base),
-              [keyed(symbol) for symbol in stencil.symbols] if any(stencil.symbols) else None,
+        idx: (keyed(stencil.base), [keyed(symbol) for symbol in stencil.symbols],
               stencil.blocked)
         for idx, stencil in stencils.items()}
     # the code of x^a, then (j, a_j, code of x^(a - e_j)) for each a_j > 0
@@ -340,9 +339,6 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
         for idx, exponent in domain.elements:
             base, symbols, blocked = keyed_stencils[idx]
             at, steps = plans[exponent]
-            if symbols is None:
-                yield [(key + at, coeff) for key, coeff in base]
-                continue
             column = {key + at: coeff for key, coeff in base}
             for j, power, shift in steps:
                 scaled = symbols[j]
@@ -516,14 +512,18 @@ def bundle_map(structure: NambuStructure, degree: int) -> FirstOrderMap:
     return FirstOrderMap(lambda form: sharp(structure, degree, form))
 
 
-def ker_sharp_basis(structure: NambuStructure, degree: int, degree_bound: int,
-                    bundle: FirstOrderMap | None = None) -> list[GradedTensor]:
-    """Exact basis of the bounded-degree kernel of the degree-k bundle map;
-    ``bundle`` is ``bundle_map(structure, degree)`` when the caller shares one."""
+def ker_sharp_basis(structure: NambuStructure, degree: int,
+                    degree_bound: int) -> list[GradedTensor]:
+    """Exact basis of the bounded-degree kernel of the degree-k bundle map."""
     if not 0 <= degree <= structure.order:
         raise ValueError("form degree out of range 0..n")
-    if bundle is None:
-        bundle = bundle_map(structure, degree)
-    domain = TruncatedBasis.build(structure.chart, FORM, degree, degree_bound)
+    return _sharp_kernel(bundle_map(structure, degree), structure.chart, degree, degree_bound)
+
+
+def _sharp_kernel(bundle: FirstOrderMap, chart: Chart, degree: int,
+                  degree_bound: int) -> list[GradedTensor]:
+    """``ker_sharp_basis`` on the chart's degree-k forms, with the bundle map
+    ``bundle_map(structure, degree)`` that one report shares across bounds."""
+    domain = TruncatedBasis.build(chart, FORM, degree, degree_bound)
     operator = TruncatedOperator.build(domain, bundle)
     return [domain.from_coordinates(vec) for vec in operator.matrix.nullspace()]
