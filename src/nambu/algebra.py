@@ -40,13 +40,13 @@ infeasibility certificate (a left-kernel row ``y`` with ``y*A = 0`` and
 ``y*b != 0``) of the row that b's column pivots on, the first inconsistent
 leftover row, because it is the only left-kernel vector supported on the
 pivot rows and that row with a 1 there.  No row carries that transform
-through the elimination: ``solve`` rebuilds it for the one row from the
-record of updates, and checks it on the given rows before returning it.
-So every answer is the one Gauss-Jordan gives.  A column or coordinate
-vector is a ``SparseVector``: a map from position to its non-zero exact
-coefficient; zeros are never stored.  Nullspace bases are returned in
-this format, and the one product, ``ExactMatrix.apply``, maps a list of
-them to their images.  It clears denominators per vector and per row and
+through the elimination: ``solve`` finds its weights on the pivot rows with
+one elimination of the transposed system, and checks the certificate on the
+given rows before returning it.  So every answer is the one Gauss-Jordan
+gives.  A column or coordinate vector is a ``SparseVector``: a map from
+position to its non-zero exact coefficient; zeros are never stored.
+Nullspace bases are returned in this format, and the one product,
+``ExactMatrix.apply``, maps a list of them to their images.  It clears denominators per vector and per row and
 accumulates in ints, so a zero image costs no division at all.
 """
 
@@ -628,8 +628,7 @@ class ExactMatrix:
                     images[j][r] = _quotient(total, scale * scales[j])
         return images
 
-    def _echelon(self, history: list[list[tuple[int, ...]]] | None = None
-                 ) -> tuple[list[int], list[int], list[dict[int, int]]]:
+    def _echelon(self) -> tuple[list[int], list[int], list[dict[int, int]]]:
         """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
         Each row is scaled to integers by the lcm of its denominators; a row
@@ -644,14 +643,9 @@ class ExactMatrix:
         never changed again: there is no back-elimination.  A row that is
         not a pivot stays a non-zero multiple of the row Gauss-Jordan holds
         at its position, so both pick the same pivot rows and leave the same
-        rows over, in the same order.
-
-        A given ``history`` list receives one record per row: first
-        ``(scale, g0)`` for ``row = scale * A[i] / g0``, then one
-        ``(a, c, sel, g)`` per update ``row <- (a*row - c*rows[sel]) / g``,
-        with ``g`` the content removed.  Row ``sel`` is a pivot by then and
-        never changes again, so a pivot row's history names only earlier
-        pivots.  ``_certificate`` rebuilds a row's transform from them.
+        rows over, in the same order.  Only pivot rows are subtracted, and a
+        pivot row is subtracted only from rows below it, so each row is a
+        combination of the given row at its index and of earlier pivot rows.
 
         Returns ``(pivots, order, rows)``: the ascending pivot columns; the
         original index of the row at each echelon position, pivot rows first
@@ -662,14 +656,12 @@ class ExactMatrix:
         rows: list[dict[int, int]] = []
         for row in self._rows:
             if all(type(v) is int for v in row.values()):
-                scale, ints = 1, dict(row)
+                ints = dict(row)
             else:
                 scale = lcm(*(v.denominator for v in row.values()))
                 ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-            g = _remove_content(ints)
+            _remove_content(ints)
             rows.append(ints)
-            if history is not None:
-                history.append([(scale, g)])
         index: list[set[int]] = [set() for _ in range(ncols)]
         for r, row in enumerate(rows):
             for j in row:
@@ -711,9 +703,7 @@ class ExactMatrix:
                             del row[j]
                             if j != col:
                                 index[j].discard(r)
-                g = _remove_content(row)
-                if history is not None:
-                    history[r].append((a, c, sel, g))
+                _remove_content(row)
             index[col] = set()
             pivots.append(col)
             if len(pivots) == nrows:
@@ -756,45 +746,50 @@ class ExactMatrix:
 
         One elimination of ``[A | b]``, with b as column ``cols``, answers
         both: b's column is a pivot exactly when no solution exists.  Its
-        pivot row is the first leftover row of A, in echelon order, whose
-        entry of b did not cancel.  The certificate is that row's transform,
-        replayed from the elimination's history and divided by its
-        coefficient on that row: the one left-kernel vector of A supported on
-        the pivot rows and that row with a 1 there, which is the certificate
-        Gauss-Jordan with the same row order reads off its transform.  As
-        ``y*b != 0`` it proves infeasibility independently of the elimination
-        that found it; ``y*A = 0`` and ``y*b != 0`` are checked on the given
-        rows before it is returned, and a failure raises ``InvariantError``.
+        pivot row r is the first leftover row of A, in echelon order, whose
+        entry of b did not cancel.  The certificate is the one left-kernel
+        vector of A supported on r and the pivot rows P above it, with a 1 at
+        r: the one Gauss-Jordan with the same row order reads off its
+        transform.  The rows of A at P are independent, so the weights on P
+        are the unique solution of ``y_P*A_P = -A_r``, found by eliminating
+        the transposed system ``[A_P^T | -A_r^T]`` once; when A_r has no
+        entries, ``y`` is the unit vector at r.  As ``y*b != 0`` it proves
+        infeasibility independently of the eliminations that found it; ``y*A
+        = 0`` and ``y*b != 0`` are checked on the given rows before it is
+        returned.  A failed check, or a transposed system with no solution,
+        raises ``InvariantError``.
 
         Otherwise the solution sets every free variable to zero, which makes
-        it unique: the free columns are deleted from the pivot rows, so
-        ``_back_substitute`` leaves each row with its pivot and b alone.
+        it unique (see ``_solution``).
         """
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length mismatch")
         n = self.cols
         augmented = ExactMatrix._of_rows(n + 1, [
             {**row, n: v} if v else row for row, v in zip(self._rows, map(_exact, rhs))])
-        history: list[list[tuple[int, ...]]] = []
-        pivots, order, rows = augmented._echelon(history)
-        rank = len(pivots)
-        if pivots and pivots[-1] == n:
-            y = _certificate(history, order, order[rank - 1])
-            augmented._check_certificate(y)
-            certificate = [0] * self.rows
-            for i, v in y.items():
-                certificate[i] = v
-            return None, tuple(certificate)
-        kept = {*pivots, n}
-        echelon = [rows[r] for r in order[:rank]]
-        for row in echelon:
-            for j in [j for j in row if j not in kept]:
-                del row[j]
-        x = [0] * n
-        for row, pivot_col in zip(_back_substitute(pivots, echelon), pivots):
-            if n in row:
-                x[pivot_col] = _quotient(row[n], row[pivot_col])
-        return tuple(x), None
+        pivots, order, rows = augmented._echelon()
+        x = _solution(pivots, order, rows, n)
+        if x is not None:
+            return tuple(x), None
+        k = len(pivots) - 1
+        r = order[k]
+        y: SparseVector = {r: 1}
+        if self._rows[r]:
+            # row j is column j of A on P, then -A_r; in A's column order the
+            # elimination meets the pivots as the first one did, with low fill
+            transposed: dict[int, dict[int, Rational]] = {}
+            for position, i in enumerate(order[:k]):
+                for j, v in self._rows[i].items():
+                    transposed.setdefault(j, {})[position] = v
+            for j, v in self._rows[r].items():
+                transposed.setdefault(j, {})[k] = -v
+            system = ExactMatrix._of_rows(k + 1, [transposed[j] for j in sorted(transposed)])
+            weights = _solution(*system._echelon(), k)
+            if weights is None:
+                raise InvariantError("the pivot rows do not span the certificate's row")
+            y.update(zip(order[:k], weights))
+        augmented._check_certificate(y)
+        return None, tuple(y.get(i, 0) for i in range(self.rows))
 
     def _check_certificate(self, y: SparseVector) -> None:
         """Raise ``InvariantError`` unless ``y*[A | b] = [0 | s]`` with
@@ -838,53 +833,35 @@ def _combine(row: dict[int, int], a: int, c: int, other: dict[int, int]) -> None
             row.pop(j, None)
 
 
-def _remove_content(row: dict[int, int]) -> int:
-    """Divide an integer row by the gcd of its entries; return the divisor,
-    which is 1 when there was nothing to divide."""
+def _remove_content(row: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries."""
     g = gcd(*row.values())
     if g > 1:
         for j in row:
             row[j] //= g
-        return g
-    return 1
 
 
-def _certificate(history: list[list[tuple[int, ...]]], order: list[int],
-                 r: int) -> SparseVector:
-    """The transform ``T`` of leftover row ``r``, with ``row = sum_i T[i]*A[i]``,
-    divided by ``T[r]``.
+def _solution(pivots: list[int], order: list[int], rows: list[dict[int, int]],
+              n: int) -> list[Rational] | None:
+    """The solution with every free variable zero of a system ``[A | b]``
+    that ``_echelon`` eliminated, with b as column ``n``; None when b's
+    column is a pivot and there is no solution.
 
-    The rows that ``r``'s history reaches are collected by a work list, not
-    by recursion: a chain of pivots can be thousands deep.  They are replayed
-    in echelon order.  Each transform is an integer dict ``D`` times a scale
-    ``lam``; with ``lam_sel / lam = p/q`` an update ``(a, c, sel, g)`` makes
-    ``D`` ``q*a*D - c*p*D_sel`` and ``lam`` ``lam / (g*q)``, and the integer
-    content of ``D`` then moves into ``lam``.
+    The free columns are deleted from the pivot rows, so ``_back_substitute``
+    leaves each row with its pivot and b alone.
     """
-    reached = {r}
-    work = [r]
-    while work:
-        for step in history[work.pop()][1:]:
-            sel = step[2]
-            if sel not in reached:
-                reached.add(sel)
-                work.append(sel)
-    replayed: dict[int, tuple[dict[int, int], Fraction]] = {}
-    for t in [t for t in order if t in reached]:
-        steps = history[t]
-        scale, g0 = steps[0]
-        transform = {t: 1}
-        lam = Fraction(scale, g0)
-        for a, c, sel, g in steps[1:]:
-            other, lam_sel = replayed[sel]
-            ratio = Fraction(lam_sel, lam)
-            p, q = ratio.numerator, ratio.denominator
-            _combine(transform, q * a, c * p, other)
-            lam = Fraction(lam * _remove_content(transform), g * q)
-        replayed[t] = transform, lam
-    transform = replayed[r][0]
-    lead = transform[r]
-    return {i: _quotient(v, lead) for i, v in transform.items()}
+    if pivots and pivots[-1] == n:
+        return None
+    kept = {*pivots, n}
+    echelon = [rows[r] for r in order[:len(pivots)]]
+    for row in echelon:
+        for j in [j for j in row if j not in kept]:
+            del row[j]
+    x: list[Rational] = [0] * n
+    for row, pivot_col in zip(_back_substitute(pivots, echelon), pivots):
+        if n in row:
+            x[pivot_col] = _quotient(row[n], row[pivot_col])
+    return x
 
 
 def _back_substitute(pivots: list[int], echelon: list[dict[int, int]]) -> list[dict[int, int]]:

@@ -38,7 +38,6 @@ from .truncation import (
     TruncatedOperator,
     _sharp_kernel,
     bundle_map,
-    ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
 )
@@ -94,24 +93,34 @@ class TruncatedDimension:
             self.previous_dimension == self.dimension
 
 
+def _foliated_maps(structure: NambuStructure, degree: int
+                   ) -> tuple[FirstOrderMap, FirstOrderMap, FirstOrderMap]:
+    """Sharp after d, d and the bundle map: the maps of the foliated
+    cohomology at one degree, which its quotients at two bounds share."""
+    return (FirstOrderMap(lambda form: sharp(structure, degree + 1, ext_d(form))),
+            FirstOrderMap(ext_d), bundle_map(structure, degree))
+
+
 def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
+                           maps: tuple[FirstOrderMap, FirstOrderMap, FirstOrderMap],
                            sharp_kernel: list[GradedTensor] | None = None) -> int:
-    """Foliated cohomology at one degree; ``sharp_kernel`` is
-    ``ker_sharp_basis(structure, degree, bound)`` when the caller has it."""
+    """Foliated cohomology at one degree, with ``_foliated_maps(structure,
+    degree)``; ``sharp_kernel`` is the kernel basis of the bundle map at
+    ``bound``, when the caller has it."""
+    sharp_after_d, d, bundle = maps
     chart = structure.chart
     domain = TruncatedBasis.build(chart, FORM, degree, bound)
     if degree < structure.order:
-        cycles = TruncatedOperator.build(
-            domain, lambda form: sharp(structure, degree + 1, ext_d(form))).matrix
+        cycles = TruncatedOperator.build(domain, sharp_after_d).matrix
     else:
         cycles = ExactMatrix(0, len(domain))
 
     boundaries: list[SparseVector] = []
     if degree >= 1:
         previous = TruncatedBasis.build(chart, FORM, degree - 1, bound + 1)
-        boundaries = TruncatedOperator.build(previous, ext_d).coordinates_in(domain)
+        boundaries = TruncatedOperator.build(previous, d).coordinates_in(domain)
     if sharp_kernel is None:
-        sharp_kernel = ker_sharp_basis(structure, degree, bound)
+        sharp_kernel = _sharp_kernel(bundle, chart, degree, bound)
     boundaries.extend(domain.to_coordinates(form) for form in sharp_kernel)
     return len(_complement_kernel(cycles, boundaries)[1])
 
@@ -128,8 +137,9 @@ def foliated_cohomology_dim(structure: NambuStructure, degree: int,
         raise ValueError("cohomology degree out of range 0..n")
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
-    dimension = _foliated_dimension_at(structure, degree, bound)
-    previous = _foliated_dimension_at(structure, degree, bound - 1) if bound >= 1 else None
+    maps = _foliated_maps(structure, degree)
+    dimension = _foliated_dimension_at(structure, degree, bound, maps)
+    previous = _foliated_dimension_at(structure, degree, bound - 1, maps) if bound >= 1 else None
     return TruncatedDimension(degree, bound, dimension, previous)
 
 
@@ -220,15 +230,23 @@ def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
     return kept
 
 
+def _contractions(*annihilator_lists: list[GradedTensor]) -> list[list[FirstOrderMap]]:
+    """The contraction with each annihilator 1-form, list by list, with one
+    map per form, which lists that hold the same form share."""
+    maps = {form: FirstOrderMap(lambda field, a=form: contract_form(a, field))
+            for form in chain(*annihilator_lists)}
+    return [[maps[form] for form in forms] for forms in annihilator_lists]
+
+
 def _tangent_constraints(domain: TruncatedBasis,
-                         annihilators: list[GradedTensor]) -> ExactMatrix:
+                         contractions: list[FirstOrderMap]) -> ExactMatrix:
     """The rows whose kernel is the domain's multivectors killed by the given
-    annihilator 1-forms of the structure; degree 0 is unconstrained."""
+    contractions with annihilator 1-forms of the structure; degree 0 is
+    unconstrained."""
     rows: list[dict[int, Rational]] = []
     if domain.degree >= 1:
-        for annihilator in annihilators:
-            rows.extend(TruncatedOperator.build(
-                domain, lambda field, a=annihilator: contract_form(a, field)).matrix.row_dicts())
+        for contraction in contractions:
+            rows.extend(TruncatedOperator.build(domain, contraction).matrix.row_dicts())
     return ExactMatrix._of_rows(len(domain), rows)
 
 
@@ -258,7 +276,7 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
         above_annihilators = reduce_annihilators(
             _sharp_kernel(bundle, structure.chart, 1, bound + 1))
     return _canonical_dimension_at(structure, _boundary_map(volume), degree, bound,
-                                   annihilators, above_annihilators)
+                                   *_contractions(annihilators, above_annihilators))
 
 
 def _boundary_map(volume: VolumeSpec) -> FirstOrderMap:
@@ -267,25 +285,25 @@ def _boundary_map(volume: VolumeSpec) -> FirstOrderMap:
 
 
 def _canonical_dimension_at(structure: NambuStructure, boundary: FirstOrderMap,
-                            degree: int, bound: int, annihilators: list[GradedTensor],
-                            above_annihilators: list[GradedTensor]) -> int:
+                            degree: int, bound: int, contractions: list[FirstOrderMap],
+                            above_contractions: list[FirstOrderMap]) -> int:
     """Canonical homology at one degree, given the boundary map, and the
-    reduced annihilator 1-forms at ``bound`` and (used below the top degree)
-    at ``bound + 1``.
+    contractions with the reduced annihilator 1-forms at ``bound`` and (used
+    below the top degree) at ``bound + 1``.
 
     The cycles are the tangency constraints stacked on the boundary; the
     boundaries are the images of the tangent chains one degree up.
     """
     chart = structure.chart
     domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
-    cycles = _tangent_constraints(domain, annihilators)
+    cycles = _tangent_constraints(domain, contractions)
     if degree >= 1:
         rows = TruncatedOperator.build(domain, boundary).matrix.row_dicts()
         cycles = ExactMatrix._of_rows(len(domain), cycles.row_dicts() + rows)
     boundaries: list[SparseVector] = []
     if degree < structure.order:
         above = TruncatedBasis.build(chart, MULTIVECTOR, degree + 1, bound + 1)
-        chains = _tangent_constraints(above, above_annihilators).nullspace()
+        chains = _tangent_constraints(above, above_contractions).nullspace()
         boundaries = TruncatedOperator.build(above, boundary).coordinates_in(domain, chains)
     return len(_complement_kernel(cycles, boundaries)[1])
 
@@ -481,16 +499,18 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
     bundle = bundle_map(structure, 1)
     boundary = _boundary_map(volume)
     one_form_kernel = _sharp_kernel(bundle, structure.chart, 1, bound)
-    annihilators = reduce_annihilators(one_form_kernel)
-    above_annihilators = reduce_annihilators(_sharp_kernel(bundle, structure.chart, 1, bound + 1))
+    contractions, above_contractions = _contractions(
+        reduce_annihilators(one_form_kernel),
+        reduce_annihilators(_sharp_kernel(bundle, structure.chart, 1, bound + 1)))
     rows = []
     holds = True
     for degree in range(n + 1):
         foliated = _foliated_dimension_at(structure, degree, bound,
+                                          _foliated_maps(structure, degree),
                                           one_form_kernel if degree == 1 else None)
         canonical_degree = n - degree
         canonical = _canonical_dimension_at(structure, boundary, canonical_degree, bound,
-                                            annihilators, above_annihilators)
+                                            contractions, above_contractions)
         np_dim: int | None
         if degree == 0:
             np_dim = foliated

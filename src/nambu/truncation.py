@@ -32,8 +32,9 @@ has order at most one.
 A stencil does not depend on the coefficient bound.  A ``FirstOrderMap``
 wraps a mapping and keeps the stencil of each index it is built on, so a
 report that builds one map at several bounds (the boundary on the chains
-of two bounds, the degree-1 bundle map at bound and bound + 1) calls the
-mapping, and runs the guard, once per index.  ``build`` re-keys the kept
+of two bounds, the degree-1 bundle map and the contractions with its
+annihilators at bound and bound + 1, the foliated maps at bound and
+bound - 1) calls the mapping, and runs the guard, once per index.  ``build`` re-keys the kept
 stencils for each domain and still takes a plain callable, which gets a
 map of its own.  A report makes its maps and drops them with its answer;
 nothing is cached across reports.

@@ -450,29 +450,43 @@ def sign_flipped_delta(volume, field):
     return delta(volume, GradedTensor(field.chart, field.variance, field.degree, flipped))
 
 
-def echelon_with_a_bad_record(corrupt_b: bool = False):
-    """``ExactMatrix._echelon`` with one corrupted record for ``solve``.
+def echelon_with_a_bad_certificate(corrupt_b: bool = False):
+    """``ExactMatrix._echelon`` that leads ``solve`` to a certificate that
+    fails its check.
 
-    It acts only when a history is kept and the last column, b's in
-    ``solve``, is a pivot.  By default the history of b's pivot row gains an
-    update that never ran, ``row <- row - rows[p]`` for the first pivot row
-    ``p``, so the certificate replayed from it no longer annihilates the
-    matrix.  With ``corrupt_b`` b's pivot row trades places in ``order``
-    with a leftover row that holds no b, so ``solve`` replays that row's
-    certificate, which is sound on A but does not separate b.
+    It acts when the last column, b's in ``solve``, is a pivot.  With
+    ``corrupt_b`` b's pivot row trades places in ``order`` with a leftover
+    row that holds no b, so ``solve`` returns that row's certificate, which
+    is sound on A but does not separate b.  By default b's pivot row, if it
+    has no entries of A, trades places with a leftover row that has some, so
+    that ``solve`` solves the transposed system for the certificate's
+    weights; that next elimination comes back with its first weight raised
+    by one, so the certificate no longer annihilates the matrix.
     """
     echelon = ExactMatrix._echelon
+    armed = False
 
-    def corrupted(self, history=None):
-        pivots, order, rows = echelon(self, history)
-        if history is not None and pivots and pivots[-1] == self.cols - 1:
+    def corrupted(self):
+        nonlocal armed
+        pivots, order, rows = echelon(self)
+        b = self.cols - 1
+        if armed:
+            armed = False
+            first = rows[order[0]]
+            first[b] = first.get(b, 0) + first[pivots[0]]
+        elif pivots and pivots[-1] == b:
             k = len(pivots) - 1
             if corrupt_b:
                 other = next(pos for pos in range(k + 1, len(order))
-                             if self.cols - 1 not in rows[order[pos]])
+                             if b not in rows[order[pos]])
                 order[k], order[other] = order[other], order[k]
             else:
-                history[order[k]].append((1, 1, order[0], 1))
+                def in_a(pos):
+                    return any(j != b for j in self.row_dicts()[order[pos]])
+                if not in_a(k):
+                    other = next(pos for pos in range(k + 1, len(order)) if in_a(pos))
+                    order[k], order[other] = order[other], order[k]
+                armed = True
         return pivots, order, rows
     return corrupted
 

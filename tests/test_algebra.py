@@ -22,7 +22,7 @@ from support import (
     assert_elimination_matches_sympy,
     assert_solve_matches_sympy,
     dense,
-    echelon_with_a_bad_record,
+    echelon_with_a_bad_certificate,
     evaluate,
     fraction_terms,
     matmul,
@@ -631,13 +631,26 @@ def test_elimination_matches_gauss_jordan_sparse(seed):
     _assert_matches_gauss_jordan(matrix, rhs)
 
 
+def _counting_echelon(monkeypatch):
+    calls = []
+    echelon = ExactMatrix._echelon
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return echelon(self)
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_certificate_of_a_late_leftover_row_matches_gauss_jordan(seed):
+def test_certificate_of_a_late_leftover_row_matches_gauss_jordan(monkeypatch, seed):
     # 150x100 at 3% density: the leftover rows come before row 149, which is
     # a combination of 30 earlier rows and so stays in the last position.  b
     # is consistent except on row 149, so every earlier leftover row's b
-    # cancels and the certificate belongs to row 149, whose history reaches
-    # more than 20 pivots.
+    # cancels and the certificate belongs to row 149, whose weights reach
+    # more than 20 pivot rows.  They come from a second elimination, of the
+    # transposed system.
     rng = random.Random(2000 + seed)
     nrows, ncols = 150, 100
     rows = [{j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
@@ -652,15 +665,34 @@ def test_certificate_of_a_late_leftover_row_matches_gauss_jordan(seed):
     rhs = _times(matrix, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)])
     rhs[-1] += 1
     _assert_matches_gauss_jordan(matrix, rhs)
+    calls = _counting_echelon(monkeypatch)
     _, certificate = matrix.solve(rhs)
+    assert len(calls) == 2 and calls[0] == (nrows, ncols + 1)
     assert matrix.rank() < nrows - 1 and certificate[-1] == 1
     assert sum(1 for weight in certificate if weight) > 21
 
 
+def test_pivot_rows_that_do_not_span_the_certificate_row_are_an_invariant_error(monkeypatch):
+    # b's pivot row trades places with the first pivot row, whose row of A
+    # the other pivot rows do not span: the transposed system has no solution
+    echelon = ExactMatrix._echelon
+
+    def swapped(self):
+        pivots, order, rows = echelon(self)
+        if pivots and pivots[-1] == self.cols - 1:
+            k = len(pivots) - 1
+            order[0], order[k] = order[k], order[0]
+        return pivots, order, rows
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", swapped)
+    with pytest.raises(InvariantError, match="pivot rows do not span"):
+        dense([[1, 0], [0, 1], [0, 0]]).solve([0, 0, 1])
+
+
 def test_certificate_of_a_deep_pivot_chain_is_replayed_without_recursion():
-    # r0 = e0, r_k = e_(k-1) + e_k: each pivot's history names the one before
-    # it, so the certificate of the leftover row e_2999 replays a chain of
-    # 3000 pivots; its weights alternate in sign
+    # r0 = e0, r_k = e_(k-1) + e_k: the leftover row e_2999 is the
+    # alternating sum of all 3000 pivot rows, so its weights come from a
+    # 3000-deep triangular transposed system; they alternate in sign
     n = 3000
     rows = [{0: Fraction(1)}] + [{k - 1: Fraction(1), k: Fraction(1)} for k in range(1, n)]
     rows.append({n - 1: Fraction(1)})
@@ -696,7 +728,7 @@ def test_feasible_solve_back_substitutes_only_pivot_columns_and_b(monkeypatch):
 
 @pytest.mark.parametrize("corrupt_b, message", [(False, "annihilate"), (True, "separate")])
 def test_a_corrupted_certificate_is_an_invariant_error(monkeypatch, corrupt_b, message):
-    monkeypatch.setattr(ExactMatrix, "_echelon", echelon_with_a_bad_record(corrupt_b))
+    monkeypatch.setattr(ExactMatrix, "_echelon", echelon_with_a_bad_certificate(corrupt_b))
     with pytest.raises(InvariantError, match=message):
         dense([[1], [1], [1]]).solve([1, 1, 2])
 

@@ -14,7 +14,7 @@ import pytest
 from nambu.algebra import ExactMatrix
 from nambu.cli import _build_parser, main
 from nambu.exterior import differential, ext_d
-from support import echelon_with_a_bad_record, sign_flipped_delta
+from support import echelon_with_a_bad_certificate, sign_flipped_delta
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SINGULAR = str(MODELS / "singular_r3.nmb")
@@ -350,7 +350,7 @@ def test_boundary_that_is_not_a_cycle_is_internal_error(capsys):
 
 
 def test_certificate_that_fails_its_check_is_internal_error(capsys):
-    with mock.patch.object(ExactMatrix, "_echelon", echelon_with_a_bad_record()):
+    with mock.patch.object(ExactMatrix, "_echelon", echelon_with_a_bad_certificate()):
         code = main(["potential", SINGULAR, "L", "V", "--degree-bound", "8"])
     captured = capsys.readouterr()
     assert code == 3

@@ -18,6 +18,7 @@ from nambu.cohomology import (
     _annihilates,
     _complement_kernel,
     _foliated_dimension_at,
+    _foliated_maps,
     _radial_relations,
     _radial_split,
     canonical_homology_dim,
@@ -402,6 +403,65 @@ def test_duality_calls_each_shared_map_once_per_probe(monkeypatch):
         assert probes and max(Counter(probes).values()) == 1
     # chains of every degree from 1 to the order were mapped
     assert {field.degree for field in boundary_probes} == {1, 2, 3}
+
+
+def _counting_stencils(monkeypatch):
+    import nambu.truncation as truncation
+    indices = []
+    first_order_stencil = truncation._first_order_stencil
+
+    def counted(domain, mapping, idx):
+        indices.append(idx)
+        return first_order_stencil(domain, mapping, idx)
+
+    monkeypatch.setattr(truncation, "_first_order_stencil", counted)
+    return indices
+
+
+def test_foliated_calls_each_shared_map_once_per_probe(monkeypatch):
+    # sharp after d, d and the bundle map run at bound b and at b - 1; each
+    # probe is mapped once, so each index has one stencil per map
+    import nambu.cohomology as cohomology
+    import nambu.truncation as truncation
+    d_probes, bundle_probes = [], []
+
+    def recording_d(form):
+        d_probes.append(form)
+        return ext_d(form)
+
+    def recording_sharp(structure, degree, form):
+        bundle_probes.append(form)
+        return sharp(structure, degree, form)
+
+    monkeypatch.setattr(cohomology, "ext_d", recording_d)
+    monkeypatch.setattr(truncation, "sharp", recording_sharp)
+    indices = _counting_stencils(monkeypatch)
+    outcome = foliated_cohomology_dim(regular_r4(), 2, 4)
+    assert (outcome.dimension, outcome.previous_dimension) == (0, 0)
+    for probes in (d_probes, bundle_probes):
+        assert probes and max(Counter(probes).values()) == 1
+    # d runs on the 2-forms (in sharp after d) and on the 1-forms
+    assert {form.degree for form in d_probes} == {1, 2}
+    # 6 two-form indices under sharp after d and the bundle map, 4 one-form
+    # indices under d
+    assert len(indices) == 16
+
+
+def test_duality_keeps_one_contraction_map_per_annihilator(monkeypatch):
+    # the reduced annihilators at b and b + 1 share their forms, and so
+    # their contractions' stencils, across the two bounds and every degree
+    import nambu.cohomology as cohomology
+    contracted = []
+
+    def recording_contract(form, field):
+        contracted.append((form, field))
+        return contract_form(form, field)
+
+    monkeypatch.setattr(cohomology, "contract_form", recording_contract)
+    indices = _counting_stencils(monkeypatch)
+    assert duality_report(regular_r4(), STD4, 4).holds
+    assert contracted and max(Counter(contracted).values()) == 1
+    assert len(indices) == 65
 
 
 def test_non_polynomial_image_is_rejected():
@@ -1129,7 +1189,8 @@ def test_np_h1_top_matches_the_full_nullspace_oracle(coefficient, bound):
 def _assert_quotients_match_nullity_minus_rank(structure, bound):
     volume = VolumeSpec.standard(structure.chart)
     for degree in range(structure.order + 1):
-        assert _foliated_dimension_at(structure, degree, bound) == \
+        assert _foliated_dimension_at(structure, degree, bound,
+                                      _foliated_maps(structure, degree)) == \
             oracle_foliated_dimension(structure, degree, bound)
         assert canonical_homology_dim(structure, volume, degree, bound) == \
             oracle_canonical_dimension(structure, volume, degree, bound)

@@ -416,6 +416,25 @@ def test_certified_solves_check_no_row_again(monkeypatch):
     assert checked == []
 
 
+def test_a_certificate_row_outside_the_image_eliminates_once(monkeypatch):
+    # b's pivot row holds no entry of the operator, so the certificate is the
+    # unit vector at that row and no transposed system is eliminated
+    calls = []
+    echelon = ExactMatrix._echelon
+
+    def counted(matrix):
+        calls.append(matrix.cols)
+        return echelon(matrix)
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+    for search, bound in ((modular_potential, 20), (subcomplex_check, 12)):
+        calls.clear()
+        outcome = search(singular_r3(), STD3, bound)
+        assert outcome.certificate is not None
+        assert len(calls) == 1
+        assert [weight for _, weight in outcome.certificate] == [1]
+
+
 @pytest.mark.parametrize("bound", [4, 8])
 def test_sharp_runs_only_on_the_stencil_probes(bound):
     # 1 + m + m(m+1)/2 = 10 probes per index on R^3, whatever the bound
