@@ -7,16 +7,18 @@ bookkeeping is strict throughout: an operator's rows are the labels its
 images hold, so no image is ever clipped, coordinates in a truncated space
 raise rather than drop a term, and every quotient asserts that the
 coboundaries lie in the cocycles.  Every quotient, h1-top, foliated and
-canonical alike, is one ``_complement_kernel(cycles, boundaries)`` call: the
-kernel of the cycle matrix on a coordinate complement of the boundaries.
-Its length is the dimension, and for h1-top its vectors are the printed
-representatives.
+canonical alike, is one ``_quotient`` call, which returns
+``_complement_kernel(cycles, boundaries)``: the kernel of the cycle matrix
+on a coordinate complement of the boundaries.  Its length is the dimension,
+and for h1-top its vectors are the printed representatives.  ``_Complexes``
+makes the maps of one report's foliated and canonical quotients, each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from typing import Callable, Iterable
 
 from .algebra import ExactMatrix, InvariantError, Polynomial, Rational, SparseVector
 from .exterior import (
@@ -59,8 +61,11 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
     cycle minus the B-vector with the same P-coordinates lies in ker C on
     Q^W.  Hence ker C is the direct sum of span B and ker(C|_W), and the
     kernel of C|_W padded with zeros on P is the basis.  B must lie in
-    ker C (D after D is zero); that is checked first.
+    ker C (D after D is zero); that is checked first.  With no B the basis
+    is the nullspace of C.
     """
+    if not boundaries:
+        return 0, cycles.nullspace()
     if not _annihilates(cycles, boundaries):
         raise InvariantError("coboundary vector escapes the cocycle space; "
                              "degree bookkeeping is inconsistent")
@@ -74,6 +79,28 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
         for row in cycles.row_dicts()])
     return len(spanned), [{kept[k]: v for k, v in vector.items()}
                           for vector in restricted.nullspace()]
+
+
+def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
+              boundary: tuple[TruncatedBasis, Callable] | None = None,
+              chains: list[SparseVector] | None = None,
+              extra: Iterable[SparseVector] = ()) -> tuple[int, list[SparseVector]]:
+    """``_complement_kernel`` of ker C / span B on ``domain``, the one place
+    that builds a quotient.
+
+    C stacks the operator rows of the cycle maps (no map gives 0 rows).  B
+    holds the images of ``chains``, vectors of the source basis, under the
+    boundary map (of every source element when ``chains`` is None), then
+    the ``extra`` vectors.
+    """
+    rows = [row for mapping in cycle_maps
+            for row in TruncatedOperator.build(domain, mapping).matrix.row_dicts()]
+    boundaries: list[SparseVector] = []
+    if boundary is not None:
+        source, mapping = boundary
+        boundaries = TruncatedOperator.build(source, mapping).coordinates_in(domain, chains)
+    boundaries.extend(extra)
+    return _complement_kernel(ExactMatrix._of_rows(len(domain), rows), boundaries)
 
 
 # -- foliated cohomology -------------------------------------------------------
@@ -93,38 +120,6 @@ class TruncatedDimension:
             self.previous_dimension == self.dimension
 
 
-def _foliated_maps(structure: NambuStructure, degree: int
-                   ) -> tuple[FirstOrderMap, FirstOrderMap, FirstOrderMap]:
-    """Sharp after d, d and the bundle map: the maps of the foliated
-    cohomology at one degree, which its quotients at two bounds share."""
-    return (FirstOrderMap(lambda form: sharp(structure, degree + 1, ext_d(form))),
-            FirstOrderMap(ext_d), bundle_map(structure, degree))
-
-
-def _foliated_dimension_at(structure: NambuStructure, degree: int, bound: int,
-                           maps: tuple[FirstOrderMap, FirstOrderMap, FirstOrderMap],
-                           sharp_kernel: list[GradedTensor] | None = None) -> int:
-    """Foliated cohomology at one degree, with ``_foliated_maps(structure,
-    degree)``; ``sharp_kernel`` is the kernel basis of the bundle map at
-    ``bound``, when the caller has it."""
-    sharp_after_d, d, bundle = maps
-    chart = structure.chart
-    domain = TruncatedBasis.build(chart, FORM, degree, bound)
-    if degree < structure.order:
-        cycles = TruncatedOperator.build(domain, sharp_after_d).matrix
-    else:
-        cycles = ExactMatrix(0, len(domain))
-
-    boundaries: list[SparseVector] = []
-    if degree >= 1:
-        previous = TruncatedBasis.build(chart, FORM, degree - 1, bound + 1)
-        boundaries = TruncatedOperator.build(previous, d).coordinates_in(domain)
-    if sharp_kernel is None:
-        sharp_kernel = _sharp_kernel(bundle, chart, degree, bound)
-    boundaries.extend(domain.to_coordinates(form) for form in sharp_kernel)
-    return len(_complement_kernel(cycles, boundaries)[1])
-
-
 def foliated_cohomology_dim(structure: NambuStructure, degree: int,
                             bound: int) -> TruncatedDimension:
     """Dimension of the truncated foliated cohomology at one degree.
@@ -137,9 +132,9 @@ def foliated_cohomology_dim(structure: NambuStructure, degree: int,
         raise ValueError("cohomology degree out of range 0..n")
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
-    maps = _foliated_maps(structure, degree)
-    dimension = _foliated_dimension_at(structure, degree, bound, maps)
-    previous = _foliated_dimension_at(structure, degree, bound - 1, maps) if bound >= 1 else None
+    complexes = _Complexes(structure)
+    dimension = complexes.foliated(degree, bound)
+    previous = complexes.foliated(degree, bound - 1) if bound >= 1 else None
     return TruncatedDimension(degree, bound, dimension, previous)
 
 
@@ -180,13 +175,11 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
         raise ValueError(f"bound {bound} is below deg(f) - 1 = {deg_f - 1}")
     chart = Chart(coefficient.variables)
     domain = TruncatedBasis.build(chart, FORM, 1, bound)
-    cocycle_op = TruncatedOperator.build(
-        domain, lambda form: np_cocycle_check_top(coefficient, form))
-    # f dg for every non-constant monomial g, the constant being first
+    # f dg for every monomial g at bound + 1 - deg f; the constant's is empty
     generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
-    coboundaries = TruncatedOperator.build(
-        generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain)[1:]
-    boundary_rank, kernel = _complement_kernel(cocycle_op.matrix, coboundaries)
+    boundary_rank, kernel = _quotient(
+        domain, [lambda form: np_cocycle_check_top(coefficient, form)],
+        (generators, lambda g: ext_d(g).scale(coefficient)))
     return TopH1Report(
         bound=bound,
         dimension=len(kernel),
@@ -230,32 +223,6 @@ def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
     return kept
 
 
-def _contractions(*annihilator_lists: list[GradedTensor]) -> list[list[FirstOrderMap]]:
-    """The contraction with each annihilator 1-form, list by list, with one
-    map per form, which lists that hold the same form share."""
-    maps = {form: FirstOrderMap(lambda field, a=form: contract_form(a, field))
-            for form in chain(*annihilator_lists)}
-    return [[maps[form] for form in forms] for forms in annihilator_lists]
-
-
-def _tangent_constraints(domain: TruncatedBasis,
-                         contractions: list[FirstOrderMap]) -> ExactMatrix:
-    """The rows whose kernel is the domain's multivectors killed by the given
-    contractions with annihilator 1-forms of the structure; degree 0 is
-    unconstrained."""
-    rows: list[dict[int, Rational]] = []
-    if domain.degree >= 1:
-        for contraction in contractions:
-            rows.extend(TruncatedOperator.build(domain, contraction).matrix.row_dicts())
-    return ExactMatrix._of_rows(len(domain), rows)
-
-
-def _check_homology_volume(volume: VolumeSpec) -> None:
-    if not volume.weight.is_zero() or not volume.coefficient.is_constant():
-        raise ValueError("truncated homology needs a constant-coefficient, "
-                         "weight-free volume")
-
-
 def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
                            degree: int, bound: int) -> int:
     """Truncated homology of the boundary on tangent multivectors.
@@ -268,44 +235,84 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
     n = structure.order
     if not 0 <= degree <= n:
         raise ValueError("homology degree out of range 0..n")
-    _check_homology_volume(volume)
-    bundle = bundle_map(structure, 1)
-    annihilators = reduce_annihilators(_sharp_kernel(bundle, structure.chart, 1, bound))
-    above_annihilators = []
-    if degree < n:
-        above_annihilators = reduce_annihilators(
-            _sharp_kernel(bundle, structure.chart, 1, bound + 1))
-    return _canonical_dimension_at(structure, _boundary_map(volume), degree, bound,
-                                   *_contractions(annihilators, above_annihilators))
+    return _Complexes(structure, volume).canonical(degree, bound)
 
 
-def _boundary_map(volume: VolumeSpec) -> FirstOrderMap:
-    """The boundary of the volume, built on the chains of two bounds."""
-    return FirstOrderMap(lambda field: delta(volume, field))
+class _Complexes:
+    """The foliated and canonical complexes of one structure, for one report.
 
-
-def _canonical_dimension_at(structure: NambuStructure, boundary: FirstOrderMap,
-                            degree: int, bound: int, contractions: list[FirstOrderMap],
-                            above_contractions: list[FirstOrderMap]) -> int:
-    """Canonical homology at one degree, given the boundary map, and the
-    contractions with the reduced annihilator 1-forms at ``bound`` and (used
-    below the top degree) at ``bound + 1``.
-
-    The cycles are the tangency constraints stacked on the boundary; the
-    boundaries are the images of the tangent chains one degree up.
+    Their maps are d, the boundary of ``volume``, the bundle map and sharp
+    after d at each degree, and the contraction with each reduced
+    annihilator 1-form.  Each map is made when first needed and then shared,
+    with its stencils, by every degree and bound that the report asks for;
+    each sharp kernel and each list of reduced annihilators is computed once
+    per (degree, bound).  A report makes one and drops it with its answer.
     """
-    chart = structure.chart
-    domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
-    cycles = _tangent_constraints(domain, contractions)
-    if degree >= 1:
-        rows = TruncatedOperator.build(domain, boundary).matrix.row_dicts()
-        cycles = ExactMatrix._of_rows(len(domain), cycles.row_dicts() + rows)
-    boundaries: list[SparseVector] = []
-    if degree < structure.order:
-        above = TruncatedBasis.build(chart, MULTIVECTOR, degree + 1, bound + 1)
-        chains = _tangent_constraints(above, above_contractions).nullspace()
-        boundaries = TruncatedOperator.build(above, boundary).coordinates_in(domain, chains)
-    return len(_complement_kernel(cycles, boundaries)[1])
+
+    def __init__(self, structure: NambuStructure, volume: VolumeSpec | None = None):
+        if volume is not None and not (volume.weight.is_zero()
+                                       and volume.coefficient.is_constant()):
+            raise ValueError("truncated homology needs a constant-coefficient, "
+                             "weight-free volume")
+        self.structure = structure
+        self.volume = volume
+        self._made: dict = {}
+
+    def _once(self, key, make: Callable):
+        made = self._made.get(key)
+        if made is None:
+            made = self._made[key] = make()
+        return made
+
+    def _kernel(self, degree: int, bound: int) -> list[GradedTensor]:
+        """The kernel basis of the degree-k bundle map at ``bound``."""
+        structure = self.structure
+        return self._once(("kernel", degree, bound), lambda: _sharp_kernel(
+            self._once(("sharp", degree), lambda: bundle_map(structure, degree)),
+            structure.chart, degree, bound))
+
+    def _tangency(self, degree: int, bound: int) -> list[FirstOrderMap]:
+        """The contractions whose common kernel is the tangent multivectors
+        of the degree at ``bound``; degree 0 is unconstrained."""
+        if degree == 0:
+            return []
+        annihilators = self._once(("annihilators", bound),
+                                  lambda: reduce_annihilators(self._kernel(1, bound)))
+        return [self._once(("contraction", form), lambda form=form: FirstOrderMap(
+            lambda field: contract_form(form, field))) for form in annihilators]
+
+    def foliated(self, degree: int, bound: int) -> int:
+        """Foliated cohomology at one degree: the forms that sharp after d
+        kills, modulo d of the forms one degree down at bound + 1 and the
+        sharp kernel."""
+        structure, chart = self.structure, self.structure.chart
+        domain = TruncatedBasis.build(chart, FORM, degree, bound)
+        cycles = []
+        if degree < structure.order:
+            cycles.append(self._once(("sharp after d", degree), lambda: FirstOrderMap(
+                lambda form: sharp(structure, degree + 1, ext_d(form)))))
+        boundary = None
+        if degree >= 1:
+            boundary = (TruncatedBasis.build(chart, FORM, degree - 1, bound + 1),
+                        self._once("d", lambda: FirstOrderMap(ext_d)))
+        kernel = [domain.to_coordinates(form) for form in self._kernel(degree, bound)]
+        return len(_quotient(domain, cycles, boundary, extra=kernel)[1])
+
+    def canonical(self, degree: int, bound: int) -> int:
+        """Canonical homology at one degree: the tangent chains that the
+        boundary kills, modulo the boundaries of the tangent chains one
+        degree up at bound + 1."""
+        structure, chart = self.structure, self.structure.chart
+        volume = self.volume
+        delta_map = self._once("delta", lambda: FirstOrderMap(lambda field: delta(volume, field)))
+        domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
+        cycles = self._tangency(degree, bound) + ([delta_map] if degree >= 1 else [])
+        boundary = chains = None
+        if degree < structure.order:
+            above = TruncatedBasis.build(chart, MULTIVECTOR, degree + 1, bound + 1)
+            boundary = (above, delta_map)
+            chains = _quotient(above, self._tangency(degree + 1, bound + 1))[1]
+        return len(_quotient(domain, cycles, boundary, chains)[1])
 
 
 # -- the modular obstruction to the image subcomplex -----------------------------
@@ -493,24 +500,15 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
     """
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
-    _check_homology_volume(volume)
     n = structure.order
     constant_structure = all(v.is_constant() for v in structure.tensor.components.values())
-    bundle = bundle_map(structure, 1)
-    boundary = _boundary_map(volume)
-    one_form_kernel = _sharp_kernel(bundle, structure.chart, 1, bound)
-    contractions, above_contractions = _contractions(
-        reduce_annihilators(one_form_kernel),
-        reduce_annihilators(_sharp_kernel(bundle, structure.chart, 1, bound + 1)))
+    complexes = _Complexes(structure, volume)
     rows = []
     holds = True
     for degree in range(n + 1):
-        foliated = _foliated_dimension_at(structure, degree, bound,
-                                          _foliated_maps(structure, degree),
-                                          one_form_kernel if degree == 1 else None)
+        foliated = complexes.foliated(degree, bound)
         canonical_degree = n - degree
-        canonical = _canonical_dimension_at(structure, boundary, canonical_degree, bound,
-                                            contractions, above_contractions)
+        canonical = complexes.canonical(canonical_degree, bound)
         np_dim: int | None
         if degree == 0:
             np_dim = foliated

@@ -31,13 +31,14 @@ has order at most one.
 
 A stencil does not depend on the coefficient bound.  A ``FirstOrderMap``
 wraps a mapping and keeps the stencil of each index it is built on, so a
-report that builds one map at several bounds (the boundary on the chains
-of two bounds, the degree-1 bundle map and the contractions with its
-annihilators at bound and bound + 1, the foliated maps at bound and
-bound - 1) calls the mapping, and runs the guard, once per index.  ``build`` re-keys the kept
-stencils for each domain and still takes a plain callable, which gets a
-map of its own.  A report makes its maps and drops them with its answer;
-nothing is cached across reports.
+report that builds one map at several bounds calls the mapping, and runs the
+guard, once per index.  One ``cohomology._Complexes`` per report shares its
+maps so: the boundary on the chains of two bounds, the degree-1 bundle map
+and the contractions with its annihilators at bound and bound + 1, and the
+foliated maps at bound and bound - 1.  ``build`` re-keys the kept stencils
+for each domain and still takes a plain callable, which gets a map of its
+own.  A report makes its maps and drops them with its answer; nothing is
+cached across reports.
 
 Each column lists its terms as the image itself would, because the row
 order of a certified solve picks the printed certificate (``solve_in_image``):

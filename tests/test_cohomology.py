@@ -17,8 +17,7 @@ from nambu.algebra import ExactMatrix, InvariantError, Polynomial, variables
 from nambu.cohomology import (
     _annihilates,
     _complement_kernel,
-    _foliated_dimension_at,
-    _foliated_maps,
+    _Complexes,
     _radial_relations,
     _radial_split,
     canonical_homology_dim,
@@ -462,6 +461,28 @@ def test_duality_keeps_one_contraction_map_per_annihilator(monkeypatch):
     assert duality_report(regular_r4(), STD4, 4).holds
     assert contracted and max(Counter(contracted).values()) == 1
     assert len(indices) == 65
+
+
+@pytest.mark.parametrize("structure", [singular_r3(), regular_r4()],
+                         ids=["singular_r3", "regular_r4"])
+def test_canonical_builds_only_the_sharp_kernels_it_reads(structure, monkeypatch):
+    # degree 0 is unconstrained, so only the chains one degree up at b + 1
+    # need annihilators; the top degree has no chains above it
+    import nambu.cohomology as cohomology
+    built = []
+    sharp_kernel = cohomology._sharp_kernel
+
+    def recording(bundle, chart, degree, bound):
+        built.append((degree, bound))
+        return sharp_kernel(bundle, chart, degree, bound)
+
+    monkeypatch.setattr(cohomology, "_sharp_kernel", recording)
+    volume = VolumeSpec.standard(structure.chart)
+    canonical_homology_dim(structure, volume, 0, 3)
+    assert built == [(1, 4)]
+    built.clear()
+    canonical_homology_dim(structure, volume, structure.order, 3)
+    assert built == [(1, 3)]
 
 
 def test_non_polynomial_image_is_rejected():
@@ -1189,8 +1210,7 @@ def test_np_h1_top_matches_the_full_nullspace_oracle(coefficient, bound):
 def _assert_quotients_match_nullity_minus_rank(structure, bound):
     volume = VolumeSpec.standard(structure.chart)
     for degree in range(structure.order + 1):
-        assert _foliated_dimension_at(structure, degree, bound,
-                                      _foliated_maps(structure, degree)) == \
+        assert _Complexes(structure).foliated(degree, bound) == \
             oracle_foliated_dimension(structure, degree, bound)
         assert canonical_homology_dim(structure, volume, degree, bound) == \
             oracle_canonical_dimension(structure, volume, degree, bound)

@@ -201,14 +201,14 @@ DIVIDES = {
 }
 
 
-def _dividers(sources: list[Path]) -> list[str]:
-    """Qualified name of the innermost function or class around every ``/``
-    and ``/=``; one outside any of them is named by its module."""
+def _enclosing(sources: list[Path], matches) -> list[str]:
+    """Qualified name of the innermost function or class around every node
+    that ``matches``; one outside any of them is named by its module."""
     found = set()
 
     def visit(node: ast.AST, name: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            if matches(child):
                 found.add(name)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{name}.{child.name}")
@@ -218,6 +218,12 @@ def _dividers(sources: list[Path]) -> list[str]:
     for path in sources:
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
     return sorted(found)
+
+
+def _dividers(sources: list[Path]) -> list[str]:
+    """Where every ``/`` and ``/=`` is, as ``_enclosing`` names it."""
+    return _enclosing(sources, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.Div))
 
 
 def test_every_division_is_float_code_or_polynomial():
@@ -232,3 +238,26 @@ def test_stray_divisions_are_detected(tmp_path):
         "class Box:\n    def __truediv__(self, other):\n        return self\n\n"
         "    def scale(self, k):\n        k /= 2\n        return lambda v: v * k\n")
     assert _dividers(sorted(tmp_path.glob("*.py"))) == ["a", "a.Box.scale", "a.mean"]
+
+
+def _callers(sources: list[Path], name: str) -> list[str]:
+    """Where every call of ``name`` is, as a bare name or an attribute, as
+    ``_enclosing`` names it."""
+    return _enclosing(sources, lambda node: isinstance(node, ast.Call) and
+                      getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_every_quotient_goes_through_one_builder():
+    # a hand-written quotient would call _complement_kernel on its own
+    assert _callers(SOURCES, "_complement_kernel") == ["cohomology._quotient"]
+
+
+def test_stray_quotients_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import b\n\nTOP = b._complement_kernel(1, [])\n\n\n"
+        "def _quotient(c, bs):\n    return _complement_kernel(c, bs)\n\n\n"
+        "class Complex:\n    def cycles(self):\n        return _complement_kernel\n\n"
+        "    def by_hand(self):\n        return [_complement_kernel(x, []) for x in self]\n")
+    (tmp_path / "b.py").write_text("def _complement_kernel(c, bs):\n    return c, bs\n")
+    assert _callers(sorted(tmp_path.glob("*.py")), "_complement_kernel") == \
+        ["a", "a.Complex.by_hand", "a._quotient"]

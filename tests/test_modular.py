@@ -190,6 +190,36 @@ def test_modular_tensor_weight_shift():
     shifted = modular_tensor(structure, weighted)
     assert shifted == MODULAR_R3 - sharp(structure, 1, dx(R3, 3))
 
+
+BUNDLED = {"singular_r3": singular_r3, "regular_r3": regular_r3, "regular_r4": regular_r4}
+X1X2_X3SQ = {(1, 1, 0, 0): 1, (0, 0, 2, 0): 1}
+
+
+@given(st.sampled_from(sorted(BUNDLED)),
+       st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3).filter(bool),
+                       max_size=4),
+       st.integers(1, 3), st.lists(st.integers(0, 2), min_size=4, max_size=4))
+@example("singular_r3", X1X2_X3SQ, 1, [1, 0, 0, 0])
+@example("regular_r3", X1X2_X3SQ, 1, [1, 0, 0, 0])
+@example("regular_r4", X1X2_X3SQ, 1, [1, 0, 0, 0])
+@settings(max_examples=30, deadline=None)
+def test_modular_tensor_obeys_the_volume_change_laws(name, weight_terms, constant, squares):
+    # M_{exp(-w) mu} = M_mu - sharp(dw), and M_{u mu} = M_mu + sharp(du) / u
+    # for u = constant + sum of squares, which never vanishes
+    structure = BUNDLED[name]()
+    chart = structure.chart
+    xs = [chart.coordinate_polynomial(i) for i in range(chart.dimension)]
+    w = sum((Polynomial.monomial(chart.coordinates, exponent[:chart.dimension]) * c
+             for exponent, c in weight_terms.items()), chart.zero_polynomial())
+    u = sum((c * x * x for c, x in zip(squares, xs)), chart.scalar(constant))
+    standard = VolumeSpec.standard(chart)
+    weighted = modular_tensor(structure, standard.reweighted(w))
+    assert weighted == modular_tensor(structure, standard) - \
+        sharp(structure, 1, differential(chart, w))
+    assert modular_tensor(structure, VolumeSpec(chart, u, w)) == \
+        weighted + sharp(structure, 1, differential(chart, u)).scale(chart.scalar(1) / u)
+
+
 def test_modular_potential_zero_when_tensor_zero():
     result = modular_potential(regular_r4(), STD4, 3)
     assert result.feasible
