@@ -17,21 +17,13 @@ makes the maps of one report's foliated and canonical quotients, each once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
 from typing import Callable, Iterable
 
 from .algebra import ExactMatrix, InvariantError, Polynomial, Rational, SparseVector
-from .exterior import (
-    FORM,
-    MULTIVECTOR,
-    Chart,
-    GradedTensor,
-    contract_form,
-    differential,
-    ext_d,
-    wedge,
-)
-from .modular import VolumeSpec, delta, sharp_preimage
+from .exterior import FORM, Chart, GradedTensor, differential, ext_d, wedge
+from .modular import VolumeSpec, sharp_preimage
 from .structures import NambuStructure, sharp
 from .truncation import (
     Certificate,
@@ -82,23 +74,22 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
 
 
 def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
-              boundary: tuple[TruncatedBasis, Callable] | None = None,
+              boundary: Callable[[], TruncatedOperator] | None = None,
               chains: list[SparseVector] | None = None,
               extra: Iterable[SparseVector] = ()) -> tuple[int, list[SparseVector]]:
     """``_complement_kernel`` of ker C / span B on ``domain``, the one place
     that builds a quotient.
 
     C stacks the operator rows of the cycle maps (no map gives 0 rows).  B
-    holds the images of ``chains``, vectors of the source basis, under the
-    boundary map (of every source element when ``chains`` is None), then
-    the ``extra`` vectors.
+    holds the images of ``chains`` (of every domain element when None) under
+    the operator that ``boundary()`` hands out once C is built, and that is
+    not kept after this read, then the ``extra`` vectors.
     """
     rows = [row for mapping in cycle_maps
             for row in TruncatedOperator.build(domain, mapping).matrix.row_dicts()]
     boundaries: list[SparseVector] = []
     if boundary is not None:
-        source, mapping = boundary
-        boundaries = TruncatedOperator.build(source, mapping).coordinates_in(domain, chains)
+        boundaries = boundary().coordinates_in(domain, chains)
     boundaries.extend(extra)
     return _complement_kernel(ExactMatrix._of_rows(len(domain), rows), boundaries)
 
@@ -179,7 +170,7 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
     boundary_rank, kernel = _quotient(
         domain, [lambda form: np_cocycle_check_top(coefficient, form)],
-        (generators, lambda g: ext_d(g).scale(coefficient)))
+        lambda: TruncatedOperator.build(generators, lambda g: ext_d(g).scale(coefficient)))
     return TopH1Report(
         bound=bound,
         dimension=len(kernel),
@@ -207,7 +198,7 @@ def _is_polynomial_multiple(candidate: GradedTensor, generator: GradedTensor) ->
 def reduce_annihilators(forms: list[GradedTensor]) -> list[GradedTensor]:
     """Drop kernel elements that are polynomial multiples of kept ones.
 
-    Contraction is function-linear in the form, so a multiple imposes an
+    The wedge is function-linear in the form, so a multiple imposes an
     implied constraint; pruning it changes nothing in any tangency test but
     collapses the bounded kernel to the module generators it actually has.
     """
@@ -231,6 +222,8 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
     chains so that the quotient is well-posed.  The volume must have weight
     zero and constant coefficient: anything else pushes chains outside every
     finite monomial truncation, and the homology is volume-independent anyway.
+    Through flat it is d on (m - degree)-forms: flat(delta P) = d(flat P), and
+    flat(i(alpha) P) = (-1)^(k-1) alpha ^ flat(P) for a 1-form alpha.
     """
     n = structure.order
     if not 0 <= degree <= n:
@@ -239,14 +232,18 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
 
 
 class _Complexes:
-    """The foliated and canonical complexes of one structure, for one report.
+    """The foliated and canonical complexes of one structure, for one report,
+    both on forms under d.
 
-    Their maps are d, the boundary of ``volume``, the bundle map and sharp
-    after d at each degree, and the contraction with each reduced
-    annihilator 1-form.  Each map is made when first needed and then shared,
-    with its stencils, by every degree and bound that the report asks for;
-    each sharp kernel and each list of reduced annihilators is computed once
-    per (degree, bound).  A report makes one and drops it with its answer.
+    For a constant, weight-free volume, flat sends each k-multivector basis
+    element at a bound to a multiple of an (m - k)-form basis element there,
+    with flat(delta P) = d(flat P) and flat(i(alpha) P) = (-1)^(k-1) alpha ^
+    flat(P) for a 1-form alpha.  So the maps are d, the bundle map and sharp
+    after d at each degree, and the wedge with each reduced annihilator
+    1-form.  Each map is made when first needed and then shared, with its
+    stencils, by every degree and bound that the report asks for; each sharp
+    kernel and each list of reduced annihilators is computed once per
+    (degree, bound).  A report makes one and drops it with its answer.
     """
 
     def __init__(self, structure: NambuStructure, volume: VolumeSpec | None = None):
@@ -255,7 +252,7 @@ class _Complexes:
             raise ValueError("truncated homology needs a constant-coefficient, "
                              "weight-free volume")
         self.structure = structure
-        self.volume = volume
+        self._ext_d = FirstOrderMap(ext_d)
         self._made: dict = {}
 
     def _once(self, key, make: Callable):
@@ -272,46 +269,54 @@ class _Complexes:
             structure.chart, degree, bound))
 
     def _tangency(self, degree: int, bound: int) -> list[FirstOrderMap]:
-        """The contractions whose common kernel is the tangent multivectors
-        of the degree at ``bound``; degree 0 is unconstrained."""
+        """The wedges whose common kernel is the tangent chains of canonical
+        degree ``degree`` at ``bound``, as forms; degree 0 is unconstrained."""
         if degree == 0:
             return []
         annihilators = self._once(("annihilators", bound),
                                   lambda: reduce_annihilators(self._kernel(1, bound)))
-        return [self._once(("contraction", form), lambda form=form: FirstOrderMap(
-            lambda field: contract_form(form, field))) for form in annihilators]
+        return [self._once(("wedge", form), lambda form=form: FirstOrderMap(
+            lambda chain: wedge(form, chain))) for form in annihilators]
+
+    def _d(self, degree: int, bound: int) -> TruncatedOperator:
+        """d from the (degree - 1)-forms at bound + 1 into the degree-forms
+        at ``bound``: the one that ``share`` holds, else a new one."""
+        shared = self._made.get(("shared d", degree, bound))
+        return shared.pop() if shared else TruncatedOperator.build(
+            TruncatedBasis.build(self.structure.chart, FORM, degree - 1, bound + 1), self._ext_d)
+
+    def share(self, degree: int, bound: int) -> None:
+        """Build ``_d`` once for foliated k and canonical m - k, one hold per read."""
+        self._made["shared d", degree, bound] = [self._d(degree, bound)] * 2
 
     def foliated(self, degree: int, bound: int) -> int:
         """Foliated cohomology at one degree: the forms that sharp after d
         kills, modulo d of the forms one degree down at bound + 1 and the
         sharp kernel."""
-        structure, chart = self.structure, self.structure.chart
-        domain = TruncatedBasis.build(chart, FORM, degree, bound)
+        structure = self.structure
+        domain = TruncatedBasis.build(structure.chart, FORM, degree, bound)
         cycles = []
         if degree < structure.order:
             cycles.append(self._once(("sharp after d", degree), lambda: FirstOrderMap(
                 lambda form: sharp(structure, degree + 1, ext_d(form)))))
-        boundary = None
-        if degree >= 1:
-            boundary = (TruncatedBasis.build(chart, FORM, degree - 1, bound + 1),
-                        self._once("d", lambda: FirstOrderMap(ext_d)))
+        boundary = partial(self._d, degree, bound) if degree >= 1 else None
         kernel = [domain.to_coordinates(form) for form in self._kernel(degree, bound)]
         return len(_quotient(domain, cycles, boundary, extra=kernel)[1])
 
     def canonical(self, degree: int, bound: int) -> int:
-        """Canonical homology at one degree: the tangent chains that the
-        boundary kills, modulo the boundaries of the tangent chains one
-        degree up at bound + 1."""
+        """Canonical homology at one degree through flat, which takes delta to d
+        and i(alpha) to (-1)^(degree-1) alpha ^: the (m - degree)-forms at
+        ``bound`` that d and the wedges with the reduced annihilators kill,
+        modulo d of those tangent forms one degree down at bound + 1."""
         structure, chart = self.structure, self.structure.chart
-        volume = self.volume
-        delta_map = self._once("delta", lambda: FirstOrderMap(lambda field: delta(volume, field)))
-        domain = TruncatedBasis.build(chart, MULTIVECTOR, degree, bound)
-        cycles = self._tangency(degree, bound) + ([delta_map] if degree >= 1 else [])
+        forms = chart.dimension - degree
+        domain = TruncatedBasis.build(chart, FORM, forms, bound)
+        cycles = [*self._tangency(degree, bound), self._ext_d] if degree else []
         boundary = chains = None
         if degree < structure.order:
-            above = TruncatedBasis.build(chart, MULTIVECTOR, degree + 1, bound + 1)
-            boundary = (above, delta_map)
+            above = TruncatedBasis.build(chart, FORM, forms - 1, bound + 1)
             chains = _quotient(above, self._tangency(degree + 1, bound + 1))[1]
+            boundary = partial(self._d, forms, bound)
         return len(_quotient(domain, cycles, boundary, chains)[1])
 
 
@@ -500,15 +505,20 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
     """
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
-    n = structure.order
+    n, m = structure.order, structure.chart.dimension
     constant_structure = all(v.is_constant() for v in structure.tensor.components.values())
     complexes = _Complexes(structure, volume)
+    foliated_dims, canonical_dims = [], {}
+    for k in range(m + 1):  # foliated k and canonical m - k read d into the k-forms
+        if 1 <= k <= n and m - k < n:
+            complexes.share(k, bound)
+        if k <= n:
+            foliated_dims.append(complexes.foliated(k, bound))
+        if m - k <= n:
+            canonical_dims[m - k] = complexes.canonical(m - k, bound)
     rows = []
     holds = True
-    for degree in range(n + 1):
-        foliated = complexes.foliated(degree, bound)
-        canonical_degree = n - degree
-        canonical = complexes.canonical(canonical_degree, bound)
+    for degree, foliated in enumerate(foliated_dims):
         np_dim: int | None
         if degree == 0:
             np_dim = foliated
@@ -518,7 +528,7 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
             np_dim = foliated
         else:
             np_dim = None
-        row = DualityRow(degree, np_dim, foliated, canonical_degree, canonical)
+        row = DualityRow(degree, np_dim, foliated, n - degree, canonical_dims[n - degree])
         if row.matches is False:
             holds = False
         rows.append(row)

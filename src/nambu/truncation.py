@@ -26,37 +26,36 @@ L(x_i x_j e_I) - x_i L(x_j e_I) - x_j L(x_i e_I) + x_i x_j L(e_I) must vanish
 for all i <= j.  The second difference is function-linear for an operator of
 order two, so the guard catches every such operator; a failure is an internal
 invariant error (``InvariantError``), never a wrong matrix.  Every mapping in
-the package (the bundle map, contractions, d, the boundary, f da - df ^ a)
-has order at most one.
+the package (the bundle map, the wedges with annihilators, d, sharp after
+d, f da - df ^ a) has order at most one.
 
 A stencil does not depend on the coefficient bound.  A ``FirstOrderMap``
 wraps a mapping and keeps the stencil of each index it is built on, so a
 report that builds one map at several bounds calls the mapping, and runs the
 guard, once per index.  One ``cohomology._Complexes`` per report shares its
-maps so: the boundary on the chains of two bounds, the degree-1 bundle map
-and the contractions with its annihilators at bound and bound + 1, and the
-foliated maps at bound and bound - 1.  ``build`` re-keys the kept stencils
+maps so: d on the forms of both complexes and of two bounds, the degree-1
+bundle map and the wedges with its annihilators at bound and bound + 1, and
+the foliated maps at bound and bound - 1.  ``build`` re-keys the kept stencils
 for each domain and still takes a plain callable, which gets a map of its
 own.  A report makes its maps and drops them with its answer; nothing is
 cached across reports.
 
-Each column lists its terms as the image itself would, because the row
-order of a certified solve picks the printed certificate (``solve_in_image``):
+Each column lists its terms as the image itself would, because the row order
+of a certified solve picks the printed certificate (``solve_in_image``):
 component by component, in the order the components first appear in the fill
 (the base shifted by x^a, then the symbols for j ascending), and each
 component's terms in fill order.  A column's terms are a subsequence of its
 index's fill, so where the fill lists each component in one block the fill
-order is already that order.  This is decided once per index, when its
-stencil is built, and only the other indices' columns are regrouped.  On
-the bundled models only f da - df ^ a interleaves, where the base and the
-symbols of non-adjacent j share components; the boundary of a weighted
-volume and sharp after d can on other structures.  An index of order zero, all
-symbols zero (the bundle map on forms, a contraction), has the base shifted
-as its column, and a shift keeps the image's order.  Sharp after d has no
-base, and the image of d(x^a) also runs over j ascending, each j adding one
-probe image, shifted.  Where contributions to one term cancel within a
-column and it is added again, the image re-lists the term last and the
-stencil keeps its place; apart from that the rows, and so the
+order is already that order.  This is decided once per index, when its stencil
+is built, and only the other indices' columns are regrouped.  On the bundled
+models only f da - df ^ a interleaves, where the base and the symbols of
+non-adjacent j share components; sharp after d can on other structures.  An
+index of order zero, all symbols zero (the bundle map on forms, a wedge), has
+the base shifted as its column, and a shift keeps the image's order.  Sharp
+after d has no base, and the image of d(x^a) also runs over j ascending, each
+j adding one probe image, shifted.  Where contributions to one term cancel
+within a column and it is added again, the image re-lists the term last and
+the stencil keeps its place; apart from that the rows, and so the
 certificates, come out as from one whole image per basis element.
 """
 

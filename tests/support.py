@@ -442,12 +442,12 @@ def oracle_canonical_dimension(structure, volume, degree, bound):
     return kernel_dim - incoming_rank
 
 
-def sign_flipped_delta(volume, field):
-    """delta after negating every component whose index holds 0: still of
-    first order, but no longer of square zero, so it breaks the complex."""
+def sign_flipped_d(form):
+    """d after negating every component whose index holds 0: still of first
+    order, but no longer of square zero, so it breaks the complex."""
     flipped = {index: -value if 0 in index else value
-               for index, value in field.components.items()}
-    return delta(volume, GradedTensor(field.chart, field.variance, field.degree, flipped))
+               for index, value in form.components.items()}
+    return ext_d(GradedTensor(form.chart, form.variance, form.degree, flipped))
 
 
 def echelon_with_a_bad_certificate(corrupt_b: bool = False):

@@ -14,8 +14,7 @@ import pytest
 from nambu.algebra import ExactMatrix
 from nambu.cli import _build_parser, main
 from nambu.exterior import differential, ext_d
-from nambu.modular import delta
-from support import echelon_with_a_bad_certificate, sign_flipped_delta
+from support import echelon_with_a_bad_certificate, sign_flipped_d
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SINGULAR = str(MODELS / "singular_r3.nmb")
@@ -342,7 +341,7 @@ def test_broken_invariant_is_internal_error(capsys):
 
 
 def test_boundary_that_is_not_a_cycle_is_internal_error(capsys):
-    with mock.patch("nambu.cohomology.delta", sign_flipped_delta):
+    with mock.patch("nambu.cohomology.ext_d", sign_flipped_d):
         code = main(["canonical-homology", SINGULAR, "--degree", "1", "--degree-bound", "1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -369,14 +368,6 @@ def _widened_d(tensor):
     return image.scale(1 + tensor.chart.coordinate_polynomial(0))
 
 
-def _widened_delta(volume, field):
-    """The boundary, with its image of a 3-vector multiplied by 1 + x1."""
-    image = delta(volume, field)
-    if field.degree != 3:
-        return image
-    return image.scale(1 + field.chart.coordinate_polynomial(0))
-
-
 # every quotient checks its boundaries against the domain basis on its own,
 # so a map that outgrows its stated bound offset is caught, whatever its stencil
 @pytest.mark.parametrize("target, patched, args, message", [
@@ -386,9 +377,9 @@ def _widened_delta(volume, field):
      "component (2,) monomial (1, 0, 4) exceeds the coefficient bound 4"),
     ("ext_d", _widened_d, ["duality", SINGULAR, "--degree-bound", "3"],
      "component (2,) monomial (1, 0, 3) exceeds the coefficient bound 3"),
-    ("delta", _widened_delta,
+    ("ext_d", _widened_d,
      ["canonical-homology", SINGULAR, "--degree", "2", "--degree-bound", "3"],
-     "component (0, 1) monomial (1, 0, 3) exceeds the coefficient bound 3"),
+     "component (2,) monomial (1, 0, 3) exceeds the coefficient bound 3"),
 ], ids=["h1-top", "foliated", "duality", "canonical-homology"])
 def test_image_outside_its_basis_is_internal_error(capsys, target, patched, args, message):
     with mock.patch(f"nambu.cohomology.{target}", patched):

@@ -39,6 +39,7 @@ from nambu.exterior import (
     differential,
     ext_d,
     pair,
+    wedge,
 )
 from nambu.model import parse_model
 from nambu.modular import VolumeSpec, delta, modular_potential
@@ -54,6 +55,7 @@ from nambu.truncation import (
 from support import (
     R3,
     R4,
+    R5,
     _span_rank_extension,
     assert_elimination_matches_sympy,
     basis_tensor,
@@ -76,7 +78,7 @@ from support import (
     rand_poly,
     regular_r3,
     regular_r4,
-    sign_flipped_delta,
+    sign_flipped_d,
     singular_r3,
 )
 
@@ -380,28 +382,29 @@ def test_a_shared_second_order_map_fails_its_guard_at_every_build(bounds):
 
 
 def test_duality_calls_each_shared_map_once_per_probe(monkeypatch):
-    # the boundary runs on degree k chains at bound b and at b + 1, and the
-    # degree-1 bundle map at b and b + 1; each probe is mapped once
-    import nambu.cohomology as cohomology
+    # d runs on the forms of both complexes at bound b and at b + 1, and the
+    # degree-1 bundle map at b and b + 1; each map builds each index's
+    # stencil once, and each bundle probe is mapped once
     import nambu.truncation as truncation
-    boundary_probes, bundle_probes = [], []
+    stencils, bundle_probes = [], []
+    first_order_stencil = truncation._first_order_stencil
 
-    def recording_delta(volume, field):
-        boundary_probes.append(field)
-        return delta(volume, field)
+    def recording_stencil(domain, mapping, idx):
+        stencils.append((mapping, domain.variance, idx))
+        return first_order_stencil(domain, mapping, idx)
 
     def recording_sharp(structure, degree, form):
         bundle_probes.append(form)
         return sharp(structure, degree, form)
 
-    monkeypatch.setattr(cohomology, "delta", recording_delta)
+    monkeypatch.setattr(truncation, "_first_order_stencil", recording_stencil)
     monkeypatch.setattr(truncation, "sharp", recording_sharp)
     report = duality_report(regular_r4(), STD4, 2)
     assert report.holds
-    for probes in (boundary_probes, bundle_probes):
-        assert probes and max(Counter(probes).values()) == 1
-    # chains of every degree from 1 to the order were mapped
-    assert {field.degree for field in boundary_probes} == {1, 2, 3}
+    for built in (stencils, bundle_probes):
+        assert built and max(Counter(built).values()) == 1
+    # d ran on the forms of every degree below the chart dimension
+    assert {len(idx) for mapping, _, idx in stencils if mapping is ext_d} == {0, 1, 2, 3}
 
 
 def _counting_stencils(monkeypatch):
@@ -446,21 +449,21 @@ def test_foliated_calls_each_shared_map_once_per_probe(monkeypatch):
     assert len(indices) == 16
 
 
-def test_duality_keeps_one_contraction_map_per_annihilator(monkeypatch):
+def test_duality_keeps_one_wedge_map_per_annihilator(monkeypatch):
     # the reduced annihilators at b and b + 1 share their forms, and so
-    # their contractions' stencils, across the two bounds and every degree
+    # their wedges' stencils, across the two bounds and every degree
     import nambu.cohomology as cohomology
-    contracted = []
+    wedged = []
 
-    def recording_contract(form, field):
-        contracted.append((form, field))
-        return contract_form(form, field)
+    def recording_wedge(form, chain):
+        wedged.append((form, chain))
+        return wedge(form, chain)
 
-    monkeypatch.setattr(cohomology, "contract_form", recording_contract)
+    monkeypatch.setattr(cohomology, "wedge", recording_wedge)
     indices = _counting_stencils(monkeypatch)
     assert duality_report(regular_r4(), STD4, 4).holds
-    assert contracted and max(Counter(contracted).values()) == 1
-    assert len(indices) == 65
+    assert len(wedged) == len(set(wedged)) == 210
+    assert len(indices) == 55
 
 
 @pytest.mark.parametrize("structure", [singular_r3(), regular_r4()],
@@ -721,7 +724,7 @@ def test_canonical_constant_coefficient_volume_matches_standard():
         canonical_homology_dim(singular_r3(), STD3, 2, 3)
 
 def test_canonical_boundary_that_is_not_a_cycle_is_an_invariant_error():
-    with mock.patch("nambu.cohomology.delta", sign_flipped_delta):
+    with mock.patch("nambu.cohomology.ext_d", sign_flipped_d):
         with pytest.raises(InvariantError, match="escapes the cocycle space"):
             canonical_homology_dim(singular_r3(), STD3, 1, 1)
 
@@ -1207,8 +1210,8 @@ def test_np_h1_top_matches_the_full_nullspace_oracle(coefficient, bound):
 
 # -- duality -------------------------------------------------------------------------------
 
-def _assert_quotients_match_nullity_minus_rank(structure, bound):
-    volume = VolumeSpec.standard(structure.chart)
+def _assert_quotients_match_nullity_minus_rank(structure, bound, volume=None):
+    volume = volume or VolumeSpec.standard(structure.chart)
     for degree in range(structure.order + 1):
         assert _Complexes(structure).foliated(degree, bound) == \
             oracle_foliated_dimension(structure, degree, bound)
@@ -1221,6 +1224,47 @@ def _assert_quotients_match_nullity_minus_rank(structure, bound):
                          ids=["regular_r3", "regular_r4", "singular_r3"])
 def test_quotient_dimensions_match_nullity_minus_rank(structure, bound):
     _assert_quotients_match_nullity_minus_rank(structure, bound)
+
+
+def _jacobian_r4(power):
+    """i(d phi)(e1^e2^e3^e4) for phi = (x1^(p+1) + ... + x4^(p+1)) / (p+1),
+    p = ``power``: an order-3 structure on R^4 with coefficients of degree p."""
+    ys = [x ** power for x in coords(R4)]
+    return NambuStructure(GradedTensor(R4, MULTIVECTOR, 3, {
+        (1, 2, 3): ys[0], (0, 2, 3): -ys[1], (0, 1, 3): ys[2], (0, 1, 2): -ys[3]}))
+
+
+def _beyond_top_order_and_constant():
+    """Structures whose annihilators are not constant, or whose chart exceeds
+    the order by two, with the volume each is checked under."""
+    y1, y2 = coords(R4)[:2]
+    mixed = GradedTensor(R4, MULTIVECTOR, 3, {(1, 2, 3): 1 + y1 * y1, (0, 2, 3): y2})
+    doubled = VolumeSpec(R4, Polynomial.constant(R4.coordinates, 2), R4.zero_polynomial())
+    return [(_jacobian_r4(1), doubled), (_jacobian_r4(2), STD4),
+            (NambuStructure(mixed), STD4),
+            (NambuStructure(GradedTensor.basis(R5, MULTIVECTOR, (0, 1, 2))),
+             VolumeSpec.standard(R5))]
+
+
+@pytest.mark.parametrize("bound", range(4))
+@pytest.mark.parametrize("structure, volume", _beyond_top_order_and_constant(),
+                         ids=["linear_jacobian", "quadratic_jacobian", "mixed_r4", "regular_r5"])
+def test_tangency_quotient_dimensions_match_nullity_minus_rank(structure, volume, bound):
+    _assert_quotients_match_nullity_minus_rank(structure, bound, volume)
+    # duality pairs foliated k with canonical m - k, which sit in other rows
+    # when the chart exceeds the order; each row still reads its own degrees
+    n = structure.order
+    assert [(row.foliated_dimension, row.canonical_dimension)
+            for row in duality_report(structure, volume, bound).rows] == [
+        (_Complexes(structure).foliated(degree, bound),
+         canonical_homology_dim(structure, volume, n - degree, bound))
+        for degree in range(n + 1)]
+
+
+def test_linear_jacobian_canonical_dimensions():
+    structure, volume = _beyond_top_order_and_constant()[0]
+    assert [canonical_homology_dim(structure, volume, degree, 2)
+            for degree in range(4)] == [2, 0, 0, 1]
 
 
 top_coefficients = st.dictionaries(

@@ -252,6 +252,12 @@ def test_every_quotient_goes_through_one_builder():
     assert _callers(SOURCES, "_complement_kernel") == ["cohomology._quotient"]
 
 
+def test_no_quotient_assembles_the_boundary():
+    # canonical homology runs through flat, on forms under d; only the
+    # modular tensor and the delta command take the boundary itself
+    assert _callers(SOURCES, "delta") == ["cli._cmd_delta", "modular.modular_tensor"]
+
+
 def test_stray_quotients_are_detected(tmp_path):
     (tmp_path / "a.py").write_text(
         "from . import b\n\nTOP = b._complement_kernel(1, [])\n\n\n"

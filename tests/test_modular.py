@@ -24,6 +24,7 @@ from nambu.exterior import (
     lie_form,
     lie_mv,
     pair,
+    wedge,
 )
 from nambu.modular import (
     VolumeSpec,
@@ -46,11 +47,13 @@ from nambu.truncation import TruncatedBasis, TruncatedOperator
 from support import (
     R3,
     R4,
+    R5,
     basis_tensor,
     coords,
     nondecomposable_r5,
     oracle_sharp_preimage,
     radius_squared,
+    rand_form,
     rand_mv,
     rand_poly,
     rand_vector_field,
@@ -174,6 +177,38 @@ def test_delta_squared_zero_random_volumes():
         k = rng.randint(2, 3)
         field = rand_mv(rng, R3, k)
         assert delta(volume, delta(volume, field)).is_zero()
+
+
+# -- flat carries the canonical complex to forms under d -------------------------
+
+def _constant_volume(chart, scale):
+    return VolumeSpec(chart, Polynomial.constant(chart.coordinates, scale),
+                      chart.zero_polynomial())
+
+
+constant_scales = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@given(st.sampled_from([R3, R4, R5]), constant_scales, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_flat_turns_the_boundary_into_d(chart, scale, seed):
+    rng = random.Random(seed)
+    volume = _constant_volume(chart, scale)
+    field = rand_mv(rng, chart, rng.randint(1, chart.dimension), max_degree=2)
+    assert flat(volume, delta(volume, field)).body == ext_d(flat(volume, field).body)
+
+
+@given(st.sampled_from([R3, R4, R5]), constant_scales, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_flat_turns_a_contraction_into_a_wedge(chart, scale, seed):
+    # flat(i(alpha) P) = (-1)^(k-1) alpha ^ flat(P) for a k-multivector P
+    rng = random.Random(seed)
+    volume = _constant_volume(chart, scale)
+    k = rng.randint(1, chart.dimension)
+    field = rand_mv(rng, chart, k, max_degree=2)
+    alpha = rand_form(rng, chart, 1, max_degree=2)
+    wedged = wedge(alpha, flat(volume, field).body)
+    assert flat(volume, contract_form(alpha, field)).body == (wedged if k % 2 else -wedged)
 
 
 # -- modular tensor ---------------------------------------------------------------
