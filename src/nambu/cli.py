@@ -322,8 +322,7 @@ def _cmd_naka_triple(model: ModelFile, args) -> Report:
 def _cmd_flow(model: ModelFile, args, structure) -> Report:
     scalars = _scalars_of(model, args.scalars)
     start = tuple(float(part) for part in args.start.split(","))
-    config = FlowConfig(start=start, step=args.step, steps=args.steps,
-                        tolerance=args.tolerance)
+    config = FlowConfig(start=start, step=args.step, steps=args.steps)
     probes = []
     if args.probes:
         for group in args.probes.split(","):

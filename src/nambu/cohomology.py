@@ -82,8 +82,8 @@ def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
 
     C stacks the operator rows of the cycle maps (no map gives 0 rows).  B
     holds the images of ``chains`` (of every domain element when None) under
-    the operator that ``boundary()`` hands out once C is built, and that is
-    not kept after this read, then the ``extra`` vectors.
+    the operator ``boundary()``, built after C and not kept, then the
+    ``extra`` vectors in ``domain``'s coordinates, which are not changed.
     """
     rows = [row for mapping in cycle_maps
             for row in TruncatedOperator.build(domain, mapping).matrix.row_dicts()]
@@ -240,10 +240,10 @@ class _Complexes:
     with flat(delta P) = d(flat P) and flat(i(alpha) P) = (-1)^(k-1) alpha ^
     flat(P) for a 1-form alpha.  So the maps are d, the bundle map and sharp
     after d at each degree, and the wedge with each reduced annihilator
-    1-form.  Each map is made when first needed and then shared, with its
-    stencils, by every degree and bound that the report asks for; each sharp
-    kernel and each list of reduced annihilators is computed once per
-    (degree, bound).  A report makes one and drops it with its answer.
+    1-form.  Each map is made once and shared, with its stencils, by every
+    degree and bound of the report; each sharp kernel, as coordinate vectors
+    of the degree-k forms, and each list of reduced annihilators is made
+    once per (degree, bound).  A report makes one and drops it with its answer.
     """
 
     def __init__(self, structure: NambuStructure, volume: VolumeSpec | None = None):
@@ -261,20 +261,22 @@ class _Complexes:
             made = self._made[key] = make()
         return made
 
-    def _kernel(self, degree: int, bound: int) -> list[GradedTensor]:
-        """The kernel basis of the degree-k bundle map at ``bound``."""
-        structure = self.structure
-        return self._once(("kernel", degree, bound), lambda: _sharp_kernel(
-            self._once(("sharp", degree), lambda: bundle_map(structure, degree)),
-            structure.chart, degree, bound))
+    def _kernel(self, domain: TruncatedBasis) -> list[SparseVector]:
+        """The bundle map's kernel on ``domain``, as coordinate vectors of its forms."""
+        degree = domain.degree
+        return self._once(("kernel", degree, domain.coefficient_bound), lambda: _sharp_kernel(
+            self._once(("sharp", degree), lambda: bundle_map(self.structure, degree)), domain))
 
     def _tangency(self, degree: int, bound: int) -> list[FirstOrderMap]:
         """The wedges whose common kernel is the tangent chains of canonical
         degree ``degree`` at ``bound``, as forms; degree 0 is unconstrained."""
+        def reduced() -> list[GradedTensor]:
+            forms = TruncatedBasis.build(self.structure.chart, FORM, 1, bound)
+            return reduce_annihilators(list(map(forms.from_coordinates, self._kernel(forms))))
+
         if degree == 0:
             return []
-        annihilators = self._once(("annihilators", bound),
-                                  lambda: reduce_annihilators(self._kernel(1, bound)))
+        annihilators = self._once(("annihilators", bound), reduced)
         return [self._once(("wedge", form), lambda form=form: FirstOrderMap(
             lambda chain: wedge(form, chain))) for form in annihilators]
 
@@ -300,8 +302,7 @@ class _Complexes:
             cycles.append(self._once(("sharp after d", degree), lambda: FirstOrderMap(
                 lambda form: sharp(structure, degree + 1, ext_d(form)))))
         boundary = partial(self._d, degree, bound) if degree >= 1 else None
-        kernel = [domain.to_coordinates(form) for form in self._kernel(degree, bound)]
-        return len(_quotient(domain, cycles, boundary, extra=kernel)[1])
+        return len(_quotient(domain, cycles, boundary, extra=self._kernel(domain))[1])
 
     def canonical(self, degree: int, bound: int) -> int:
         """Canonical homology at one degree through flat, which takes delta to d

@@ -31,7 +31,6 @@ class FlowConfig:
     start: tuple[float, ...]
     step: float
     steps: int
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.step <= 0:
@@ -40,8 +39,6 @@ class FlowConfig:
             raise ValueError("step count must be at least 1")
         if not all(math.isfinite(v) for v in self.start):
             raise ValueError("start point must be finite")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
         if not math.isfinite(self.step * self.steps):
             raise ValueError("total integration time must be finite")
 
@@ -108,10 +105,12 @@ def conservation_check(structure: NambuStructure, scalars, probes=(),
     """Prepare the drift measurement of ``conservation_report`` for a trajectory
     that is yet to be computed.
 
-    The probe brackets are formed here, so a probe of the wrong arity fails
-    before any integration.  Returns a function of the trajectory that lowers
-    each Hamiltonian and each bracket once and reports their drifts.
+    A bad tolerance or a probe of the wrong arity fails here, before any
+    integration.  Returns a function of the trajectory that lowers each
+    Hamiltonian and each bracket once and reports their drifts.
     """
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     scalars = list(scalars)
     brackets = [nambu_bracket(structure, *probe) for probe in probes]
     m = structure.chart.dimension

@@ -515,16 +515,16 @@ def bundle_map(structure: NambuStructure, degree: int) -> FirstOrderMap:
 
 def ker_sharp_basis(structure: NambuStructure, degree: int,
                     degree_bound: int) -> list[GradedTensor]:
-    """Exact basis of the bounded-degree kernel of the degree-k bundle map."""
+    """Exact basis of the bounded-degree kernel of the degree-k bundle map:
+    ``_sharp_kernel``'s vectors, converted to forms for tensor arithmetic."""
     if not 0 <= degree <= structure.order:
         raise ValueError("form degree out of range 0..n")
-    return _sharp_kernel(bundle_map(structure, degree), structure.chart, degree, degree_bound)
+    domain = TruncatedBasis.build(structure.chart, FORM, degree, degree_bound)
+    return [domain.from_coordinates(vector)
+            for vector in _sharp_kernel(bundle_map(structure, degree), domain)]
 
 
-def _sharp_kernel(bundle: FirstOrderMap, chart: Chart, degree: int,
-                  degree_bound: int) -> list[GradedTensor]:
-    """``ker_sharp_basis`` on the chart's degree-k forms, with the bundle map
-    ``bundle_map(structure, degree)`` that one report shares across bounds."""
-    domain = TruncatedBasis.build(chart, FORM, degree, degree_bound)
-    operator = TruncatedOperator.build(domain, bundle)
-    return [domain.from_coordinates(vec) for vec in operator.matrix.nullspace()]
+def _sharp_kernel(bundle: FirstOrderMap, domain: TruncatedBasis) -> list[SparseVector]:
+    """The nullspace of the bundle map on ``domain``, in its coordinates; only
+    callers that do tensor arithmetic on it convert it to forms."""
+    return TruncatedOperator.build(domain, bundle).matrix.nullspace()

@@ -385,7 +385,7 @@ def test_criterion_10_flow_cross_check():
     started = time.perf_counter()
     structure = singular_r3()
     hams = (x1 * x1 + x2 * x2, x3)
-    config = FlowConfig(start=(1.0, 0.0, 0.0), step=1e-3, steps=1000, tolerance=1e-8)
+    config = FlowConfig(start=(1.0, 0.0, 0.0), step=1e-3, steps=1000)
     trajectory = integrate_hamiltonian(structure, hams, config)
     outcome = conservation_report(trajectory, structure, hams, tolerance=1e-8)
     assert outcome.hamiltonian_drifts[0] <= 1e-8

@@ -475,9 +475,9 @@ def test_canonical_builds_only_the_sharp_kernels_it_reads(structure, monkeypatch
     built = []
     sharp_kernel = cohomology._sharp_kernel
 
-    def recording(bundle, chart, degree, bound):
-        built.append((degree, bound))
-        return sharp_kernel(bundle, chart, degree, bound)
+    def recording(bundle, domain):
+        built.append((domain.degree, domain.coefficient_bound))
+        return sharp_kernel(bundle, domain)
 
     monkeypatch.setattr(cohomology, "_sharp_kernel", recording)
     volume = VolumeSpec.standard(structure.chart)
@@ -1234,14 +1234,19 @@ def _jacobian_r4(power):
         (1, 2, 3): ys[0], (0, 2, 3): -ys[1], (0, 1, 3): ys[2], (0, 1, 2): -ys[3]}))
 
 
+def _mixed_r4():
+    """(1 + x1^2) @2^@3^@4 + x2 @1^@3^@4, whose annihilators are not constant."""
+    y1, y2 = coords(R4)[:2]
+    return NambuStructure(GradedTensor(R4, MULTIVECTOR, 3, {
+        (1, 2, 3): 1 + y1 * y1, (0, 2, 3): y2}))
+
+
 def _beyond_top_order_and_constant():
     """Structures whose annihilators are not constant, or whose chart exceeds
     the order by two, with the volume each is checked under."""
-    y1, y2 = coords(R4)[:2]
-    mixed = GradedTensor(R4, MULTIVECTOR, 3, {(1, 2, 3): 1 + y1 * y1, (0, 2, 3): y2})
     doubled = VolumeSpec(R4, Polynomial.constant(R4.coordinates, 2), R4.zero_polynomial())
     return [(_jacobian_r4(1), doubled), (_jacobian_r4(2), STD4),
-            (NambuStructure(mixed), STD4),
+            (_mixed_r4(), STD4),
             (NambuStructure(GradedTensor.basis(R5, MULTIVECTOR, (0, 1, 2))),
              VolumeSpec.standard(R5))]
 
@@ -1265,6 +1270,40 @@ def test_linear_jacobian_canonical_dimensions():
     structure, volume = _beyond_top_order_and_constant()[0]
     assert [canonical_homology_dim(structure, volume, degree, 2)
             for degree in range(4)] == [2, 0, 0, 1]
+
+
+@pytest.mark.parametrize("structure", [
+    singular_r3(), regular_r3(), regular_r4(), _jacobian_r4(1), _mixed_r4()],
+    ids=["singular_r3", "regular_r3", "regular_r4", "linear_jacobian", "mixed_r4"])
+def test_held_sharp_kernels_are_the_coordinates_of_ker_sharp_basis(structure):
+    complexes = _Complexes(structure)
+    for degree in range(structure.order + 1):
+        for bound in range(5):
+            domain = TruncatedBasis.build(structure.chart, FORM, degree, bound)
+            assert complexes._kernel(domain) == [
+                domain.to_coordinates(form)
+                for form in ker_sharp_basis(structure, degree, bound)]
+
+
+@pytest.mark.parametrize("structure", [regular_r4(), _mixed_r4()],
+                         ids=["regular_r4", "mixed_r4"])
+def test_quotients_leave_the_held_sharp_kernels_unchanged(structure):
+    # foliated passes the held vectors to _quotient as extra boundaries
+    complexes = _Complexes(structure, STD4)
+    held = {}
+    for degree in range(structure.order + 1):
+        for bound in (2, 3):
+            domain = TruncatedBasis.build(structure.chart, FORM, degree, bound)
+            kernel = complexes._kernel(domain)
+            held[domain] = kernel, [dict(vector) for vector in kernel]
+    assert any(kernel for kernel, _ in held.values())
+    for degree in range(structure.order + 1):
+        complexes.foliated(degree, 2)
+        complexes.canonical(degree, 2)
+        complexes.foliated(degree, 3)
+    for domain, (kernel, copied) in held.items():
+        assert complexes._kernel(domain) is kernel
+        assert kernel == copied
 
 
 top_coefficients = st.dictionaries(

@@ -78,6 +78,8 @@ KEEP = {
     "check_basic": "independent verifier of a basic volume, used by the acceptance gates",
     "is_tangent": "independent verifier of tangency, used by the acceptance gates",
     "conservation_report": "the benchmark's tracer wraps it and the acceptance gates import it",
+    "to_coordinates": "public API of the exported TruncatedBasis; the tests' oracles use it "
+                      "and the benchmark's tracer wraps it",
 }
 
 
@@ -256,6 +258,12 @@ def test_no_quotient_assembles_the_boundary():
     # canonical homology runs through flat, on forms under d; only the
     # modular tensor and the delta command take the boundary itself
     assert _callers(SOURCES, "delta") == ["cli._cmd_delta", "modular.modular_tensor"]
+
+
+def test_no_engine_path_converts_tensors_to_coordinates():
+    # a sharp kernel stays a list of coordinate vectors inside every quotient;
+    # tensors are built from coordinates only where tensor arithmetic needs them
+    assert _callers(SOURCES, "to_coordinates") == []
 
 
 def test_stray_quotients_are_detected(tmp_path):

@@ -94,14 +94,13 @@ def test_config_validation():
         FlowConfig(start=(0.0,), step=-1.0, steps=10)
     with pytest.raises(ValueError):
         FlowConfig(start=(0.0,), step=1.0, steps=0)
-    with pytest.raises(ValueError):
-        FlowConfig(start=(0.0,), step=1.0, steps=1, tolerance=0.0)
     for start in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
         with pytest.raises(ValueError):
             FlowConfig(start=start, step=1.0, steps=1)
-    for tolerance in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            FlowConfig(start=(0.0,), step=1.0, steps=1, tolerance=tolerance)
+    structure = singular_r3()
+    for tolerance in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            conservation_report([(1.0, 0.0, 0.0)], structure, (x1, x3), tolerance=tolerance)
 
 
 def test_wrong_start_dimension():
