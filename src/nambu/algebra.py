@@ -100,6 +100,13 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
+def signed_sum(pieces: list[tuple[str, str]]) -> str:
+    """``a - b + c`` from its (sign, body) terms, with no sign before a
+    leading "+" term."""
+    text = " ".join(f"{sign} {body}" for sign, body in pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients: an
     ``int`` when integral, else a ``Fraction``.
@@ -343,7 +350,7 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        pieces: list[str] = []
+        pieces: list[tuple[str, str]] = []
         for exponent, coeff in sorted(self.terms.items(),
                                       key=lambda item: grlex_key(item[0]), reverse=True):
             factors = []
@@ -360,11 +367,7 @@ class Polynomial:
                 body = "*".join([str(abs(coeff))] + factors)
             sign = "-" if coeff < 0 else "+"
             pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -7,7 +7,8 @@ bookkeeping is strict throughout: an operator's rows are the labels its
 images hold, so no image is ever clipped, coordinates in a truncated space
 raise rather than drop a term, and every quotient asserts that the
 coboundaries lie in the cocycles.  Every quotient, h1-top, foliated and
-canonical alike, is one ``_quotient`` call, which returns
+canonical alike, is one ``_quotient`` call: it stacks the cycle maps into a
+matrix, then asks one callable for the boundary vectors, and returns
 ``_complement_kernel(cycles, boundaries)``: the kernel of the cycle matrix
 on a coordinate complement of the boundaries.  Its length is the dimension,
 and for h1-top its vectors are the printed representatives.  ``_Complexes``
@@ -17,9 +18,8 @@ makes the maps of one report's foliated and canonical quotients, each once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 from .algebra import ExactMatrix, InvariantError, Polynomial, Rational, SparseVector
 from .exterior import FORM, Chart, GradedTensor, differential, ext_d, wedge
@@ -74,24 +74,19 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
 
 
 def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
-              boundary: Callable[[], TruncatedOperator] | None = None,
-              chains: list[SparseVector] | None = None,
-              extra: Iterable[SparseVector] = ()) -> tuple[int, list[SparseVector]]:
+              boundaries: Callable[[], list[SparseVector]] = list,
+              ) -> tuple[int, list[SparseVector]]:
     """``_complement_kernel`` of ker C / span B on ``domain``, the one place
     that builds a quotient.
 
-    C stacks the operator rows of the cycle maps (no map gives 0 rows).  B
-    holds the images of ``chains`` (of every domain element when None) under
-    the operator ``boundary()``, built after C and not kept, then the
-    ``extra`` vectors in ``domain``'s coordinates, which are not changed.
+    C stacks the operator rows of the cycle maps (no map gives 0 rows).  B is
+    ``boundaries()``, vectors in ``domain``'s coordinates that are not
+    changed; it is called after C is built, so an operator it builds for B
+    is not kept beside C.
     """
     rows = [row for mapping in cycle_maps
             for row in TruncatedOperator.build(domain, mapping).matrix.row_dicts()]
-    boundaries: list[SparseVector] = []
-    if boundary is not None:
-        boundaries = boundary().coordinates_in(domain, chains)
-    boundaries.extend(extra)
-    return _complement_kernel(ExactMatrix._of_rows(len(domain), rows), boundaries)
+    return _complement_kernel(ExactMatrix._of_rows(len(domain), rows), boundaries())
 
 
 # -- foliated cohomology -------------------------------------------------------
@@ -170,7 +165,8 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
     boundary_rank, kernel = _quotient(
         domain, [lambda form: np_cocycle_check_top(coefficient, form)],
-        lambda: TruncatedOperator.build(generators, lambda g: ext_d(g).scale(coefficient)))
+        lambda: TruncatedOperator.build(
+            generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain))
     return TopH1Report(
         bound=bound,
         dimension=len(kernel),
@@ -220,8 +216,9 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
 
     Chains at the named bound; the incoming image is taken from bound+1
     chains so that the quotient is well-posed.  The volume must have weight
-    zero and constant coefficient: anything else pushes chains outside every
-    finite monomial truncation, and the homology is volume-independent anyway.
+    zero and constant coefficient, since the complex below is built for that
+    case alone: flat divides by a non-constant coefficient, and a weight
+    turns d into d minus dw wedge, which no map here assembles.
     Through flat it is d on (m - degree)-forms: flat(delta P) = d(flat P), and
     flat(i(alpha) P) = (-1)^(k-1) alpha ^ flat(P) for a 1-form alpha.
     """
@@ -301,8 +298,13 @@ class _Complexes:
         if degree < structure.order:
             cycles.append(self._once(("sharp after d", degree), lambda: FirstOrderMap(
                 lambda form: sharp(structure, degree + 1, ext_d(form)))))
-        boundary = partial(self._d, degree, bound) if degree >= 1 else None
-        return len(_quotient(domain, cycles, boundary, extra=self._kernel(domain))[1])
+        kernel = self._kernel(domain)
+
+        def boundaries() -> list[SparseVector]:
+            exact = self._d(degree, bound).coordinates_in(domain) if degree else []
+            return exact + kernel
+
+        return len(_quotient(domain, cycles, boundaries)[1])
 
     def canonical(self, degree: int, bound: int) -> int:
         """Canonical homology at one degree through flat, which takes delta to d
@@ -313,12 +315,12 @@ class _Complexes:
         forms = chart.dimension - degree
         domain = TruncatedBasis.build(chart, FORM, forms, bound)
         cycles = [*self._tangency(degree, bound), self._ext_d] if degree else []
-        boundary = chains = None
-        if degree < structure.order:
-            above = TruncatedBasis.build(chart, FORM, forms - 1, bound + 1)
-            chains = _quotient(above, self._tangency(degree + 1, bound + 1))[1]
-            boundary = partial(self._d, forms, bound)
-        return len(_quotient(domain, cycles, boundary, chains)[1])
+        if degree == structure.order:
+            return len(_quotient(domain, cycles)[1])
+        above = TruncatedBasis.build(chart, FORM, forms - 1, bound + 1)
+        chains = _quotient(above, self._tangency(degree + 1, bound + 1))[1]
+        return len(_quotient(
+            domain, cycles, lambda: self._d(forms, bound).coordinates_in(domain, chains))[1])
 
 
 # -- the modular obstruction to the image subcomplex -----------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import Polynomial, RationalFunction
+from .algebra import Polynomial, RationalFunction, signed_sum
 
 FORM = "form"
 MULTIVECTOR = "mv"
@@ -96,18 +96,10 @@ def merge_indices(left: Index, right: Index) -> tuple[int, Index] | None:
 
 def sort_index(indices: Sequence[int]) -> tuple[int, Index] | None:
     """Sort an index tuple, returning the permutation sign; None on repeats."""
-    order = list(indices)
-    sign = 1
-    for i in range(1, len(order)):
-        j = i
-        while j > 0 and order[j - 1] > order[j]:
-            order[j - 1], order[j] = order[j], order[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(order, order[1:]):
-        if a == b:
-            return None
-    return sign, tuple(order)
+    if len(set(indices)) != len(indices):
+        return None
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
+    return (-1) ** inversions, tuple(sorted(indices))
 
 
 class GradedTensor:
@@ -305,11 +297,7 @@ def format_tensor(tensor: GradedTensor) -> str:
             pieces.append((sign, f"{text} * {basis}"))
         else:
             pieces.append((sign, f"({text}) * {basis}"))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return signed_sum(pieces)
 
 
 def wedge(left: GradedTensor, right: GradedTensor) -> GradedTensor:

@@ -20,6 +20,7 @@ scalar power.  ``#`` starts a comment.  Numbers are integers, optionally
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,40 +56,21 @@ class Token:
     column: int
 
 
-_SYMBOLS = ("**", "+", "-", "*", "(", ")", "=", "^", "@", "/")
+# ``\w`` also holds numerals that are not decimal digits, such as ² and ½, so
+# the loop checks that an identifier starts with a letter or an underscore
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<IDENT>[^\W\d]\w*)|(?P<SYM>\*\*|[-+*()=^@/])"
+                    r"|(?P<COMMENT>#)|(?P<BAD>\S)")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "#":
+    for match in _TOKEN.finditer(text):
+        kind, token, column = match.lastgroup, match.group(), match.start() + 1
+        if kind == "COMMENT":
             break
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            tokens.append(Token("INT", text[pos:end], line_no, pos + 1))
-            pos = end
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            tokens.append(Token("IDENT", text[pos:end], line_no, pos + 1))
-            pos = end
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(Token("SYM", sym, line_no, pos + 1))
-                pos += len(sym)
-                break
-        else:
-            raise ModelError("unexpected character", line_no, pos + 1, ch)
+        if kind == "BAD" or kind == "IDENT" and not (token[0].isalpha() or token[0] == "_"):
+            raise ModelError("unexpected character", line_no, column, token[0])
+        tokens.append(Token(kind, token, line_no, column))
     return tokens
 
 
@@ -247,9 +229,7 @@ class _Parser:
                                        self.chart.coordinates.index(name))
         entry = self.bindings.get(name)
         if entry is not None:
-            if entry.kind == "scalar":
-                return entry.value
-            if entry.kind in ("form", "mv"):
+            if entry.kind in ("scalar", "form", "mv"):
                 return entry.value
             raise self.error(f"a {entry.kind} binding cannot appear in an expression",
                              token)
@@ -307,8 +287,6 @@ class _Parser:
     def _power(self, value, exponent: int, token: Token):
         if not isinstance(value, Polynomial):
             raise self.error("powers apply to scalars only", token)
-        if exponent < 0:
-            raise self.error("exponent must be non-negative", token)
         return value ** exponent
 
 
@@ -441,10 +419,9 @@ def parse_model(text: str) -> ModelFile:
                 except ValueError as exc:
                     raise ModelError(str(exc), name_token.line, name_token.column,
                                      name_token.text) from None
-            if kind != "lambda" and parser.peek() is not None:
-                raise parser.error("unexpected trailing tokens", parser.peek())
-            if kind == "lambda" and parser.peek() is not None:
-                raise parser.error("unexpected tokens after the order", parser.peek())
+            if parser.peek() is not None:
+                raise parser.error("unexpected tokens after the order" if kind == "lambda"
+                                   else "unexpected trailing tokens", parser.peek())
         bindings[name] = Binding(kind, name, value)
     if chart is None:
         raise ModelError("model has no space declaration", 1, 1)

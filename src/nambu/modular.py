@@ -25,7 +25,6 @@ from .exterior import (
     ext_d,
     interior_form,
     lie_form,
-    merge_indices,
     pair,
     wedge,
 )
@@ -127,18 +126,14 @@ def flat_inverse(volume: VolumeSpec, theta: WeightedForm) -> GradedTensor:
     body = theta.body
     if body.variance != FORM:
         raise ValueError("flat_inverse expects a form body")
-    full = tuple(range(m))
-    components = {}
-    for rest, value in body.components.items():
-        rest_set = set(rest)
-        index = tuple(i for i in full if i not in rest_set)
-        # flat sends e_index to sign * u * dx^rest with exactly this sign
-        merged = merge_indices(index, rest)
-        assert merged is not None
-        sign, _ = merged
-        coeff = value / volume.coefficient
-        components[index] = coeff if sign > 0 else -coeff
-    return GradedTensor(chart, MULTIVECTOR, m - body.degree, components)
+    # with R the k-form's index and I its complement, flat(e_I) = u s(I, R) dx^R
+    # and contract_form(dx^R, e_1 ^ ... ^ e_m) = s(R, I) e_I, where s(I, R) is
+    # the shuffle sign of I then R and s(R, I) = (-1)^(k (m - k)) s(I, R)
+    k = body.degree
+    field = contract_form(body, GradedTensor.basis(chart, MULTIVECTOR, tuple(range(m))))
+    sign = (-1) ** (k * (m - k))
+    return GradedTensor(chart, MULTIVECTOR, m - k, {
+        index: sign * value / volume.coefficient for index, value in field.components.items()})
 
 
 def weighted_d(theta: WeightedForm) -> WeightedForm:

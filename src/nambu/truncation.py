@@ -336,22 +336,15 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
                                for j, power in enumerate(exponent) if power]
 
     def columns() -> Iterator[Iterable[tuple[int, Rational]]]:
-        multiples: dict[tuple[Index, int, int], list[tuple[int, Rational]]] = {}
         for idx, exponent in domain.elements:
             base, symbols, blocked = keyed_stencils[idx]
             at, steps = plans[exponent]
             column = {key + at: coeff for key, coeff in base}
             for j, power, shift in steps:
-                scaled = symbols[j]
-                if power > 1:
-                    scaled = multiples.get((idx, j, power))
-                    if scaled is None:
-                        scaled = multiples[idx, j, power] = [(key, power * coeff)
-                                                             for key, coeff in symbols[j]]
-                for key, coeff in scaled:
+                for key, coeff in symbols[j]:
                     key += shift
                     acc = column.get(key)
-                    column[key] = coeff if acc is None else acc + coeff
+                    column[key] = power * coeff if acc is None else acc + power * coeff
             if blocked:
                 yield column.items()
                 continue

@@ -31,6 +31,7 @@ from nambu.exterior import (
     wedge_all,
 )
 from nambu.cohomology import reduce_annihilators
+from nambu.model import ModelError, Token
 from nambu.modular import delta, modular_tensor
 from nambu.structures import NambuStructure, leibniz_bracket, sharp
 from nambu.truncation import (
@@ -645,3 +646,47 @@ def form_cochain_coboundary(structure: NambuStructure, form: GradedTensor,
                 value = -value
             total = total + value
     return total
+
+
+# -- the model tokenizer as a character loop, as the oracle of its pattern ----------
+
+_SYMBOLS = ("**", "+", "-", "*", "(", ")", "=", "^", "@", "/")
+
+
+def oracle_tokens(text: str, line_no: int) -> list[Token]:
+    """``#`` ends the line and white space separates; a run of digits is an
+    INT, a letter or underscore starts an IDENT run of alphanumerics and
+    underscores, and a symbol is the first of ``_SYMBOLS`` that matches.
+    Only on ASCII is it the tokenizer: ``isdigit`` also holds digits such as
+    ², which ``int`` rejects."""
+    tokens: list[Token] = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "#":
+            break
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch.isdigit():
+            end = pos
+            while end < len(text) and text[end].isdigit():
+                end += 1
+            tokens.append(Token("INT", text[pos:end], line_no, pos + 1))
+            pos = end
+            continue
+        if ch.isalpha() or ch == "_":
+            end = pos
+            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            tokens.append(Token("IDENT", text[pos:end], line_no, pos + 1))
+            pos = end
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, pos):
+                tokens.append(Token("SYM", sym, line_no, pos + 1))
+                pos += len(sym)
+                break
+        else:
+            raise ModelError("unexpected character", line_no, pos + 1, ch)
+    return tokens

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -965,6 +966,22 @@ def test_basic_function_corner_growth():
             assert canonical_homology_dim(structure, STD3, 3, bound) == 1
 
 
+@pytest.mark.parametrize("m, bounds", [(4, range(4)), (5, range(4)), (6, range(3))],
+                         ids=["m4", "m5", "m6"])
+def test_regular_normal_form_matches_the_leafwise_poincare_lemma(m, bounds):
+    # e1^e2^e3 on R^m with std: by the leafwise polynomial Poincare lemma only
+    # the functions of the m - 3 transverse coordinates survive, foliated in
+    # degree 0 and canonical in degree 3, and at bound b there are
+    # C(b + m - 3, m - 3) monomials in them
+    chart = Chart.of([f"x{i}" for i in range(1, m + 1)])
+    structure = NambuStructure(GradedTensor.basis(chart, MULTIVECTOR, (0, 1, 2)))
+    complexes = _Complexes(structure, VolumeSpec.standard(chart))
+    for bound in bounds:
+        transverse = math.comb(bound + m - 3, m - 3)
+        assert [complexes.foliated(k, bound) for k in range(4)] == [transverse, 0, 0, 0]
+        assert [complexes.canonical(k, bound) for k in range(4)] == [0, 0, 0, transverse]
+
+
 # -- independent oracles for the truncated engines ------------------------------------------
 
 def _de_rham_dim(chart, degree, bound):
@@ -1288,7 +1305,7 @@ def test_held_sharp_kernels_are_the_coordinates_of_ker_sharp_basis(structure):
 @pytest.mark.parametrize("structure", [regular_r4(), _mixed_r4()],
                          ids=["regular_r4", "mixed_r4"])
 def test_quotients_leave_the_held_sharp_kernels_unchanged(structure):
-    # foliated passes the held vectors to _quotient as extra boundaries
+    # foliated's boundaries for _quotient end with the held vectors
     complexes = _Complexes(structure, STD4)
     held = {}
     for degree in range(structure.order + 1):

@@ -197,8 +197,8 @@ def test_unread_fields_are_detected(tmp_path):
 # coefficient division goes through ``algebra._quotient``, which has none.
 DIVIDES = {
     "flows.integrate_hamiltonian": "the float integrator's step h / 6",
-    "modular.flat_inverse": "a tensor component over the volume's polynomial coefficient, "
-                            "by Polynomial.__truediv__",
+    "modular.flat_inverse": "each component of the contraction into e_1 ^ ... ^ e_m over "
+                            "the volume's polynomial coefficient, by Polynomial.__truediv__",
     "modular.divergence": "X(u) / u on polynomials, by Polynomial.__truediv__",
 }
 
@@ -258,6 +258,12 @@ def test_no_quotient_assembles_the_boundary():
     # canonical homology runs through flat, on forms under d; only the
     # modular tensor and the delta command take the boundary itself
     assert _callers(SOURCES, "delta") == ["cli._cmd_delta", "modular.modular_tensor"]
+
+
+def test_only_the_tensor_kernels_merge_indices():
+    # every other signed index loop is composed from these three kernels
+    assert _callers(SOURCES, "merge_indices") == \
+        ["exterior._front_contract", "exterior.ext_d", "exterior.wedge"]
 
 
 def test_no_engine_path_converts_tensors_to_coordinates():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nambu.algebra import variables
 from nambu.exterior import FORM, MULTIVECTOR
-from nambu.model import ModelError, parse_model
+from nambu.model import ModelError, _tokenize_line, parse_model
 from nambu.modular import VolumeSpec
-from support import R3, coords, radius_squared
+from support import R3, coords, oracle_tokens, radius_squared
 
 x1, x2, x3 = coords(R3)
 
@@ -144,6 +146,34 @@ def test_unexpected_character():
     with pytest.raises(ModelError) as err:
         parse_model("space 2 coords x1 x2\nscalar f = x1 ; x2\n")
     assert err.value.token == ";"
+
+
+ascii_lines = st.one_of(st.text(st.characters(max_codepoint=127), max_size=30),
+                        st.text(st.sampled_from("x1_ \t*#+-()=^@/;"), max_size=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ascii_lines, st.integers(1, 9))
+def test_tokenizer_matches_the_character_loop(text, line_no):
+    try:
+        expected = oracle_tokens(text, line_no)
+    except ModelError as error:
+        with pytest.raises(ModelError) as raised:
+            _tokenize_line(text, line_no)
+        assert (raised.value.message, raised.value.line, raised.value.column,
+                raised.value.token) == (error.message, error.line, error.column, error.token)
+    else:
+        assert _tokenize_line(text, line_no) == expected
+
+
+@pytest.mark.parametrize("line, column", [("scalar f = x1 + ²", 17), ("scalar f = 2²", 13),
+                                          ("scalar f = @²", 13), ("scalar ½ = 1", 8)])
+def test_a_numeral_that_is_not_a_decimal_digit_has_position(line, column):
+    # the character loop read ² as a digit, and int() then failed on it
+    with pytest.raises(ModelError) as err:
+        parse_model(f"space 2 coords x1 x2\n{line}\n")
+    assert (err.value.line, err.value.column, err.value.token) == (2, column, line[column - 1])
+
 
 def test_order_two_structure_rejected():
     with pytest.raises(ModelError):
