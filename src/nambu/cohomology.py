@@ -51,26 +51,35 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
     With P the pivot columns of the matrix whose rows are B and W the other
     coordinates, the projection pi_P is an isomorphism on span B, so every
     cycle minus the B-vector with the same P-coordinates lies in ker C on
-    Q^W.  Hence ker C is the direct sum of span B and ker(C|_W), and the
-    kernel of C|_W padded with zeros on P is the basis.  B must lie in
-    ker C (D after D is zero); that is checked first.  With no B the basis
-    is the nullspace of C.
+    Q^W.  Hence ker C is the direct sum of span B and ker(C|_W).  C|_W is C
+    with its columns in P emptied: its nullspace is the basis, zero on P,
+    plus the unit vector at each column of P, which is dropped.  B must lie
+    in ker C (D after D is zero); that is checked first.  With no B the
+    basis is the nullspace of C.
     """
     if not boundaries:
         return 0, cycles.nullspace()
     if not _annihilates(cycles, boundaries):
         raise InvariantError("coboundary vector escapes the cocycle space; "
                              "degree bookkeeping is inconsistent")
-    length = cycles.cols
-    # ``apply`` has checked the keys of the boundaries, and ``kept`` numbers C|_W
-    spanned = set(ExactMatrix._of_rows(length, boundaries).pivot_columns())
-    kept = [j for j in range(length) if j not in spanned]
-    position = {j: k for k, j in enumerate(kept)}
-    restricted = ExactMatrix._of_rows(len(kept), [
-        {position[j]: v for j, v in row.items() if j in position}
-        for row in cycles.row_dicts()])
-    return len(spanned), [{kept[k]: v for k, v in vector.items()}
-                          for vector in restricted.nullspace()]
+    # ``apply`` has checked the keys of the boundaries
+    spanned = set(ExactMatrix._of_rows(cycles.cols, boundaries).pivot_columns())
+    restricted = ExactMatrix._of_rows(cycles.cols, [
+        {j: v for j, v in row.items() if j not in spanned} for row in cycles.row_dicts()])
+    return len(spanned), [vector for vector in restricted.nullspace()
+                          if spanned.isdisjoint(vector)]
+
+
+def _combinations(weights: list[SparseVector], vectors: list[SparseVector]) -> list[SparseVector]:
+    """sum_i w_i vectors[i] for each weight vector w, without the entries that cancel."""
+    combined = []
+    for weight in weights:
+        total: SparseVector = {}
+        for i, w in weight.items():
+            for j, v in vectors[i].items():
+                total[j] = total.get(j, 0) + w * v
+        combined.append({j: v for j, v in total.items() if v})
+    return combined
 
 
 def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
@@ -80,9 +89,9 @@ def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
     that builds a quotient.
 
     C stacks the operator rows of the cycle maps (no map gives 0 rows).  B is
-    ``boundaries()``, vectors in ``domain``'s coordinates that are not
-    changed; it is called after C is built, so an operator it builds for B
-    is not kept beside C.
+    ``boundaries()``, every boundary as vectors of ``domain``, built once and
+    not changed; it is called after C is built, so an operator it builds for
+    B is not kept beside C.
     """
     rows = [row for mapping in cycle_maps
             for row in TruncatedOperator.build(domain, mapping).matrix.row_dicts()]
@@ -240,7 +249,9 @@ class _Complexes:
     1-form.  Each map is made once and shared, with its stencils, by every
     degree and bound of the report; each sharp kernel, as coordinate vectors
     of the degree-k forms, and each list of reduced annihilators is made
-    once per (degree, bound).  A report makes one and drops it with its answer.
+    once per (degree, bound).  Each d is held as vectors of its quotient's
+    domain, which the canonical side combines along its tangent chains.  A
+    report makes one and drops it with its answer.
     """
 
     def __init__(self, structure: NambuStructure, volume: VolumeSpec | None = None):
@@ -264,29 +275,30 @@ class _Complexes:
         return self._once(("kernel", degree, domain.coefficient_bound), lambda: _sharp_kernel(
             self._once(("sharp", degree), lambda: bundle_map(self.structure, degree)), domain))
 
-    def _tangency(self, degree: int, bound: int) -> list[FirstOrderMap]:
-        """The wedges whose common kernel is the tangent chains of canonical
-        degree ``degree`` at ``bound``, as forms; degree 0 is unconstrained."""
+    def _tangency(self, bound: int) -> list[FirstOrderMap]:
+        """The wedges whose common kernel is the tangent chains of every
+        positive canonical degree at ``bound``, as forms."""
         def reduced() -> list[GradedTensor]:
             forms = TruncatedBasis.build(self.structure.chart, FORM, 1, bound)
             return reduce_annihilators(list(map(forms.from_coordinates, self._kernel(forms))))
 
-        if degree == 0:
-            return []
         annihilators = self._once(("annihilators", bound), reduced)
         return [self._once(("wedge", form), lambda form=form: FirstOrderMap(
             lambda chain: wedge(form, chain))) for form in annihilators]
 
-    def _d(self, degree: int, bound: int) -> TruncatedOperator:
-        """d from the (degree - 1)-forms at bound + 1 into the degree-forms
-        at ``bound``: the one that ``share`` holds, else a new one."""
+    def _d(self, domain: TruncatedBasis) -> list[SparseVector]:
+        """d of each (k - 1)-form at bound + 1 as a vector of ``domain``, the
+        k-forms at ``bound``: the vectors that ``share`` holds, else new ones."""
+        degree, bound = domain.degree, domain.coefficient_bound
         shared = self._made.get(("shared d", degree, bound))
         return shared.pop() if shared else TruncatedOperator.build(
-            TruncatedBasis.build(self.structure.chart, FORM, degree - 1, bound + 1), self._ext_d)
+            TruncatedBasis.build(self.structure.chart, FORM, degree - 1, bound + 1),
+            self._ext_d).coordinates_in(domain)
 
     def share(self, degree: int, bound: int) -> None:
-        """Build ``_d`` once for foliated k and canonical m - k, one hold per read."""
-        self._made["shared d", degree, bound] = [self._d(degree, bound)] * 2
+        """Build ``_d``'s vectors once for foliated k and canonical m - k, one hold per read."""
+        self._made["shared d", degree, bound] = [self._d(
+            TruncatedBasis.build(self.structure.chart, FORM, degree, bound))] * 2
 
     def foliated(self, degree: int, bound: int) -> int:
         """Foliated cohomology at one degree: the forms that sharp after d
@@ -300,11 +312,8 @@ class _Complexes:
                 lambda form: sharp(structure, degree + 1, ext_d(form)))))
         kernel = self._kernel(domain)
 
-        def boundaries() -> list[SparseVector]:
-            exact = self._d(degree, bound).coordinates_in(domain) if degree else []
-            return exact + kernel
-
-        return len(_quotient(domain, cycles, boundaries)[1])
+        return len(_quotient(
+            domain, cycles, lambda: (self._d(domain) if degree else []) + kernel)[1])
 
     def canonical(self, degree: int, bound: int) -> int:
         """Canonical homology at one degree through flat, which takes delta to d
@@ -314,13 +323,12 @@ class _Complexes:
         structure, chart = self.structure, self.structure.chart
         forms = chart.dimension - degree
         domain = TruncatedBasis.build(chart, FORM, forms, bound)
-        cycles = [*self._tangency(degree, bound), self._ext_d] if degree else []
+        cycles = [*self._tangency(bound), self._ext_d] if degree else []
         if degree == structure.order:
             return len(_quotient(domain, cycles)[1])
         above = TruncatedBasis.build(chart, FORM, forms - 1, bound + 1)
-        chains = _quotient(above, self._tangency(degree + 1, bound + 1))[1]
-        return len(_quotient(
-            domain, cycles, lambda: self._d(forms, bound).coordinates_in(domain, chains))[1])
+        chains = _quotient(above, self._tangency(bound + 1))[1]
+        return len(_quotient(domain, cycles, lambda: _combinations(chains, self._d(domain)))[1])
 
 
 # -- the modular obstruction to the image subcomplex -----------------------------

@@ -14,8 +14,10 @@ bindings of scalars, forms, multivectors, structures and volumes.
 ``^`` is the wedge product; applied to a scalar base with a numeric-literal
 exponent it is a power, which is the one scalar case where the two readings
 differ (on degree-0 arguments the wedge is multiplication).  ``**`` is always
-scalar power.  ``#`` starts a comment.  Numbers are integers, optionally
-``a/b`` fractions.  Errors carry line, column and the offending token.
+scalar power.  A power of a power needs parentheses, ``(x1^2)^3`` and not
+``x1^2^3``, since conventions group it either way.  ``#`` starts a comment.
+Numbers are integers, optionally ``a/b`` fractions.  Errors carry line,
+column and the offending token.
 """
 
 from __future__ import annotations
@@ -178,21 +180,24 @@ class _Parser:
 
     def parse_factor(self):
         value, literal = self.parse_primary()
+        powered = False
         while (token := self.peek()) is not None and token.text in ("^", "**"):
             self.next()
             if token.text == "**":
                 exponent = self.next()
                 if exponent.kind != "INT":
                     raise self.error("scalar power needs an integer exponent", exponent)
-                value = self._power(value, int(exponent.text), token)
+                power = int(exponent.text)
             else:
                 rhs, rhs_literal = self.parse_primary()
                 # scalar base with a literal numeric exponent reads as a power
-                if rhs_literal and isinstance(value, Polynomial):
-                    value = self._power(value, self._as_int(rhs, token), token)
-                else:
-                    value = self._wedge(value, rhs, token)
-            literal = False
+                literal_power = rhs_literal and isinstance(value, Polynomial)
+                power = self._as_int(rhs, token) if literal_power else None
+            if powered and power is not None:
+                raise self.error("a power of a power needs parentheses", token)
+            value = self._wedge(value, rhs, token) if power is None else \
+                self._power(value, power, token)
+            powered, literal = power is not None, False
         return value, literal
 
     def parse_primary(self):

@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .algebra import (
     ExactMatrix,
@@ -421,39 +421,18 @@ class TruncatedOperator:
             mapping = FirstOrderMap(mapping)
         return _numbered_operator(*_stencil_columns(domain, mapping))
 
-    def coordinates_in(self, basis: TruncatedBasis,
-                       vectors: Sequence[SparseVector] | None = None) -> list[SparseVector]:
-        """The image of each domain vector, or of each domain element when no
-        vectors are given, as coordinates in ``basis``.  The images are the
-        engine's own, so one that leaves ``basis`` is an ``InvariantError``.
-
-        Without vectors this is the transpose of the matrix.  With vectors
-        the images come from ``ExactMatrix.apply``, and a label is looked up
-        in ``basis`` only when some image holds its row.
-        """
-        def position(label: Label) -> int:
+    def coordinates_in(self, basis: TruncatedBasis) -> list[SparseVector]:
+        """The image of each domain element as coordinates in ``basis``: the
+        transpose of the matrix.  The images are the engine's own, so one that
+        leaves ``basis`` is an ``InvariantError``."""
+        columns: list[SparseVector] = [{} for _ in range(self.matrix.cols)]
+        for label, row in zip(self.labels, self.matrix.row_dicts()):
             try:
-                return basis.position(label)
+                at = basis.position(label)
             except ValueError as error:
                 raise InvariantError(f"an operator image leaves its basis: {error}") from None
-
-        if vectors is None:
-            columns: list[SparseVector] = [{} for _ in range(self.matrix.cols)]
-            for label, row in zip(self.labels, self.matrix.row_dicts()):
-                at = position(label)
-                for j, coeff in row.items():
-                    columns[j][at] = coeff
-            return columns
-        positions: dict[int, int] = {}
-        columns = []
-        for image in self.matrix.apply(vectors):
-            column = {}
-            for r, coeff in image.items():
-                at = positions.get(r)
-                if at is None:
-                    at = positions[r] = position(self.labels[r])
-                column[at] = coeff
-            columns.append(column)
+            for j, coeff in row.items():
+                columns[j][at] = coeff
         return columns
 
 

@@ -32,7 +32,7 @@ from nambu.exterior import (
 )
 from nambu.cohomology import reduce_annihilators
 from nambu.model import ModelError, Token
-from nambu.modular import delta, modular_tensor
+from nambu.modular import VolumeSpec, delta, modular_tensor
 from nambu.structures import NambuStructure, leibniz_bracket, sharp
 from nambu.truncation import (
     TruncatedBasis,
@@ -381,6 +381,23 @@ def oracle_quotient(cocycle, boundaries, length):
             [cocycles[pos] for pos in chosen])
 
 
+def oracle_complement_kernel(cycles, boundaries):
+    """``_complement_kernel`` by renumbering: C restricted to the columns W
+    off the boundaries' pivot columns P, renumbered 0..|W|-1, and its kernel
+    padded back with zeros on P."""
+    if not boundaries:
+        return 0, cycles.nullspace()
+    length = cycles.cols
+    spanned = set(ExactMatrix._of_rows(length, boundaries).pivot_columns())
+    kept = [j for j in range(length) if j not in spanned]
+    position = {j: k for k, j in enumerate(kept)}
+    restricted = ExactMatrix._of_rows(len(kept), [
+        {position[j]: v for j, v in row.items() if j in position}
+        for row in cycles.row_dicts()])
+    return len(spanned), [{kept[k]: v for k, v in vector.items()}
+                          for vector in restricted.nullspace()]
+
+
 # -- nullity minus rank, as the oracle of the foliated and canonical quotients -----
 
 def _rank_of_vectors(vectors, length):
@@ -690,3 +707,48 @@ def oracle_tokens(text: str, line_no: int) -> list[Token]:
         else:
             raise ModelError("unexpected character", line_no, pos + 1, ch)
     return tokens
+
+
+# -- a linear change of coordinates, as the oracle of coordinate invariance --------
+
+def compose_linear(poly: Polynomial, matrix) -> Polynomial:
+    """p(A y): every x_k becomes sum_j A_kj y_j, on the same variable names."""
+    names = poly.variables
+    images = [sum((Polynomial.variable(names, j) * a for j, a in enumerate(row)),
+                  Polynomial.zero(names)) for row in matrix]
+    total = Polynomial.zero(names)
+    for exponent, coeff in poly.terms.items():
+        term = Polynomial.constant(names, coeff)
+        for image, power in zip(images, exponent):
+            term = term * image ** power
+        total = total + term
+    return total
+
+
+def pull_back(structure: NambuStructure, volume: VolumeSpec, matrix,
+              ) -> tuple[NambuStructure, VolumeSpec]:
+    """The structure and volume in the coordinates y of x = A y, for an
+    integer matrix A with det +-1, written on the same chart.
+
+    Each d/dx_i becomes sum_j (A^-1)_ji d/dy_j, every coefficient and weight
+    is composed with A, and dx_1 ^ ... ^ dx_m becomes det(A) dy_1 ^ ... ^
+    dy_m, so std becomes det(A) std.
+    """
+    chart = structure.chart
+    m = chart.dimension
+    inverse = ExactMatrix(m, m, [{j: a for j, a in enumerate(row) if a} for row in matrix])
+
+    def combination(kind, weights):
+        return sum((GradedTensor.basis(chart, kind, (j,)).scale(w) for j, w in enumerate(weights)),
+                   GradedTensor.zero(chart, kind, 1))
+
+    # column i of A^-1 solves A c = e_i
+    fields = [combination(MULTIVECTOR, inverse.solve([int(k == i) for k in range(m)])[0])
+              for i in range(m)]
+    tensor = GradedTensor.zero(chart, MULTIVECTOR, structure.order)
+    for index, value in structure.tensor.components.items():
+        tensor = tensor + wedge_all(fields[i] for i in index).scale(compose_linear(value, matrix))
+    det = wedge_all(combination(FORM, row) for row in matrix).component(range(m))
+    return (NambuStructure(tensor, structure.order),
+            VolumeSpec(chart, compose_linear(volume.coefficient, matrix) * det,
+                       compose_linear(volume.weight, matrix)))

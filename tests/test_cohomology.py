@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -68,10 +69,12 @@ from support import (
     matrix_from_columns,
     oracle_apply,
     oracle_canonical_dimension,
+    oracle_complement_kernel,
     oracle_foliated_dimension,
     oracle_quotient,
     oracle_radial_relations,
     oracle_radial_split,
+    pull_back,
     radius_squared,
     rand_form,
     rand_fraction,
@@ -504,13 +507,6 @@ def test_operator_coordinates_are_strict():
     narrow = TruncatedBasis.build(R3, FORM, 1, 0)
     with pytest.raises(InvariantError, match="exceeds the coefficient bound 0"):
         operator.coordinates_in(narrow)
-    # images of vectors: x1^2 - x2 has d outside the narrow basis, x2 + 3 inside
-    vectors = [low.to_coordinates(GradedTensor.from_scalar(R3, FORM, x2 + 3)),
-               low.to_coordinates(GradedTensor.from_scalar(R3, FORM, x1 * x1 - x2))]
-    assert operator.coordinates_in(narrow, vectors[:1]) == \
-        [{narrow.position(((1,), (0, 0, 0))): 1}]
-    with pytest.raises(InvariantError, match="exceeds the coefficient bound 0"):
-        operator.coordinates_in(narrow, vectors)
     # the basis itself still reports a tensor outside it as a usage error
     with pytest.raises(ValueError, match="exceeds the coefficient bound 0"):
         narrow.to_coordinates(ext_d(basis_tensor(low, len(low) - 1)))
@@ -1198,6 +1194,38 @@ def test_complement_kernel_checks_containment_first():
     assert _complement_kernel(cocycle, [{0: F(1, 2), 1: F(1, 2)}]) == (1, [])
 
 
+@st.composite
+def integer_systems(draw):
+    """A random sparse integer C, up to 12 x 12, and B inside ker C: integer
+    combinations of its nullspace basis, with zero vectors and repeats."""
+    height, length = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entries, min_size=length, max_size=length),
+                         min_size=height, max_size=height))
+    cycles = ExactMatrix(height, length, [{j: v for j, v in enumerate(row) if v} for row in rows])
+    kernel = cycles.nullspace()
+    weights = st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel))
+    boundaries = []
+    for weight in draw(st.lists(weights | st.just([0] * len(kernel)), max_size=len(kernel) + 2)):
+        total: dict[int, Fraction] = {}
+        for w, vector in zip(weight, kernel):
+            for i, v in vector.items():
+                total[i] = total.get(i, 0) + w * v
+        boundaries.append({i: v for i, v in total.items() if v})
+    if boundaries:
+        boundaries += map(dict, draw(st.lists(st.sampled_from(boundaries), max_size=2)))
+    return cycles, boundaries
+
+
+@given(integer_systems())
+@settings(max_examples=200, deadline=None)
+def test_complement_kernel_matches_the_renumbering_oracle(system):
+    # emptying the pivot columns of B in C gives the renumbered kernel, in order
+    cycles, boundaries = system
+    assert _complement_kernel(cycles, boundaries) == \
+        oracle_complement_kernel(cycles, boundaries)
+
+
 def _h1_top_system(coefficient, bound):
     """The domain, cocycle matrix and coboundary vectors np_h1_top reduces."""
     chart = Chart(coefficient.variables)
@@ -1281,6 +1309,31 @@ def test_tangency_quotient_dimensions_match_nullity_minus_rank(structure, volume
         (_Complexes(structure).foliated(degree, bound),
          canonical_homology_dim(structure, volume, n - degree, bound))
         for degree in range(n + 1)]
+
+
+@pytest.mark.parametrize("bound", range(4))
+@pytest.mark.parametrize("structure, volume", [
+    (singular_r3(), STD3), (regular_r3(), STD3), (regular_r4(), STD4),
+    _beyond_top_order_and_constant()[0], _beyond_top_order_and_constant()[3]],
+    ids=["singular_r3", "regular_r3", "regular_r4", "linear_jacobian", "regular_r5"])
+def test_duality_drains_every_shared_d(monkeypatch, structure, volume, bound):
+    # a shared d is held for two reads; an unread hold outlives its row
+    import nambu.cohomology as cohomology
+    made = []
+
+    class Recording(_Complexes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cohomology, "_Complexes", Recording)
+    try:
+        duality_report(structure, volume, bound)
+    except ValueError as error:
+        # singular_r3 has no h1-top at bound 0, asked for after every quotient
+        assert "below deg(f) - 1" in str(error)
+    held = [vectors for key, vectors in made[0]._made.items() if key[0] == "shared d"]
+    assert len(made) == 1 and held and not any(held)
 
 
 def test_linear_jacobian_canonical_dimensions():
@@ -1377,6 +1430,76 @@ def test_duality_builds_each_operator_once(monkeypatch, structure, volume):
     sharp_images = tuple(sharp(structure, 1, basis_tensor(degree_one, j))
                          for j in range(len(degree_one)))
     assert seen.count((degree_one, sharp_images)) == 1
+
+
+# -- invariance under a linear change of coordinates --------------------------------------
+
+def _answers(structure, volume, bound):
+    """What every report says at one bound, with a usage error as an answer:
+    h1-top's three dimensions, the duality rows and verdict, the feasibility
+    of the potential and of the subcomplex, and the foliated and canonical
+    dimensions at each degree."""
+    def attempt(compute):
+        try:
+            return compute()
+        except ValueError as error:
+            return str(error)
+
+    def h1_top():
+        report = np_h1_top(structure.top_coefficient(), bound)
+        return report.dimension, report.cocycle_dimension, report.coboundary_dimension
+
+    def duality():
+        report = duality_report(structure, volume, bound)
+        return report.rows, report.verdict
+
+    degrees = range(structure.order + 1)
+    return (attempt(h1_top) if structure.is_top_order else None, attempt(duality),
+            modular_potential(structure, volume, bound).feasible,
+            subcomplex_check(structure, volume, bound).is_subcomplex,
+            [foliated_cohomology_dim(structure, k, bound) for k in degrees],
+            [attempt(lambda k=k: canonical_homology_dim(structure, volume, k, bound))
+             for k in degrees])
+
+
+INVARIANCE_CASES = {
+    "singular_r3": (singular_r3(), STD3), "regular_r3": (regular_r3(), STD3),
+    "regular_r3_W": (regular_r3(), VolumeSpec.weighted(R3, x1)),
+    "regular_r4": (regular_r4(), STD4)}
+
+
+@functools.cache
+def _original_answers(case, bound):
+    return _answers(*INVARIANCE_CASES[case], bound)
+
+
+@st.composite
+def unimodular(draw, size):
+    """An integer matrix with det +-1 and entries in -2..2: a signed
+    permutation, then row operations r_i += c r_j that keep the entries in
+    range."""
+    order = draw(st.permutations(range(size)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size))
+    matrix = [[signs[i] * int(j == order[i]) for j in range(size)] for i in range(size)]
+    steps = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
+                      st.sampled_from((1, -1, 2, -2)))
+    for i, j, c in draw(st.lists(steps, max_size=6)):
+        row = [a + c * b for a, b in zip(matrix[i], matrix[j])]
+        if i != j and max(map(abs, row)) <= 2:
+            matrix[i] = row
+    return matrix
+
+
+@pytest.mark.parametrize("case", INVARIANCE_CASES)
+@given(data=st.data(), bound=st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_reports_do_not_depend_on_linear_coordinates(case, data, bound):
+    # x = A y keeps every coefficient degree, so each truncated space maps
+    # onto its pull-back and every dimension and feasibility is the same
+    structure, volume = INVARIANCE_CASES[case]
+    matrix = data.draw(unimodular(structure.chart.dimension), label="A")
+    assert _answers(*pull_back(structure, volume, matrix), bound) == \
+        _original_answers(case, bound)
 
 
 # -- form-represented cochains and the chain map -----------------------------------------

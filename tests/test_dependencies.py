@@ -266,6 +266,12 @@ def test_only_the_tensor_kernels_merge_indices():
         ["exterior._front_contract", "exterior.ext_d", "exterior.wedge"]
 
 
+def test_only_the_containment_check_multiplies():
+    # every d reaches its quotient as vectors built once, so the one product
+    # only checks that the boundaries lie in the cycles
+    assert _callers(SOURCES, "apply") == ["cohomology._annihilates"]
+
+
 def test_no_engine_path_converts_tensors_to_coordinates():
     # a sharp kernel stays a list of coordinate vectors inside every quotient;
     # tensors are built from coordinates only where tensor arithmetic needs them

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nambu.algebra import variables
-from nambu.exterior import FORM, MULTIVECTOR
+from nambu.exterior import FORM, MULTIVECTOR, GradedTensor
 from nambu.model import ModelError, _tokenize_line, parse_model
 from nambu.modular import VolumeSpec
 from support import R3, coords, oracle_tokens, radius_squared
@@ -47,6 +47,31 @@ def test_double_star_power():
     model = parse_model("space 2 coords x1 x2\nscalar p = (x1 + x2) ** 2\n")
     y1, y2 = variables("x1 x2")
     assert model.scalar("p") == (y1 + y2) ** 2
+
+@pytest.mark.parametrize("line, column, token", [
+    ("scalar f = 2^3^2", 15, "^"), ("scalar f = x1 ** 2 ** 3", 20, "**"),
+    ("scalar f = x1^2 ** 3", 17, "**"), ("scalar f = x1 ** 2 ^ 3", 20, "^"),
+    ("scalar f = (x1 + x2)^2^2", 23, "^")])
+def test_a_power_of_a_power_needs_parentheses(line, column, token):
+    # left to right these read 64 and x1**6, where Python reads 512 and x1**8
+    with pytest.raises(ModelError, match="a power of a power needs parentheses") as err:
+        parse_model(f"space 2 coords x1 x2\n{line}\n")
+    assert (err.value.line, err.value.column, err.value.token) == (2, column, token)
+
+
+def test_grouped_powers_and_wedges_of_powers_still_parse():
+    model = parse_model("""\
+space 3 coords x1 x2 x3
+scalar p = (x1^2)^3
+scalar q = (x1 ** 2) ** 3
+scalar r = x1^2 * x2^3
+scalar s = x1^2 ^ x2
+scalar t = 2^3 ^ x1
+form a = dx1 ^ dx2 ^ dx3
+""")
+    assert [model.scalar(name) for name in "pqrst"] == \
+        [x1 ** 6, x1 ** 6, x1 ** 2 * x2 ** 3, x1 ** 2 * x2, 8 * x1]
+    assert model.binding("a", "form") == GradedTensor.basis(R3, FORM, (0, 1, 2))
 
 def test_volume_forms():
     model = parse_model("""\
