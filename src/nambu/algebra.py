@@ -45,16 +45,18 @@ one elimination of the transposed system, and checks the certificate on the
 given rows before returning it.  So every answer is the one Gauss-Jordan
 gives.  A column or coordinate vector is a ``SparseVector``: a map from
 position to its non-zero exact coefficient; zeros are never stored.
-Nullspace bases are returned in this format, and the one product,
-``ExactMatrix.apply``, maps a list of them to their images.  It clears denominators per vector and per row and
-accumulates in ints, so a zero image costs no division at all.
+Nullspace bases are returned in this format.  Three helpers do all sparse
+vector work: ``clear_denominators`` scales a vector to ints, ``transpose``
+turns keyed vectors into vectors by position, and ``weighted_sums`` sums
+combinations, so a matrix times vectors is the weighted sums of its rows
+over the vectors' transpose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -568,6 +570,38 @@ def _reduce_fraction(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
     return num, den
 
 
+def clear_denominators(vector: SparseVector) -> dict[int, int]:
+    """The vector scaled by the lcm of its denominators, so every entry is an
+    int; a vector of ints is returned itself, not a copy."""
+    if all(type(v) is int for v in vector.values()):
+        return vector
+    scale = lcm(*(v.denominator for v in vector.values()))
+    return {j: v.numerator * (scale // v.denominator) for j, v in vector.items()}
+
+
+def transpose(keyed_vectors: Iterable[tuple[int, SparseVector]], size: int) -> list[SparseVector]:
+    """``size`` vectors, the i-th holding entry i of each vector at its key;
+    a position outside 0..size-1 raises ``ValueError``."""
+    vectors: list[SparseVector] = [{} for _ in range(size)]
+    for key, vector in keyed_vectors:
+        if vector and not (0 <= min(vector) and max(vector) < size):
+            raise ValueError(f"row index outside 0..{size - 1}")
+        for i, v in vector.items():
+            vectors[i][key] = v
+    return vectors
+
+
+def weighted_sums(weights: Iterable[SparseVector], vectors: Sequence[SparseVector],
+                  ) -> Iterator[SparseVector]:
+    """sum_i w_i vectors[i] for each weight vector w, without the entries that cancel."""
+    for weight in weights:
+        total: SparseVector = {}
+        for i, w in weight.items():
+            for j, v in vectors[i].items():
+                total[j] = total.get(j, 0) + w * v
+        yield {j: v for j, v in total.items() if v}
+
+
 class ExactMatrix:
     """Sparse exact rational matrix with row-dict storage.
 
@@ -601,40 +635,10 @@ class ExactMatrix:
         matrix.rows, matrix.cols, matrix._rows = len(row_dicts), cols, row_dicts
         return matrix
 
-    def apply(self, vectors: Sequence[SparseVector]) -> list[SparseVector]:
-        """The image ``A*v`` of each vector, computed in integers.
-
-        Each vector is scaled by the lcm of its own denominators and each row
-        by the lcm of its entries on the vectors' support; the products are
-        accumulated as ints and divided back once per non-zero entry.
-        """
-        held: list[dict[int, int]] = [{} for _ in range(self.cols)]
-        scales = []
-        for j, vector in enumerate(vectors):
-            if vector and not (0 <= min(vector) and max(vector) < self.cols):
-                raise ValueError(f"row index outside 0..{self.cols - 1}")
-            scale = lcm(*(v.denominator for v in vector.values()))
-            scales.append(scale)
-            for i, v in vector.items():
-                held[i][j] = v.numerator * (scale // v.denominator)
-        images: list[SparseVector] = [{} for _ in scales]
-        for r, row in enumerate(self._rows):
-            hits = [(held[i], a) for i, a in row.items() if held[i]]
-            scale = lcm(*(a.denominator for _, a in hits))
-            acc: dict[int, int] = {}
-            for column, a in hits:
-                a = a.numerator * (scale // a.denominator)
-                for j, b in column.items():
-                    acc[j] = acc.get(j, 0) + a * b
-            for j, total in acc.items():
-                if total:
-                    images[j][r] = _quotient(total, scale * scales[j])
-        return images
-
     def _echelon(self) -> tuple[list[int], list[int], list[dict[int, int]]]:
         """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
-        Each row is scaled to integers by the lcm of its denominators; a row
+        Each row is scaled to integers by ``clear_denominators``; a row
         of ints, the common case, is copied as it is.  The columns are taken
         left to right.  The pivot row of a column is the first row in the
         current order that holds it, swapped into the next echelon position.
@@ -658,11 +662,9 @@ class ExactMatrix:
         nrows, ncols = self.rows, self.cols
         rows: list[dict[int, int]] = []
         for row in self._rows:
-            if all(type(v) is int for v in row.values()):
+            ints = clear_denominators(row)
+            if ints is row:
                 ints = dict(row)
-            else:
-                scale = lcm(*(v.denominator for v in row.values()))
-                ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
             _remove_content(ints)
             rows.append(ints)
         index: list[set[int]] = [set() for _ in range(ncols)]
@@ -778,15 +780,11 @@ class ExactMatrix:
         r = order[k]
         y: SparseVector = {r: 1}
         if self._rows[r]:
-            # row j is column j of A on P, then -A_r; in A's column order the
-            # elimination meets the pivots as the first one did, with low fill
-            transposed: dict[int, dict[int, Rational]] = {}
-            for position, i in enumerate(order[:k]):
-                for j, v in self._rows[i].items():
-                    transposed.setdefault(j, {})[position] = v
-            for j, v in self._rows[r].items():
-                transposed.setdefault(j, {})[k] = -v
-            system = ExactMatrix._of_rows(k + 1, [transposed[j] for j in sorted(transposed)])
+            # each row is a non-empty column of A on P, then -A_r; in A's column
+            # order the elimination meets the pivots as the first one did, with low fill
+            keyed = [*((position, self._rows[i]) for position, i in enumerate(order[:k])),
+                     (k, {j: -v for j, v in self._rows[r].items()})]
+            system = ExactMatrix._of_rows(k + 1, [row for row in transpose(keyed, n) if row])
             weights = _solution(*system._echelon(), k)
             if weights is None:
                 raise InvariantError("the pivot rows do not span the certificate's row")
@@ -798,13 +796,9 @@ class ExactMatrix:
         """Raise ``InvariantError`` unless ``y*[A | b] = [0 | s]`` with
         ``s != 0``, for b the last column, summed in one pass over the given
         rows on the support of ``y``."""
-        b = self.cols - 1
-        total: dict[int, Rational] = {}
-        for i, weight in y.items():
-            for j, v in self._rows[i].items():
-                total[j] = total.get(j, 0) + weight * v
-        separation = total.pop(b, 0)
-        if any(total.values()):
+        total, = weighted_sums([y], self._rows)
+        separation = total.pop(self.cols - 1, 0)
+        if total:
             raise InvariantError("infeasibility certificate does not annihilate the matrix")
         if not separation:
             raise InvariantError("infeasibility certificate does not separate the right-hand side")

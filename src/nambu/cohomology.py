@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable
 
-from .algebra import ExactMatrix, InvariantError, Polynomial, Rational, SparseVector
+from .algebra import (ExactMatrix, InvariantError, Polynomial, Rational, SparseVector,
+                      clear_denominators, transpose, weighted_sums)
 from .exterior import FORM, Chart, GradedTensor, differential, ext_d, wedge
 from .modular import VolumeSpec, sharp_preimage
 from .structures import NambuStructure, sharp
@@ -40,8 +41,11 @@ from .truncation import (
 # -- shared linear-algebra helpers --------------------------------------------
 
 def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
-    """Whether the matrix sends every vector to zero, computed in integers."""
-    return not any(matrix.apply(vectors))
+    """Whether the matrix sends every vector to zero, summed in ints: scaling a
+    row or a vector by the lcm of its denominators scales each product entry
+    it meets by a non-zero factor, so no zero changes."""
+    held = transpose(enumerate(map(clear_denominators, vectors)), matrix.cols)
+    return not any(weighted_sums(map(clear_denominators, matrix.row_dicts()), held))
 
 
 def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
@@ -62,24 +66,12 @@ def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],
     if not _annihilates(cycles, boundaries):
         raise InvariantError("coboundary vector escapes the cocycle space; "
                              "degree bookkeeping is inconsistent")
-    # ``apply`` has checked the keys of the boundaries
+    # ``transpose`` has checked the keys of the boundaries
     spanned = set(ExactMatrix._of_rows(cycles.cols, boundaries).pivot_columns())
     restricted = ExactMatrix._of_rows(cycles.cols, [
         {j: v for j, v in row.items() if j not in spanned} for row in cycles.row_dicts()])
     return len(spanned), [vector for vector in restricted.nullspace()
                           if spanned.isdisjoint(vector)]
-
-
-def _combinations(weights: list[SparseVector], vectors: list[SparseVector]) -> list[SparseVector]:
-    """sum_i w_i vectors[i] for each weight vector w, without the entries that cancel."""
-    combined = []
-    for weight in weights:
-        total: SparseVector = {}
-        for i, w in weight.items():
-            for j, v in vectors[i].items():
-                total[j] = total.get(j, 0) + w * v
-        combined.append({j: v for j, v in total.items() if v})
-    return combined
 
 
 def _quotient(domain: TruncatedBasis, cycle_maps: list[Callable],
@@ -161,13 +153,19 @@ class TopH1Report:
     representatives: tuple[GradedTensor, ...]
 
 
-def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
-    """Cocycles f da = df ^ a modulo coboundaries f dg, at one degree bound."""
-    deg_f = max(coefficient.total_degree(), 0)
+def _top_degree(coefficient: Polynomial, bound: int) -> int:
+    """deg f, once f is non-zero and the bound at least deg f - 1, as h1-top needs."""
     if coefficient.is_zero():
         raise ValueError("the top coefficient must be non-zero")
+    deg_f = coefficient.total_degree()
     if bound < deg_f - 1:
         raise ValueError(f"bound {bound} is below deg(f) - 1 = {deg_f - 1}")
+    return deg_f
+
+
+def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
+    """Cocycles f da = df ^ a modulo coboundaries f dg, at one degree bound."""
+    deg_f = _top_degree(coefficient, bound)
     chart = Chart(coefficient.variables)
     domain = TruncatedBasis.build(chart, FORM, 1, bound)
     # f dg for every monomial g at bound + 1 - deg f; the constant's is empty
@@ -328,7 +326,8 @@ class _Complexes:
             return len(_quotient(domain, cycles)[1])
         above = TruncatedBasis.build(chart, FORM, forms - 1, bound + 1)
         chains = _quotient(above, self._tangency(bound + 1))[1]
-        return len(_quotient(domain, cycles, lambda: _combinations(chains, self._d(domain)))[1])
+        return len(_quotient(domain, cycles,
+                             lambda: list(weighted_sums(chains, self._d(domain))))[1])
 
 
 # -- the modular obstruction to the image subcomplex -----------------------------
@@ -518,6 +517,8 @@ def duality_report(structure: NambuStructure, volume: VolumeSpec,
         raise ValueError("coefficient bound must be non-negative")
     n, m = structure.order, structure.chart.dimension
     constant_structure = all(v.is_constant() for v in structure.tensor.components.values())
+    if structure.is_top_order:
+        _top_degree(structure.top_coefficient(), bound)
     complexes = _Complexes(structure, volume)
     foliated_dims, canonical_dims = [], {}
     for k in range(m + 1):  # foliated k and canonical m - k read d into the k-forms

@@ -74,6 +74,7 @@ from .algebra import (
     Rational,
     SparseVector,
     grlex_key,
+    transpose,
 )
 from .exterior import FORM, Chart, GradedTensor, Scalar
 from .structures import NambuStructure, sharp
@@ -425,15 +426,11 @@ class TruncatedOperator:
         """The image of each domain element as coordinates in ``basis``: the
         transpose of the matrix.  The images are the engine's own, so one that
         leaves ``basis`` is an ``InvariantError``."""
-        columns: list[SparseVector] = [{} for _ in range(self.matrix.cols)]
-        for label, row in zip(self.labels, self.matrix.row_dicts()):
-            try:
-                at = basis.position(label)
-            except ValueError as error:
-                raise InvariantError(f"an operator image leaves its basis: {error}") from None
-            for j, coeff in row.items():
-                columns[j][at] = coeff
-        return columns
+        try:
+            positions = [basis.position(label) for label in self.labels]
+        except ValueError as error:
+            raise InvariantError(f"an operator image leaves its basis: {error}") from None
+        return transpose(zip(positions, self.matrix.row_dicts()), self.matrix.cols)
 
 
 def _certified_solve(operator: TruncatedOperator, target: dict[Label, Rational]) -> Solution:

@@ -103,7 +103,7 @@ def matrix_from_columns(columns, nrows: int) -> ExactMatrix:
 
 
 def matmul(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
-    """The product by Fraction arithmetic, the oracle of ``ExactMatrix.apply``."""
+    """The product by Fraction arithmetic, the oracle of the sparse products."""
     if left.cols != right.rows:
         raise ValueError("inner dimensions disagree")
     others = right.row_dicts()
@@ -728,7 +728,7 @@ def compose_linear(poly: Polynomial, matrix) -> Polynomial:
 def pull_back(structure: NambuStructure, volume: VolumeSpec, matrix,
               ) -> tuple[NambuStructure, VolumeSpec]:
     """The structure and volume in the coordinates y of x = A y, for an
-    integer matrix A with det +-1, written on the same chart.
+    invertible rational matrix A, written on the same chart.
 
     Each d/dx_i becomes sum_j (A^-1)_ji d/dy_j, every coefficient and weight
     is composed with A, and dx_1 ^ ... ^ dx_m becomes det(A) dy_1 ^ ... ^

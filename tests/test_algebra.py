@@ -16,7 +16,10 @@ from nambu.algebra import (
     InvariantError,
     Polynomial,
     RationalFunction,
+    clear_denominators,
+    transpose,
     variables,
+    weighted_sums,
 )
 from support import (
     assert_elimination_matches_sympy,
@@ -378,13 +381,19 @@ def test_exact_answers_of_an_integer_matrix_are_ints_when_integral():
     assert matrix.solve([4, 3])[0] == (1, Fraction(3, 2), 0)
     _, certificate = ExactMatrix(2, 1, [{0: 2}, {0: 4}]).solve([1, 1])
     assert certificate == (-2, 1) and all(type(v) is int for v in certificate)
-    images = matrix.apply([{0: 1, 2: Fraction(1, 2)}, {1: 1}])
+    images = _product(matrix, [{0: 1, 2: Fraction(1, 2)}, {1: 1}])
     assert images == [{0: 1, 1: Fraction(1, 2)}, {0: 2, 1: 2}]
     assert [[type(v) for v in image.values()] for image in images] == \
         [[int, Fraction], [int, int]]
 
 
 # -- exact matrices ----------------------------------------------------------
+
+def _product(matrix, vectors):
+    """The image of each vector: the weighted sums of the matrix rows over the
+    vectors' transpose, transposed back."""
+    return transpose(enumerate(weighted_sums(
+        matrix.row_dicts(), transpose(enumerate(vectors), matrix.cols))), len(vectors))
 
 def _times(matrix, vector):
     """matrix * vector for a dense vector, by the Fraction product oracle."""
@@ -434,7 +443,7 @@ def test_matmul_matches_dense():
     b = dense([[0, 1], [1, 0]])
     assert matmul(a, b) == dense([[2, 1], [4, 3]])
     # the columns of b, and the columns of a*b as their images
-    assert a.apply([{1: Fraction(1)}, {0: Fraction(1)}]) == \
+    assert _product(a, [{1: Fraction(1)}, {0: Fraction(1)}]) == \
         [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(3)}]
 
 def test_column_keys_outside_the_matrix_are_rejected():
@@ -443,7 +452,7 @@ def test_column_keys_outside_the_matrix_are_rejected():
     with pytest.raises(ValueError):
         ExactMatrix(1, 1, [{-1: Fraction(1)}])
     with pytest.raises(ValueError):
-        ExactMatrix(1, 2, [{-1: Fraction(1)}]).apply([{0: Fraction(1), 1: Fraction(2)}])
+        transpose([(0, {-1: Fraction(1)})], 2)
 
 def test_matrix_from_columns():
     matrix = matrix_from_columns([{0: Fraction(1)}, {0: Fraction(2), 1: Fraction(5)}], 2)
@@ -452,7 +461,7 @@ def test_matrix_from_columns():
         with pytest.raises(ValueError):
             matrix_from_columns([{outside: Fraction(1)}], 2)
         with pytest.raises(ValueError, match="row index"):
-            matrix.apply([{0: Fraction(1)}, {outside: Fraction(1)}])
+            _product(matrix, [{0: Fraction(1)}, {outside: Fraction(1)}])
 
 
 # few distinct values, so that products cancel often
@@ -476,22 +485,39 @@ def products(draw):
           [{0: Fraction(2, 3), 1: Fraction(-1)}, {}, {1: Fraction(3, 4)}]))
 @example((dense([[1, 1, -2]]), [{0: Fraction(1, 2), 1: Fraction(3, 2), 2: Fraction(1)}]))
 @settings(max_examples=150, deadline=None)
-def test_apply_matches_the_fraction_product(case):
+def test_weighted_sums_over_the_transpose_match_the_fraction_product(case):
     matrix, vectors = case
-    assert matrix.apply(vectors) == oracle_apply(matrix, vectors)
+    assert _product(matrix, vectors) == oracle_apply(matrix, vectors)
 
 
 @given(products(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_apply_rejects_a_vector_index_outside_the_matrix(case, data):
+def test_transpose_rejects_a_vector_index_outside_the_matrix(case, data):
     matrix, vectors = case
     outside = data.draw(st.one_of(st.integers(-3, -1),
                                   st.integers(matrix.cols, matrix.cols + 3)))
     vectors.insert(data.draw(st.integers(0, len(vectors))), {outside: Fraction(1, 2)})
     with pytest.raises(ValueError, match="row index"):
-        matrix.apply(vectors)
+        transpose(enumerate(vectors), matrix.cols)
     with pytest.raises(ValueError, match="row index"):
         oracle_apply(matrix, vectors)
+
+
+@given(st.dictionaries(st.integers(0, 5), st.one_of(
+    st.integers(-9, 9), st.fractions(max_denominator=12)).filter(bool)))
+@example({0: 2, 3: -1})
+@example({1: Fraction(4), 2: Fraction(-3, 4)})
+@settings(max_examples=150, deadline=None)
+def test_clear_denominators_scales_a_vector_to_ints(vector):
+    cleared = clear_denominators(vector)
+    assert all(type(v) is int for v in cleared.values())
+    assert cleared.keys() == vector.keys()
+    if vector:
+        j = next(iter(vector))
+        scale = Fraction(cleared[j]) / vector[j]
+        assert scale > 0 and all(cleared[i] == scale * v for i, v in vector.items())
+    if all(type(v) is int for v in vector.values()):
+        assert cleared is vector
 
 
 frac_rows = st.lists(st.lists(coeffs, min_size=3, max_size=3), min_size=1, max_size=4)

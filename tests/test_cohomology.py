@@ -61,6 +61,7 @@ from support import (
     _span_rank_extension,
     assert_elimination_matches_sympy,
     basis_tensor,
+    compose_linear,
     coords,
     dense,
     form_cochain_coboundary,
@@ -1330,8 +1331,10 @@ def test_duality_drains_every_shared_d(monkeypatch, structure, volume, bound):
     try:
         duality_report(structure, volume, bound)
     except ValueError as error:
-        # singular_r3 has no h1-top at bound 0, asked for after every quotient
+        # singular_r3 has no h1-top at bound 0, checked before any quotient
         assert "below deg(f) - 1" in str(error)
+        assert made == []
+        return
     held = [vectors for key, vectors in made[0]._made.items() if key[0] == "shared d"]
     assert len(made) == 1 and held and not any(held)
 
@@ -1490,6 +1493,15 @@ def unimodular(draw, size):
     return matrix
 
 
+@st.composite
+def invertible(draw, size):
+    """A ``unimodular`` matrix with each row scaled by a non-zero rational, so
+    that the pulled-back coefficients may be Fractions."""
+    scales = draw(st.lists(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-5, 7), 3,
+                                            Fraction(2, 3))), min_size=size, max_size=size))
+    return [[d * a for a in row] for d, row in zip(scales, draw(unimodular(size)))]
+
+
 @pytest.mark.parametrize("case", INVARIANCE_CASES)
 @given(data=st.data(), bound=st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
@@ -1497,9 +1509,33 @@ def test_reports_do_not_depend_on_linear_coordinates(case, data, bound):
     # x = A y keeps every coefficient degree, so each truncated space maps
     # onto its pull-back and every dimension and feasibility is the same
     structure, volume = INVARIANCE_CASES[case]
-    matrix = data.draw(unimodular(structure.chart.dimension), label="A")
+    matrix = data.draw(invertible(structure.chart.dimension), label="A")
     assert _answers(*pull_back(structure, volume, matrix), bound) == \
         _original_answers(case, bound)
+
+
+WITNESS_WEIGHTS = {"x1": x1, "x1^2 + x2*x3 - x3": x1 * x1 + x2 * x3 - x3,
+                   "x1*x2*x3": x1 * x2 * x3}
+
+
+@pytest.mark.parametrize("weight", WITNESS_WEIGHTS.values(), ids=WITNESS_WEIGHTS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_witnesses_transform_with_linear_coordinates(weight, data):
+    # for f = 1 sharp is injective on 1-forms, and g -> sharp(dg) kills only
+    # the constants, which the solve sets to 0: so under x = A y the potential
+    # is exactly p(A y) and the witness exactly sum_i w_i(A y) sum_j A_ij dy_j
+    volume = VolumeSpec.weighted(R3, weight)
+    matrix = data.draw(unimodular(3), label="A")
+    pulled = pull_back(regular_r3(), volume, matrix)
+    potential = modular_potential(regular_r3(), volume, 3).potential
+    assert modular_potential(*pulled, 3).potential == compose_linear(potential, matrix)
+    witness = subcomplex_check(regular_r3(), volume, 3).witness
+    composed = [compose_linear(witness.component((i,)), matrix) for i in range(3)]
+    assert subcomplex_check(*pulled, 3).witness == sum(
+        (GradedTensor.basis(R3, FORM, (j,)).scale(composed[i] * a)
+         for i, row in enumerate(matrix) for j, a in enumerate(row)),
+        GradedTensor.zero(R3, FORM, 1))
 
 
 # -- form-represented cochains and the chain map -----------------------------------------

@@ -266,10 +266,10 @@ def test_only_the_tensor_kernels_merge_indices():
         ["exterior._front_contract", "exterior.ext_d", "exterior.wedge"]
 
 
-def test_only_the_containment_check_multiplies():
-    # every d reaches its quotient as vectors built once, so the one product
-    # only checks that the boundaries lie in the cycles
-    assert _callers(SOURCES, "apply") == ["cohomology._annihilates"]
+def test_only_clear_denominators_takes_an_lcm():
+    # the elimination and the containment check clear denominators through
+    # the one helper, not by hand
+    assert _callers(SOURCES, "lcm") == ["algebra.clear_denominators"]
 
 
 def test_no_engine_path_converts_tensors_to_coordinates():

@@ -83,6 +83,7 @@ CASES = [
     ("modular-several-volumes", f"modular {REGULAR3}", 2),
     ("missing-model-file", "check tests/transcripts/missing.nmb", 2),
     ("duality-negative-bound", f"duality {SINGULAR} --degree-bound -1", 2),
+    ("duality-below-top-degree", f"duality {SINGULAR} L V --degree-bound 0", 2),
     ("duality-weighted-volume", f"duality {REGULAR3} --volume W --degree-bound 2", 2),
     ("flow-bad-start", f"flow {SINGULAR} --scalars r2,h --start 1,x,0", 2),
     ("flow-nan-start", f"flow {SINGULAR} --scalars r2,h --start nan,0,0", 2),
