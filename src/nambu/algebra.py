@@ -11,10 +11,11 @@ which equals and hashes as its int.  Everything here is exact: no floating
 point enters any computation, so kernel dimensions and identity checks are
 trustworthy.  The canonical term order is graded lexicographic (total degree
 first, then the exponent tuple), which fixes serialization and report output.
-The one way out to floats is ``compile_float``, which lowers a polynomial
-once into nested Horner steps for the numeric flow check.  It lowers
-polynomials only: structures and model scalars are polynomial, and so is
-every function that a flow evaluates.
+The one way out to floats is ``FloatKernel``: it writes a polynomial's
+nested Horner steps as straight-line statements and compiles them once, in
+the order and association of the Horner recursion, so ``compile_float``,
+``compile_floats`` and the flow's step all agree with it bit for bit.  It
+lowers polynomials only: every function that a flow evaluates is one.
 
 Tensor coefficients are polynomials.  ``p / q`` is the polynomial quotient
 whenever q divides p, and a ``RationalFunction`` only when it does not, which
@@ -318,9 +319,8 @@ class Polynomial:
         The returned function only indexes the point, so it does not check
         its length.
         """
-        if not self.terms:
-            return lambda point: 0.0
-        return _horner_plan(self.sorted_terms(), 0)
+        kernel, (value,) = _at_point([self])
+        return kernel.finish(value)
 
     def sorted_terms(self) -> list[tuple[Exponent, Rational]]:
         """Terms in ascending graded lexicographic order."""
@@ -375,44 +375,80 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _horner_plan(terms: list[tuple[Exponent, Rational]], axis: int) -> FloatFunction:
-    """Compile non-empty grlex-sorted terms into nested Horner steps, one
-    variable per level from ``axis`` on.
+class FloatKernel:
+    """One float function as straight-line Python statements, compiled once:
+    ``let`` binds one new temporary per statement, ``horner`` writes Horner
+    steps and ``finish`` compiles.  Constants are bound by name, not text."""
 
-    The terms are grouped by their power of the variable, highest first, and
-    each group's cofactor is compiled on the next variable.  A variable that
-    no term holds is skipped, and ``x ** 1`` is ``x``: multiplying by
-    ``x ** 0 == 1.0`` or taking ``x ** 1`` is exact, so skipping either
-    changes no bit.  A power ``x ** k`` that overflows raises
-    ``OverflowError`` at evaluation.
-    """
-    m = len(terms[0][0])
-    while axis < m and all(exponent[axis] == 0 for exponent, _ in terms):
-        axis += 1
-    if axis == m:
-        value = float(terms[0][1])  # every exponent is fixed: a single term
-        return lambda point: value
-    groups: dict[int, list[tuple[Exponent, Rational]]] = {}
-    for exponent, coeff in terms:
-        groups.setdefault(exponent[axis], []).append((exponent, coeff))
-    powers = sorted(groups, reverse=True)
-    head = _horner_plan(groups[powers[0]], axis + 1)
-    last = powers[-1]
-    if len(powers) == 1:
-        if last == 1:
-            return lambda point: head(point) * point[axis]
-        return lambda point: head(point) * point[axis] ** last
-    steps = tuple((prev - power, _horner_plan(groups[power], axis + 1))
-                  for prev, power in zip(powers, powers[1:]))
+    def __init__(self, *params: str):
+        self.params = params
+        self.lines: list[str] = []
+        self.constants: list[float] = []
 
-    def horner(point: Sequence[float]) -> float:
+    def let(self, expression: str) -> str:
+        self.lines.append(f"  t{len(self.lines)} = {expression}\n")
+        return f"t{len(self.lines) - 1}"
+
+    def constant(self, value: Rational) -> str:
+        self.constants.append(float(value))  # beyond the float range: OverflowError
+        return f"c{len(self.constants) - 1}"
+
+    def horner(self, terms: list[tuple[Exponent, Rational]], point: Sequence[str],
+               axis: int = 0) -> str:
+        """Write the nested Horner steps of grlex-sorted terms at the named
+        variables, one variable per level from ``axis`` on; name the value.
+
+        The terms are grouped by their power of the variable, highest first,
+        and each group's cofactor is written on the next variable.  A
+        variable that no term holds is skipped, and ``x ** 1`` is ``x``:
+        multiplying by ``x ** 0 == 1.0`` or taking ``x ** 1`` is exact, so
+        skipping either changes no bit.  A power ``x ** k`` that overflows
+        raises ``OverflowError`` at evaluation.
+        """
+        if not terms:
+            return self.constant(0)
+        m = len(terms[0][0])
+        while axis < m and all(exponent[axis] == 0 for exponent, _ in terms):
+            axis += 1
+        if axis == m:
+            return self.constant(terms[0][1])  # every exponent is fixed: a single term
+        groups: dict[int, list[tuple[Exponent, Rational]]] = {}
+        for exponent, coeff in terms:
+            groups.setdefault(exponent[axis], []).append((exponent, coeff))
+        powers = sorted(groups, reverse=True)
         x = point[axis]
-        acc = head(point)
-        for gap, cofactor in steps:
-            acc = acc * x ** gap + cofactor(point)
-        return acc * x ** last if last else acc
+        acc = self.horner(groups[powers[0]], point, axis + 1)
+        for prev, power in zip(powers, powers[1:]):
+            cofactor = self.horner(groups[power], point, axis + 1)
+            acc = self.let(f"{acc} * {_power(x, prev - power)} + {cofactor}")
+        return self.let(f"{acc} * {_power(x, powers[-1])}") if powers[-1] else acc
 
-    return horner
+    def finish(self, result: str) -> Callable:
+        source = f"def kernel({', '.join(self.params)}):\n{''.join(self.lines)}  return {result}\n"
+        namespace = {f"c{i}": value for i, value in enumerate(self.constants)}
+        exec(compile(source, "<float kernel>", "exec"), namespace)
+        return namespace["kernel"]
+
+
+def _power(x: str, k: int) -> str:
+    return x if k == 1 else f"{x} ** {k}"
+
+
+def _at_point(polys: Sequence[Polynomial]) -> tuple[FloatKernel, list[str]]:
+    """A kernel of ``point`` that reads the variables in use and holds each
+    polynomial's Horner steps, and the names of their values."""
+    kernel = FloatKernel("point")
+    used = {i for p in polys for e in p.terms for i, k in enumerate(e) if k}
+    point = [kernel.let(f"point[{i}]") if i in used else ""
+             for i in range(max(used, default=-1) + 1)]
+    return kernel, [kernel.horner(p.sorted_terms(), point) for p in polys]
+
+
+def compile_floats(polys: Sequence[Polynomial]) -> Callable[[Sequence[float]], list[float]]:
+    """One float function of a point for the list of the polynomials' values,
+    each bit for bit what ``compile_float`` gives."""
+    kernel, values = _at_point(polys)
+    return kernel.finish(f"[{', '.join(values)}]")
 
 
 def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:

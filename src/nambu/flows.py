@@ -1,13 +1,10 @@
 """Floating-point integration of Hamiltonian fields, as a cross-check.
 
 This module is deliberately plain: a fixed-step classical fourth-order
-integrator with deterministic Horner lowering of the symbolic components.
+integrator whose every step is one call of a kernel generated once per run
+(``algebra.FloatKernel``), bit for bit the plain loop over its four stages.
 It exists to confirm the symbolic layer numerically (Hamiltonians must be
 conserved along their own flow), not to be a production integrator.
-
-Lowering happens once per run: each component of the Hamiltonian field,
-each Hamiltonian and each probe bracket is compiled into a float Horner
-function (``Polynomial.compile_float``) before the first point is evaluated.
 """
 
 from __future__ import annotations
@@ -15,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .algebra import FloatKernel, compile_floats
 from .exterior import GradedTensor
 from .structures import NambuStructure, hamiltonian_vf, nambu_bracket
 
@@ -43,15 +41,19 @@ class FlowConfig:
             raise ValueError("total integration time must be finite")
 
 
-def _lower(field_tensor: GradedTensor):
-    """Compile a symbolic vector field into a float right-hand side."""
-    components = [field_tensor.component((i,)).compile_float()
-                  for i in range(field_tensor.chart.dimension)]
-
-    def rhs(point: list[float]) -> list[float]:
-        return [c(point) for c in components]
-
-    return rhs
+def _rk4_step(field_tensor: GradedTensor):
+    """The classical fourth-order step ``(point, half, sixth, h) -> point`` of
+    the field as one kernel, each stage in the plain loop's order."""
+    field = [field_tensor.component((i,)).sorted_terms()
+             for i in range(field_tensor.chart.dimension)]
+    kernel = FloatKernel("point", "half", "sixth", "h")
+    x = [kernel.let(f"point[{i}]") for i in range(len(field))]
+    stages = [[kernel.horner(terms, x) for terms in field]]
+    for scale in ("half", "half", "h"):
+        y = [kernel.let(f"{p} + {scale} * {v}") for p, v in zip(x, stages[-1])]
+        stages.append([kernel.horner(terms, y) for terms in field])
+    return kernel.finish("(" + "".join(f"{p} + sixth * ({a} + 2 * {b} + 2 * {c} + {d}), "
+                                       for p, a, b, c, d in zip(x, *stages)) + ")")
 
 
 def integrate_hamiltonian(structure: NambuStructure, scalars, config: FlowConfig,
@@ -67,20 +69,16 @@ def integrate_hamiltonian(structure: NambuStructure, scalars, config: FlowConfig
     if len(config.start) != m:
         raise ValueError("start point has the wrong dimension")
     h = config.step
-    point = [float(v) for v in config.start]
-    trajectory = [tuple(point)]
+    half, sixth = 0.5 * h, h / 6.0
+    point = tuple(float(v) for v in config.start)
+    trajectory = [point]
     try:
-        rhs = _lower(field_tensor)  # a coefficient beyond the float range overflows here
+        step = _rk4_step(field_tensor)  # a coefficient beyond the float range overflows here
         for _ in range(config.steps):
-            k1 = rhs(point)
-            k2 = rhs([p + 0.5 * h * v for p, v in zip(point, k1)])
-            k3 = rhs([p + 0.5 * h * v for p, v in zip(point, k2)])
-            k4 = rhs([p + h * v for p, v in zip(point, k3)])
-            point = [p + h / 6.0 * (a + 2 * b + 2 * c + d)
-                     for p, a, b, c, d in zip(point, k1, k2, k3, k4)]
-            if not all(math.isfinite(v) for v in point):
+            point = step(point, half, sixth, h)
+            if not all(map(math.isfinite, point)):
                 raise DivergentFlowError("non-finite values encountered during integration")
-            trajectory.append(tuple(point))
+            trajectory.append(point)
     except OverflowError as exc:
         raise DivergentFlowError("field values overflow during integration") from exc
     return trajectory
@@ -106,20 +104,14 @@ def conservation_check(structure: NambuStructure, scalars, probes=(),
     that is yet to be computed.
 
     A bad tolerance or a probe of the wrong arity fails here, before any
-    integration.  Returns a function of the trajectory that lowers each
-    Hamiltonian and each bracket once and reports their drifts.
+    integration.  Returns a function of the trajectory that lowers the
+    Hamiltonians and brackets once, into one kernel, and reports their drifts.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
     scalars = list(scalars)
     brackets = [nambu_bracket(structure, *probe) for probe in probes]
     m = structure.chart.dimension
-
-    def max_drift(function, points) -> float:
-        evaluate = function.compile_float()
-        values = [evaluate(p) for p in points]
-        first = values[0]
-        return max(abs(v - first) for v in values)
 
     def report(trajectory) -> ConservationReport:
         points = list(trajectory)
@@ -128,12 +120,18 @@ def conservation_check(structure: NambuStructure, scalars, probes=(),
         if any(len(p) != m for p in points):
             raise ValueError("wrong number of coordinates")
         try:
-            hamiltonian_drifts = tuple(max_drift(f, points) for f in scalars)
-            probe_drifts = tuple(max_drift(b, points) for b in brackets)
+            evaluate = compile_floats(scalars + brackets)
+            first = evaluate(points[0])
+            drifts = [abs(v - v) for v in first]
+            for point in points:  # a running max, which keeps no column of values
+                for i, v in enumerate(evaluate(point)):
+                    if (drift := abs(v - first[i])) > drifts[i]:
+                        drifts[i] = drift
         except OverflowError as exc:
             raise DivergentFlowError("Hamiltonian or probe values overflow "
                                      "along the trajectory") from exc
-        return ConservationReport(tolerance, hamiltonian_drifts, probe_drifts)
+        n = len(scalars)
+        return ConservationReport(tolerance, tuple(drifts[:n]), tuple(drifts[n:]))
 
     return report
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -31,6 +32,7 @@ from nambu.exterior import (
     wedge_all,
 )
 from nambu.cohomology import reduce_annihilators
+from nambu.flows import DivergentFlowError
 from nambu.model import ModelError, Token
 from nambu.modular import VolumeSpec, delta, modular_tensor
 from nambu.structures import NambuStructure, leibniz_bracket, sharp
@@ -305,6 +307,31 @@ def oracle_horner(terms, values, axis=0) -> float:
         acc = acc * x ** (prev - power) + oracle_horner(groups[power], values, axis + 1)
         prev = power
     return acc * x ** prev
+
+
+def oracle_rk4(field, start, h, steps) -> list[tuple[float, ...]]:
+    """The classical fourth-order loop that the generated step replaced, as
+    it was: four right-hand sides and four list comprehensions per step,
+    with each component of ``field`` evaluated by ``oracle_horner``."""
+    def rhs(point):
+        return [oracle_horner(c.sorted_terms(), point) for c in field]
+
+    point = [float(v) for v in start]
+    trajectory = [tuple(point)]
+    try:
+        for _ in range(steps):
+            k1 = rhs(point)
+            k2 = rhs([p + 0.5 * h * v for p, v in zip(point, k1)])
+            k3 = rhs([p + 0.5 * h * v for p, v in zip(point, k2)])
+            k4 = rhs([p + h * v for p, v in zip(point, k3)])
+            point = [p + h / 6.0 * (a + 2 * b + 2 * c + d)
+                     for p, a, b, c, d in zip(point, k1, k2, k3, k4)]
+            if not all(math.isfinite(v) for v in point):
+                raise DivergentFlowError("non-finite values encountered during integration")
+            trajectory.append(tuple(point))
+    except OverflowError as exc:
+        raise DivergentFlowError("field values overflow during integration") from exc
+    return trajectory
 
 
 def _sympy_matrix(matrix):

@@ -78,6 +78,8 @@ KEEP = {
     "check_basic": "independent verifier of a basic volume, used by the acceptance gates",
     "is_tangent": "independent verifier of tangency, used by the acceptance gates",
     "conservation_report": "the benchmark's tracer wraps it and the acceptance gates import it",
+    "compile_float": "public API of Polynomial, the one-polynomial kernel that the bitwise "
+                     "Horner oracle tests call; the flow runs on compile_floats and its own step",
     "to_coordinates": "public API of the exported TruncatedBasis; the tests' oracles use it "
                       "and the benchmark's tracer wraps it",
 }
@@ -270,6 +272,28 @@ def test_only_clear_denominators_takes_an_lcm():
     # the elimination and the containment check clear denominators through
     # the one helper, not by hand
     assert _callers(SOURCES, "lcm") == ["algebra.clear_denominators"]
+
+
+def _code_builders(sources: list[Path]) -> list[str]:
+    """Where every call of the builtins that turn text into code is, as
+    ``_enclosing`` names it; ``re.compile`` and other methods do not count."""
+    return _enclosing(sources, lambda node: isinstance(node, ast.Call) and
+                      getattr(node.func, "id", None) in ("compile", "exec", "eval"))
+
+
+def test_only_the_float_emitter_compiles_source():
+    # every float kernel, the flow's step included, is written and compiled
+    # by the one emitter
+    assert _code_builders(SOURCES) == ["algebra.FloatKernel.finish"]
+
+
+def test_stray_code_builders_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import re\n\nTOKEN = re.compile('x')\nVALUE = eval('1')\n\n\n"
+        "def run(source):\n    exec(source, {})\n\n\n"
+        "class Kernel:\n    def compile(self):\n        return self\n\n"
+        "    def finish(self, text):\n        return compile(text, '<k>', 'exec')\n")
+    assert _code_builders(sorted(tmp_path.glob("*.py"))) == ["a", "a.Kernel.finish", "a.run"]
 
 
 def test_no_engine_path_converts_tensors_to_coordinates():

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nambu.algebra import Polynomial
+from nambu.exterior import MULTIVECTOR, GradedTensor
 from nambu.flows import (
     DivergentFlowError,
     FlowConfig,
@@ -13,7 +19,8 @@ from nambu.flows import (
     conservation_report,
     integrate_hamiltonian,
 )
-from support import R3, coords, singular_r3
+from nambu.structures import NambuStructure, hamiltonian_vf
+from support import R3, R4, coords, oracle_rk4, singular_r3
 
 x1, x2, x3 = coords(R3)
 
@@ -130,3 +137,55 @@ def test_probe_arity_is_checked_before_any_trajectory():
     structure = singular_r3()
     with pytest.raises(ValueError, match="bracket arity is 3, got 2"):
         conservation_check(structure, (x1, x3), probes=[(x1, x2)])
+
+
+# -- the generated step against the list-comprehension loop it replaced ------
+
+def _polynomials(chart):
+    m = chart.dimension
+    exponents = st.lists(st.integers(0, m - 1), max_size=3).map(
+        lambda slots: tuple(slots.count(i) for i in range(m)))
+    coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+    return st.dictionaries(exponents, coefficients, max_size=4).map(
+        lambda terms: Polynomial(chart.coordinates, terms))
+
+
+@st.composite
+def _flows(draw):
+    """A structure of order 3 or top order on a 3- or 4-chart, its
+    Hamiltonians, a start point, a step size and a step count."""
+    chart = draw(st.sampled_from((R3, R4)))
+    m = chart.dimension
+    order = draw(st.sampled_from(sorted({3, m})))
+    components = {index: draw(_polynomials(chart))
+                  for index in itertools.combinations(range(m), order)}
+    structure = NambuStructure(GradedTensor(chart, MULTIVECTOR, order, components))
+    scalars = tuple(draw(_polynomials(chart)) for _ in range(order - 1))
+    start = tuple(draw(st.lists(st.floats(-4, 4), min_size=m, max_size=m)))
+    step = draw(st.floats(1e-4, 2.0))
+    return structure, scalars, FlowConfig(start=start, step=step, steps=draw(st.integers(1, 12)))
+
+
+def _bits_or_error(run):
+    """The trajectory as the bits of its floats, or the divergence raised."""
+    try:
+        return [tuple(map(float.hex, point)) for point in run()]
+    except DivergentFlowError as exc:
+        return type(exc), str(exc)
+
+
+_circle = (singular_r3(), (x1 * x1 + x2 * x2, x3))
+
+
+@given(_flows())
+@example((*_circle, FlowConfig(start=(1.0, 0.0, 0.0), step=10.0, steps=5)))
+@example((*_circle, FlowConfig(start=(1e100, 1e100, 1e100), step=1.0, steps=1)))
+@example((singular_r3(), (Fraction(10 ** 400, 3) * x1, x3),
+          FlowConfig(start=(1.0, 0.0, 0.0), step=0.01, steps=3)))
+@settings(max_examples=80, deadline=None)
+def test_generated_step_matches_the_list_loop_bitwise(case):
+    structure, scalars, config = case
+    field_tensor = hamiltonian_vf(structure, *scalars)
+    field = [field_tensor.component((i,)) for i in range(structure.chart.dimension)]
+    expected = _bits_or_error(lambda: oracle_rk4(field, config.start, config.step, config.steps))
+    assert _bits_or_error(lambda: integrate_hamiltonian(structure, scalars, config)) == expected
