@@ -13,9 +13,9 @@ trustworthy.  The canonical term order is graded lexicographic (total degree
 first, then the exponent tuple), which fixes serialization and report output.
 The one way out to floats is ``FloatKernel``: it writes a polynomial's
 nested Horner steps as straight-line statements and compiles them once, in
-the order and association of the Horner recursion, so ``compile_float``,
-``compile_floats`` and the flow's step all agree with it bit for bit.  It
-lowers polynomials only: every function that a flow evaluates is one.
+the order and association of the Horner recursion, so ``compile_float``
+and the flow's step both agree with it bit for bit.  It lowers polynomials
+only: every function that a flow evaluates is one.
 
 Tensor coefficients are polynomials.  ``p / q`` is the polynomial quotient
 whenever q divides p, and a ``RationalFunction`` only when it does not, which
@@ -319,8 +319,11 @@ class Polynomial:
         The returned function only indexes the point, so it does not check
         its length.
         """
-        kernel, (value,) = _at_point([self])
-        return kernel.finish(value)
+        kernel = FloatKernel("point")
+        used = {i for e in self.terms for i, k in enumerate(e) if k}
+        point = [kernel.let(f"point[{i}]") if i in used else ""
+                 for i in range(max(used, default=-1) + 1)]
+        return kernel.finish(kernel.horner(self.sorted_terms(), point))
 
     def sorted_terms(self) -> list[tuple[Exponent, Rational]]:
         """Terms in ascending graded lexicographic order."""
@@ -432,23 +435,6 @@ class FloatKernel:
 
 def _power(x: str, k: int) -> str:
     return x if k == 1 else f"{x} ** {k}"
-
-
-def _at_point(polys: Sequence[Polynomial]) -> tuple[FloatKernel, list[str]]:
-    """A kernel of ``point`` that reads the variables in use and holds each
-    polynomial's Horner steps, and the names of their values."""
-    kernel = FloatKernel("point")
-    used = {i for p in polys for e in p.terms for i, k in enumerate(e) if k}
-    point = [kernel.let(f"point[{i}]") if i in used else ""
-             for i in range(max(used, default=-1) + 1)]
-    return kernel, [kernel.horner(p.sorted_terms(), point) for p in polys]
-
-
-def compile_floats(polys: Sequence[Polynomial]) -> Callable[[Sequence[float]], list[float]]:
-    """One float function of a point for the list of the polynomials' values,
-    each bit for bit what ``compile_float`` gives."""
-    kernel, values = _at_point(polys)
-    return kernel.finish(f"[{', '.join(values)}]")
 
 
 def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:

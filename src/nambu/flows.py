@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import FloatKernel, compile_floats
+from .algebra import FloatKernel
 from .exterior import GradedTensor
 from .structures import NambuStructure, hamiltonian_vf, nambu_bracket
 
@@ -104,14 +104,20 @@ def conservation_check(structure: NambuStructure, scalars, probes=(),
     that is yet to be computed.
 
     A bad tolerance or a probe of the wrong arity fails here, before any
-    integration.  Returns a function of the trajectory that lowers the
-    Hamiltonians and brackets once, into one kernel, and reports their drifts.
+    integration.  Returns a function of the trajectory that lowers each
+    Hamiltonian and each bracket once and reports their drifts.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
     scalars = list(scalars)
     brackets = [nambu_bracket(structure, *probe) for probe in probes]
     m = structure.chart.dimension
+
+    def max_drift(function, points) -> float:
+        evaluate = function.compile_float()
+        values = [evaluate(p) for p in points]
+        first = values[0]
+        return max(abs(v - first) for v in values)
 
     def report(trajectory) -> ConservationReport:
         points = list(trajectory)
@@ -120,18 +126,12 @@ def conservation_check(structure: NambuStructure, scalars, probes=(),
         if any(len(p) != m for p in points):
             raise ValueError("wrong number of coordinates")
         try:
-            evaluate = compile_floats(scalars + brackets)
-            first = evaluate(points[0])
-            drifts = [abs(v - v) for v in first]
-            for point in points:  # a running max, which keeps no column of values
-                for i, v in enumerate(evaluate(point)):
-                    if (drift := abs(v - first[i])) > drifts[i]:
-                        drifts[i] = drift
+            hamiltonian_drifts = tuple(max_drift(f, points) for f in scalars)
+            probe_drifts = tuple(max_drift(b, points) for b in brackets)
         except OverflowError as exc:
             raise DivergentFlowError("Hamiltonian or probe values overflow "
                                      "along the trajectory") from exc
-        n = len(scalars)
-        return ConservationReport(tolerance, tuple(drifts[:n]), tuple(drifts[n:]))
+        return ConservationReport(tolerance, hamiltonian_drifts, probe_drifts)
 
     return report
 

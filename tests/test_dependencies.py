@@ -78,8 +78,6 @@ KEEP = {
     "check_basic": "independent verifier of a basic volume, used by the acceptance gates",
     "is_tangent": "independent verifier of tangency, used by the acceptance gates",
     "conservation_report": "the benchmark's tracer wraps it and the acceptance gates import it",
-    "compile_float": "public API of Polynomial, the one-polynomial kernel that the bitwise "
-                     "Horner oracle tests call; the flow runs on compile_floats and its own step",
     "to_coordinates": "public API of the exported TruncatedBasis; the tests' oracles use it "
                       "and the benchmark's tracer wraps it",
 }
