@@ -32,7 +32,10 @@ is ``(p/g)*row - (f/g)*pivot`` followed by gcd content removal, and a
 column -> rows index finds the rows to update.  The pivot row of each column
 is the first row in the current order that holds it, swapped into place as
 Gauss-Jordan swaps it, so the pivot rows and the order of the leftover rows
-are those of Gauss-Jordan.  ``rank`` and ``pivot_columns`` stop there.
+are those of Gauss-Jordan.  Its rows are fixed only up to a non-zero
+factor each, and every answer is read off ratios within a row, so it takes
+three fast paths: single-entry pivot rows, unit pivots and one scan of the
+entry types per matrix.  ``rank`` and ``pivot_columns`` stop there.
 ``solve`` eliminates ``[A | b]``, with b as one more column.  A feasible
 ``solve`` and ``nullspace`` both back-substitute with ``_back_substitute``
 before they read the exact quotients off.  The kernel basis with free slots set
@@ -56,7 +59,9 @@ over the vectors' transpose.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from sys import intern
 from typing import Callable, Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -386,15 +391,17 @@ class FloatKernel:
     def __init__(self, *params: str):
         self.params = params
         self.lines: list[str] = []
-        self.constants: list[float] = []
+        self.constants: dict[str, float] = {}
 
     def let(self, expression: str) -> str:
-        self.lines.append(f"  t{len(self.lines)} = {expression}\n")
-        return f"t{len(self.lines) - 1}"
+        name = _name("t", len(self.lines))
+        self.lines.append(f"  {name} = {expression}\n")
+        return name
 
     def constant(self, value: Rational) -> str:
-        self.constants.append(float(value))  # beyond the float range: OverflowError
-        return f"c{len(self.constants) - 1}"
+        name = _name("c", len(self.constants))
+        self.constants[name] = float(value)  # beyond the float range: OverflowError
+        return name
 
     def horner(self, terms: list[tuple[Exponent, Rational]], point: Sequence[str],
                axis: int = 0) -> str:
@@ -428,9 +435,22 @@ class FloatKernel:
 
     def finish(self, result: str) -> Callable:
         source = f"def kernel({', '.join(self.params)}):\n{''.join(self.lines)}  return {result}\n"
-        namespace = {f"c{i}": value for i, value in enumerate(self.constants)}
+        namespace = dict(self.constants)
         exec(compile(source, "<float kernel>", "exec"), namespace)
         return namespace["kernel"]
+
+
+# Every kernel's temporary and constant names, held for the life of the
+# process: the compiler interns each name it reads, and a name that died with
+# its kernel would be interned again by the next one.
+_NAMES: dict[str, list[str]] = {"t": [], "c": []}
+
+
+def _name(prefix: str, i: int) -> str:
+    names = _NAMES[prefix]
+    while len(names) <= i:
+        names.append(intern(f"{prefix}{len(names)}"))
+    return names[i]
 
 
 def _power(x: str, k: int) -> str:
@@ -601,6 +621,14 @@ def clear_denominators(vector: SparseVector) -> dict[int, int]:
     return {j: v.numerator * (scale // v.denominator) for j, v in vector.items()}
 
 
+def cleared(vectors: list[SparseVector]) -> Iterable[dict[int, int]]:
+    """The vectors scaled to ints by ``clear_denominators``: the list itself,
+    not copies, when one scan of the entry types finds only ints."""
+    if {int}.issuperset(map(type, chain.from_iterable(map(dict.values, vectors)))):
+        return vectors
+    return map(clear_denominators, vectors)
+
+
 def transpose(keyed_vectors: Iterable[tuple[int, SparseVector]], size: int) -> list[SparseVector]:
     """``size`` vectors, the i-th holding entry i of each vector at its key;
     a position outside 0..size-1 raises ``ValueError``."""
@@ -660,37 +688,35 @@ class ExactMatrix:
     def _echelon(self) -> tuple[list[int], list[int], list[dict[int, int]]]:
         """Forward, fraction-free elimination in the row order of Gauss-Jordan.
 
-        Each row is scaled to integers by ``clear_denominators``; a row
-        of ints, the common case, is copied as it is.  The columns are taken
-        left to right.  The pivot row of a column is the first row in the
-        current order that holds it, swapped into the next echelon position.
-        Every other row that holds the column becomes ``(p/g)*row -
-        (f/g)*pivot``, where ``p`` is the pivot entry, ``f`` the row's entry
-        and ``g = gcd(p, f)``, and then loses its integer content.  A column
-        -> rows index over the rows that are not pivots yet finds those rows
-        without a scan over the others.  Pivot rows are
-        never changed again: there is no back-elimination.  A row that is
-        not a pivot stays a non-zero multiple of the row Gauss-Jordan holds
-        at its position, so both pick the same pivot rows and leave the same
-        rows over, in the same order.  Only pivot rows are subtracted, and a
-        pivot row is subtracted only from rows below it, so each row is a
+        The rows are copied as ints (``cleared``), and a row of two or more
+        entries loses its integer content.  The columns are taken left to
+        right.  The pivot row of a column is the first row in the current
+        order that holds it, swapped into the next echelon position.  Every
+        other row that holds the column becomes ``(p/g)*row - (f/g)*pivot``,
+        where ``p`` is the pivot entry, ``f`` the row's entry and ``g =
+        gcd(p, f)``, and then loses its integer content.  For a pivot row of
+        one entry that is ``p/g`` times the row without the column; a
+        negative pivot row is negated first, so a pivot of 1 needs no gcd.  A
+        column -> rows index over the rows that are not pivots yet finds
+        those rows without a scan over the others.  Pivot rows are never
+        changed again: there is no back-elimination.  A row that is not a
+        pivot stays a non-zero multiple of the row Gauss-Jordan holds at its
+        position, so both pick the same pivot rows and leave the same rows
+        over, in the same order.  Only pivot rows are subtracted, and a pivot
+        row is subtracted only from rows below it, so each row is a
         combination of the given row at its index and of earlier pivot rows.
 
         Returns ``(pivots, order, rows)``: the ascending pivot columns; the
         original index of the row at each echelon position, pivot rows first
         and the leftover rows after them; and the integer rows by original
-        index.
+        index, each up to a non-zero factor.
         """
         nrows, ncols = self.rows, self.cols
-        rows: list[dict[int, int]] = []
-        for row in self._rows:
-            ints = clear_denominators(row)
-            if ints is row:
-                ints = dict(row)
-            _remove_content(ints)
-            rows.append(ints)
+        rows: list[dict[int, int]] = list(map(dict, cleared(self._rows)))
         index: list[set[int]] = [set() for _ in range(ncols)]
         for r, row in enumerate(rows):
+            if len(row) > 1:
+                _remove_content(row)
             for j in row:
                 index[j].add(r)
         order = list(range(nrows))
@@ -708,31 +734,41 @@ class ExactMatrix:
             pivot = rows[sel]
             for j in pivot:
                 index[j].discard(sel)
-            p = pivot[col]
-            for r in holders:
-                row = rows[r]
-                f = row[col]
-                g = gcd(p, f)
-                a, c = p // g, f // g
-                if a != 1:
-                    for j in row:
-                        row[j] *= a
-                for j, v in pivot.items():
-                    s = row.get(j)
-                    if s is None:
-                        row[j] = -c * v
-                        index[j].add(r)
-                    else:
-                        s -= c * v
-                        if s:
-                            row[j] = s
-                        else:
-                            del row[j]
-                            if j != col:
-                                index[j].discard(r)
-                _remove_content(row)
             index[col] = set()
             pivots.append(col)
+            if len(pivot) == 1:
+                for r in holders:
+                    del rows[r][col]
+            else:
+                p = pivot[col]
+                if p < 0:
+                    for j in pivot:
+                        pivot[j] = -pivot[j]
+                    p = -p
+                rest = [(j, v) for j, v in pivot.items() if j != col]
+                for r in holders:
+                    row = rows[r]
+                    c = row.pop(col)
+                    if p != 1:
+                        g = gcd(p, c)
+                        a, c = p // g, c // g
+                        if a != 1:
+                            for j in row:
+                                row[j] *= a
+                    for j, v in rest:
+                        s = row.get(j)
+                        if s is None:
+                            row[j] = -c * v
+                            index[j].add(r)
+                        else:
+                            s -= c * v
+                            if s:
+                                row[j] = s
+                            else:
+                                del row[j]
+                                index[j].discard(r)
+                    if len(row) > 1:
+                        _remove_content(row)
             if len(pivots) == nrows:
                 break
         return pivots, order, rows
@@ -895,7 +931,7 @@ def _back_substitute(pivots: list[int], echelon: list[dict[int, int]]) -> list[d
         for col in [j for j in row if j in where and j != pivot_col]:
             below = echelon[where[col]]
             p, f = below[col], row[col]
-            g = gcd(p, f)
+            g = 1 if p == 1 else gcd(p, f)
             _combine(row, p // g, f // g, below)
         _remove_content(row)
     return echelon

@@ -22,7 +22,7 @@ from itertools import chain, combinations
 from typing import Callable
 
 from .algebra import (ExactMatrix, InvariantError, Polynomial, Rational, SparseVector,
-                      clear_denominators, transpose, weighted_sums)
+                      cleared, transpose, weighted_sums)
 from .exterior import FORM, Chart, GradedTensor, differential, ext_d, wedge
 from .modular import VolumeSpec, sharp_preimage
 from .structures import NambuStructure, sharp
@@ -44,8 +44,8 @@ def _annihilates(matrix: ExactMatrix, vectors: list[SparseVector]) -> bool:
     """Whether the matrix sends every vector to zero, summed in ints: scaling a
     row or a vector by the lcm of its denominators scales each product entry
     it meets by a non-zero factor, so no zero changes."""
-    held = transpose(enumerate(map(clear_denominators, vectors)), matrix.cols)
-    return not any(weighted_sums(map(clear_denominators, matrix.row_dicts()), held))
+    held = transpose(enumerate(cleared(vectors)), matrix.cols)
+    return not any(weighted_sums(cleared(matrix.row_dicts()), held))
 
 
 def _complement_kernel(cycles: ExactMatrix, boundaries: list[SparseVector],

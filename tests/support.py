@@ -16,6 +16,7 @@ from nambu.algebra import (
     Polynomial,
     RationalFunction,
     SparseVector,
+    clear_denominators,
     grlex_key,
 )
 from nambu.exterior import (
@@ -332,6 +333,78 @@ def oracle_rk4(field, start, h, steps) -> list[tuple[float, ...]]:
     except OverflowError as exc:
         raise DivergentFlowError("field values overflow during integration") from exc
     return trajectory
+
+
+# -- the elimination without its fast paths, as the oracle of _echelon -------------
+
+def oracle_echelon(self: ExactMatrix):
+    """``ExactMatrix._echelon`` as it was before its three fast paths, line for
+    line: every row is cleared by ``clear_denominators`` and loses its
+    content, and every update is ``(p/g)*row - (f/g)*pivot`` with content
+    removal, whatever the pivot row holds.  ``_echelon`` must give the same
+    pivots and order, and each row a non-zero multiple of this one's."""
+    nrows, ncols = self.rows, self.cols
+    rows: list[dict[int, int]] = []
+    for row in self._rows:
+        ints = clear_denominators(row)
+        if ints is row:
+            ints = dict(row)
+        _remove_content(ints)
+        rows.append(ints)
+    index: list[set[int]] = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            index[j].add(r)
+    order = list(range(nrows))
+    position = list(range(nrows))
+    pivots: list[int] = []
+    for col in range(ncols):
+        holders = index[col]
+        if not holders:
+            continue
+        sel = min(holders, key=position.__getitem__)
+        k = len(pivots)
+        here, there = order[k], position[sel]
+        order[k], order[there] = sel, here
+        position[here], position[sel] = there, k
+        pivot = rows[sel]
+        for j in pivot:
+            index[j].discard(sel)
+        p = pivot[col]
+        for r in holders:
+            row = rows[r]
+            f = row[col]
+            g = math.gcd(p, f)
+            a, c = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, v in pivot.items():
+                s = row.get(j)
+                if s is None:
+                    row[j] = -c * v
+                    index[j].add(r)
+                else:
+                    s -= c * v
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                        if j != col:
+                            index[j].discard(r)
+            _remove_content(row)
+        index[col] = set()
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return pivots, order, rows
+
+
+def _remove_content(row: dict[int, int]) -> None:
+    g = math.gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
 def _sympy_matrix(matrix):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from nambu.algebra import (
     variables,
     weighted_sums,
 )
+from nambu.cohomology import _annihilates
 from support import (
     assert_elimination_matches_sympy,
     assert_solve_matches_sympy,
@@ -32,6 +34,7 @@ from support import (
     matrix_from_columns,
     oracle_apply,
     oracle_derivative,
+    oracle_echelon,
     oracle_horner,
     oracle_long_division,
     oracle_product,
@@ -180,6 +183,17 @@ def test_hundreds_of_powers_of_one_variable_compile_as_statements():
 def test_zero_polynomial_evaluates_to_positive_zero():
     value = Polynomial.zero(("y0", "y1")).compile_float()([-1.0, 2.0])
     assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_kernels_name_their_temporaries_from_one_long_lived_table():
+    # a dropped kernel leaves its names in the table, so the next kernel finds
+    # them interned instead of interning them again
+    poly = x1 ** 3 * x2 - Fraction(1, 3) * x2 ** 2 + 5 * x3
+    code = poly.compile_float().__code__
+    temporaries = [name for name in code.co_varnames if name != "point"]
+    assert temporaries and code.co_names
+    assert all(name is algebra._name("t", int(name[1:])) for name in temporaries)
+    assert all(name is algebra._name("c", int(name[1:])) for name in code.co_names)
 
 
 # -- rational functions ------------------------------------------------------
@@ -772,6 +786,89 @@ def test_a_corrupted_certificate_is_an_invariant_error(monkeypatch, corrupt_b, m
     monkeypatch.setattr(ExactMatrix, "_echelon", echelon_with_a_bad_certificate(corrupt_b))
     with pytest.raises(InvariantError, match=message):
         dense([[1], [1], [1]]).solve([1, 1, 2])
+
+
+# -- the elimination's fast paths against the elimination without them -------
+
+# ints and Fractions with negative and unit pivots and integral Fractions
+echelon_entries = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 3, -3, 6]),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(4), Fraction(1, 2),
+                     Fraction(-3, 2), Fraction(2, 3), Fraction(-5, 6)]))
+
+
+@st.composite
+def echelon_inputs(draw):
+    """A sparse matrix of any shape up to 9x8: all ints or with Fractions,
+    with single-entry, repeated and empty rows in any order."""
+    ncols = draw(st.integers(0, 8))
+    entries = echelon_entries if draw(st.booleans()) else echelon_entries.filter(
+        lambda v: type(v) is int)
+    if ncols:
+        columns = st.integers(0, ncols - 1)
+        sparse = st.one_of(st.dictionaries(columns, entries, max_size=1),
+                           st.dictionaries(columns, entries, max_size=ncols))
+        rows = draw(st.lists(sparse, max_size=6))
+    else:
+        rows = [{}] * draw(st.integers(0, 3))
+    rows += [dict(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))] \
+        if rows else []
+    rows += [{} for _ in range(draw(st.integers(0, 1)))]
+    order = draw(st.permutations(range(len(rows))))
+    return ExactMatrix(len(rows), ncols, [rows[i] for i in order])
+
+
+@given(echelon_inputs())
+@example(ExactMatrix(0, 0))
+@example(ExactMatrix(0, 4))
+@example(ExactMatrix(3, 0))
+@example(ExactMatrix(4, 3, [{0: -2, 1: 4}, {0: 3, 2: -1}, {0: -1, 1: 5}, {1: 2, 2: 7}]))
+@example(ExactMatrix(4, 3, [{0: 1, 2: -3}, {0: -1, 1: 2}, {1: 1}, {0: 4, 1: -8, 2: 12}]))
+@example(ExactMatrix(3, 3, [{1: Fraction(-3)}, {1: Fraction(6), 2: Fraction(4)},
+                            {0: Fraction(2, 3), 1: Fraction(-1)}]))
+@example(ExactMatrix(4, 2, [{0: -1, 1: 1}, {0: -1, 1: 1}, {}, {0: 2, 1: Fraction(1, 2)}]))
+@settings(max_examples=300, deadline=None)
+def test_echelon_matches_the_elimination_without_fast_paths(matrix):
+    expected_pivots, expected_order, expected_rows = oracle_echelon(matrix)
+    pivots, order, rows = matrix._echelon()
+    assert pivots == expected_pivots
+    assert order == expected_order
+    assert len(rows) == len(expected_rows)
+    for row, expected in zip(rows, expected_rows):
+        assert all(type(v) is int for v in row.values())
+        assert row.keys() == expected.keys()
+        if row:
+            ratio = Fraction(row[next(iter(row))], expected[next(iter(row))])
+            assert all(Fraction(v, expected[j]) == ratio for j, v in row.items())
+
+
+def _snapshot(vectors):
+    """Each vector's entries with their types, in order: an int that became
+    an equal Fraction, or a reordered row, counts as a change."""
+    return [[(j, type(v), v) for j, v in vector.items()] for vector in vectors]
+
+
+@pytest.mark.parametrize("rows", [
+    # negative pivots, a unit pivot and a single-entry row, all ints
+    [{0: -2, 1: 4, 3: -1}, {0: -1, 2: 3}, {1: -1, 2: 5, 3: 2}, {0: 3, 1: -6}, {2: -4}, {}],
+    # the same pattern with Fraction rows, one of them integral
+    [{0: Fraction(-2, 3), 1: Fraction(4), 3: -1}, {0: Fraction(-1), 2: Fraction(3)},
+     {1: -1, 2: Fraction(5, 2), 3: 2}, {0: 3, 1: -6}, {2: Fraction(-4, 7)}, {}],
+], ids=["ints", "fractions"])
+def test_elimination_and_containment_leave_their_inputs_unchanged(rows):
+    matrix = ExactMatrix(len(rows), 4, rows)
+    before = copy.deepcopy(_snapshot(rows))
+    rhs = [1, Fraction(-1, 2), 0, 3, -1, 0]
+    given_rhs = copy.deepcopy(rhs)
+    matrix._echelon()
+    kernel = matrix.nullspace()
+    matrix.solve(rhs)
+    kernel_before = copy.deepcopy(_snapshot(kernel))
+    assert _annihilates(matrix, kernel)
+    assert matrix.row_dicts() is rows
+    assert _snapshot(rows) == before
+    assert _snapshot(kernel) == kernel_before
+    assert rhs == given_rhs and [type(v) for v in rhs] == [type(v) for v in given_rhs]
 
 
 # -- the elimination against sympy (test-only dependency) --------------------

@@ -272,6 +272,22 @@ def test_only_clear_denominators_takes_an_lcm():
     assert _callers(SOURCES, "lcm") == ["algebra.clear_denominators"]
 
 
+def test_only_the_elimination_helpers_take_a_gcd():
+    # content removal stays inside the exact elimination: no other layer
+    # normalizes rows or coefficients by a gcd of its own
+    assert _callers(SOURCES, "gcd") == \
+        ["algebra.ExactMatrix._echelon", "algebra._back_substitute", "algebra._remove_content"]
+
+
+def test_stray_gcd_callers_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import math\nfrom math import gcd\n\nUNIT = gcd(4, 6)\nREDUCE = gcd\n\n\n"
+        "def content(row):\n    return math.gcd(*row.values())\n\n\n"
+        "class Row:\n    def gcd(self):\n        return self\n\n"
+        "    def normalize(self, p):\n        return [v // gcd(p, v) for v in self]\n")
+    assert _callers(sorted(tmp_path.glob("*.py")), "gcd") == ["a", "a.Row.normalize", "a.content"]
+
+
 def _code_builders(sources: list[Path]) -> list[str]:
     """Where every call of the builtins that turn text into code is, as
     ``_enclosing`` names it; ``re.compile`` and other methods do not count."""
