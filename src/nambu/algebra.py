@@ -27,33 +27,34 @@ is decided by cross-multiplication and is therefore independent of the
 chosen representative.
 
 The matrix layer has one elimination, ``ExactMatrix._echelon``.  It runs
-forward only and fraction-free: rows are cleared to integers, each update
-is ``(p/g)*row - (f/g)*pivot`` followed by gcd content removal, and a
-column -> rows index finds the rows to update.  The pivot row of each column
-is the first row in the current order that holds it, swapped into place as
-Gauss-Jordan swaps it, so the pivot rows and the order of the leftover rows
-are those of Gauss-Jordan.  Its rows are fixed only up to a non-zero
-factor each, and every answer is read off ratios within a row, so it takes
-three fast paths: single-entry pivot rows, unit pivots and one scan of the
-entry types per matrix.  ``rank`` and ``pivot_columns`` stop there.
-``solve`` eliminates ``[A | b]``, with b as one more column.  A feasible
-``solve`` and ``nullspace`` both back-substitute with ``_back_substitute``
-before they read the exact quotients off.  The kernel basis with free slots set
-to 1/0 and the solution with free variables zero are unique, and so is the
-infeasibility certificate (a left-kernel row ``y`` with ``y*A = 0`` and
-``y*b != 0``) of the row that b's column pivots on, the first inconsistent
-leftover row, because it is the only left-kernel vector supported on the
-pivot rows and that row with a 1 there.  No row carries that transform
-through the elimination: ``solve`` finds its weights on the pivot rows with
-one elimination of the transposed system, and checks the certificate on the
-given rows before returning it.  So every answer is the one Gauss-Jordan
-gives.  A column or coordinate vector is a ``SparseVector``: a map from
-position to its non-zero exact coefficient; zeros are never stored.
-Nullspace bases are returned in this format.  Three helpers do all sparse
-vector work: ``clear_denominators`` scales a vector to ints, ``transpose``
-turns keyed vectors into vectors by position, and ``weighted_sums`` sums
-combinations, so a matrix times vectors is the weighted sums of its rows
-over the vectors' transpose.
+forward only and fraction-free: rows are cleared to integers, each update is
+``(p/g)*row - (f/g)*pivot`` followed by gcd content removal, and a column ->
+rows index finds the rows to update.  It takes the columns left to right, so
+whichever holder row a column pivots on, the pivot columns are the greedy
+column basis.  Rows are fixed only up to a non-zero factor each, and every
+answer is read off ratios within a row, so it takes three fast paths:
+single-entry pivot rows, unit pivots and one scan of the entry types per
+matrix.  ``rank``, ``pivot_columns`` and ``nullspace`` pivot on the holder
+with the fewest entries, which keeps the fill low.  ``solve`` eliminates
+``[A | b]``, with b as one more column, and pivots on the first holder in
+the current order, as Gauss-Jordan does, because its certificate is read off
+that order: b's column pivots on the first inconsistent leftover row.  A
+feasible ``solve`` and ``nullspace`` both back-substitute with
+``_back_substitute`` before they read the exact quotients off.  The kernel
+basis with free slots set to 1/0 and the solution with free variables zero
+are unique, and so is the infeasibility certificate (a left-kernel row ``y``
+with ``y*A = 0`` and ``y*b != 0``) of that row, because it is the only
+left-kernel vector supported on the pivot rows and that row with a 1 there.
+No row carries that transform through the elimination: ``solve`` finds its
+weights on the pivot rows with one elimination of the transposed system, and
+checks the certificate on the given rows before returning it.  So every
+answer is the one Gauss-Jordan gives.  A column or coordinate vector is a
+``SparseVector``: a map from position to its non-zero exact coefficient;
+zeros are never stored.  Nullspace bases are returned in this format.  Three
+helpers do all sparse vector work: ``clear_denominators`` scales a vector to
+ints, ``transpose`` turns keyed vectors into vectors by position, and
+``weighted_sums`` sums combinations, so a matrix times vectors is the
+weighted sums of its rows over the vectors' transpose.
 """
 
 from __future__ import annotations
@@ -685,26 +686,29 @@ class ExactMatrix:
         matrix.rows, matrix.cols, matrix._rows = len(row_dicts), cols, row_dicts
         return matrix
 
-    def _echelon(self) -> tuple[list[int], list[int], list[dict[int, int]]]:
-        """Forward, fraction-free elimination in the row order of Gauss-Jordan.
+    def _echelon(self, *, sparsest: bool = False
+                 ) -> tuple[list[int], list[int], list[dict[int, int]]]:
+        """Forward, fraction-free elimination, the columns left to right.
 
         The rows are copied as ints (``cleared``), and a row of two or more
-        entries loses its integer content.  The columns are taken left to
-        right.  The pivot row of a column is the first row in the current
-        order that holds it, swapped into the next echelon position.  Every
-        other row that holds the column becomes ``(p/g)*row - (f/g)*pivot``,
-        where ``p`` is the pivot entry, ``f`` the row's entry and ``g =
-        gcd(p, f)``, and then loses its integer content.  For a pivot row of
-        one entry that is ``p/g`` times the row without the column; a
-        negative pivot row is negated first, so a pivot of 1 needs no gcd.  A
-        column -> rows index over the rows that are not pivots yet finds
-        those rows without a scan over the others.  Pivot rows are never
-        changed again: there is no back-elimination.  A row that is not a
-        pivot stays a non-zero multiple of the row Gauss-Jordan holds at its
-        position, so both pick the same pivot rows and leave the same rows
-        over, in the same order.  Only pivot rows are subtracted, and a pivot
-        row is subtracted only from rows below it, so each row is a
-        combination of the given row at its index and of earlier pivot rows.
+        entries loses its integer content.  The pivot row of a column is the
+        first row in the current order that holds it, as in Gauss-Jordan, or
+        with ``sparsest`` the holder with the fewest entries, the earlier on a
+        tie; it is swapped into the next echelon position.  Every other row
+        that holds the column becomes ``(p/g)*row - (f/g)*pivot``, where ``p``
+        is the pivot entry, ``f`` the row's entry and ``g = gcd(p, f)``, and
+        then loses its integer content.  For a pivot row of one entry that is
+        ``p/g`` times the row without the column; a negative pivot row is
+        negated first, so a pivot of 1 needs no gcd.  A column -> rows index
+        over the rows that are not pivots yet finds those rows without a scan
+        over the others.  Pivot rows are never changed again: there is no
+        back-elimination.  Either rule gives the pivot columns of Gauss-Jordan.
+        Under the first, which ``solve`` keeps for its certificate, a row that
+        is not a pivot stays a non-zero multiple of the row Gauss-Jordan holds
+        at its position, so both leave the same rows over, in the same order.
+        Only pivot rows are subtracted, and a pivot row is subtracted only from
+        rows below it, so each row is a combination of the given row at its
+        index and of earlier pivot rows.
 
         Returns ``(pivots, order, rows)``: the ascending pivot columns; the
         original index of the row at each echelon position, pivot rows first
@@ -726,7 +730,13 @@ class ExactMatrix:
             holders = index[col]
             if not holders:
                 continue
-            sel = min(holders, key=position.__getitem__)
+            if len(holders) == 1:
+                sel, = holders
+            else:
+                sel = min(holders, key=position.__getitem__)
+                # a first holder of one entry is already the sparsest
+                if sparsest and len(rows[sel]) > 1:
+                    sel = min(holders, key=lambda r: (len(rows[r]), position[r]))
             k = len(pivots)
             here, there = order[k], position[sel]
             order[k], order[there] = sel, here
@@ -779,7 +789,7 @@ class ExactMatrix:
         Column j is a pivot exactly when it is independent of columns 0..j-1,
         so the pivots are the greedy left-to-right choice of a column basis.
         """
-        return self._echelon()[0]
+        return self._echelon(sparsest=True)[0]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -791,7 +801,7 @@ class ExactMatrix:
         the free columns in ascending order, each with a 1 in its free slot
         and 0 in the other free slots, which makes the basis unique.
         """
-        pivots, order, rows = self._echelon()
+        pivots, order, rows = self._echelon(sparsest=True)
         reduced = _back_substitute(pivots, [rows[r] for r in order[:len(pivots)]])
         pivot_set = set(pivots)
         basis = {free: {free: 1} for free in range(self.cols) if free not in pivot_set}

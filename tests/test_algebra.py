@@ -690,9 +690,9 @@ def _counting_echelon(monkeypatch):
     calls = []
     echelon = ExactMatrix._echelon
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         calls.append((self.rows, self.cols))
-        return echelon(self)
+        return echelon(self, *args, **kwargs)
 
     monkeypatch.setattr(ExactMatrix, "_echelon", counted)
     return calls
@@ -840,6 +840,43 @@ def test_echelon_matches_the_elimination_without_fast_paths(matrix):
         if row:
             ratio = Fraction(row[next(iter(row))], expected[next(iter(row))])
             assert all(Fraction(v, expected[j]) == ratio for j, v in row.items())
+
+
+# column 0 is held by a three-entry row 0 and by two-entry rows 2 and 3, and
+# column 1 then by row 0 and the one-entry row 4: the first-holder rule
+# pivots on rows 0, 2 and 4, the sparsest-holder rule on rows 2, 4 and 0
+ROW_RULES_DIFFER = ExactMatrix(5, 4, [{0: Fraction(2, 3), 1: 1, 3: -1}, {}, {0: -4, 2: 6},
+                                      {0: -4, 2: 6}, {1: 3}])
+
+
+def _first_holder_kernel(matrix):
+    """The kernel basis that ``nullspace`` reads off, read off the
+    first-holder elimination instead."""
+    pivots, order, rows = matrix._echelon()
+    reduced = algebra._back_substitute(pivots, [rows[r] for r in order[:len(pivots)]])
+    basis = {free: {free: 1} for free in range(matrix.cols) if free not in pivots}
+    for row, pivot_col in zip(reduced, pivots):
+        for free, coeff in row.items():
+            if free != pivot_col:
+                basis[free][pivot_col] = Fraction(-coeff, row[pivot_col])
+    return list(basis.values())
+
+
+def test_sparsest_holder_rule_takes_the_earliest_of_the_shortest_holders():
+    assert ROW_RULES_DIFFER._echelon()[:2] == ([0, 1, 2], [0, 2, 4, 3, 1])
+    assert ROW_RULES_DIFFER._echelon(sparsest=True)[:2] == ([0, 1, 2], [2, 4, 0, 3, 1])
+
+
+@given(echelon_inputs())
+@example(ROW_RULES_DIFFER)
+@settings(max_examples=300, deadline=None)
+def test_sparsest_holder_rule_keeps_the_pivots_and_the_kernel(matrix):
+    kernel = matrix.nullspace()
+    assert matrix.pivot_columns() == oracle_echelon(matrix)[0]
+    # the same vectors, with their entries in the same order
+    assert [list(vector.items()) for vector in kernel] == \
+        [list(vector.items()) for vector in _first_holder_kernel(matrix)]
+    assert matrix.rank() + len(kernel) == matrix.cols
 
 
 def _snapshot(vectors):

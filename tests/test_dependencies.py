@@ -288,6 +288,34 @@ def test_stray_gcd_callers_are_detected(tmp_path):
     assert _callers(sorted(tmp_path.glob("*.py")), "gcd") == ["a", "a.Row.normalize", "a.content"]
 
 
+def _first_holder_eliminations(sources: list[Path]) -> list[str]:
+    """Where every call of ``_echelon`` without ``sparsest=True`` is, as
+    ``_enclosing`` names it: those keep the first-holder row rule."""
+    return _enclosing(sources, lambda node: isinstance(node, ast.Call) and
+                      getattr(node.func, "id", getattr(node.func, "attr", None)) == "_echelon"
+                      and not any(keyword.arg == "sparsest" and
+                                  getattr(keyword.value, "value", None) is True
+                                  for keyword in node.keywords))
+
+
+def test_only_solve_keeps_the_first_holder_row_rule():
+    # a certificate is read off the leftover-row order of Gauss-Jordan; every
+    # other elimination pivots on the sparsest holder row
+    assert _first_holder_eliminations(SOURCES) == ["algebra.ExactMatrix.solve"]
+
+
+def test_first_holder_eliminations_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "FIRST = M._echelon()\n\n\n"
+        "def rank(m):\n    return len(m._echelon(sparsest=True)[0])\n\n\n"
+        "def kernel(m, rule):\n    return _echelon(m, sparsest=rule)\n\n\n"
+        "class Matrix:\n    def _echelon(self, *, sparsest=False):\n        return self\n\n"
+        "    def solve(self):\n        return self._echelon(sparsest=False)\n\n"
+        "    def pivots(self, **options):\n        return self._echelon(**options)\n")
+    assert _first_holder_eliminations(sorted(tmp_path.glob("*.py"))) == \
+        ["a", "a.Matrix.pivots", "a.Matrix.solve", "a.kernel"]
+
+
 def _code_builders(sources: list[Path]) -> list[str]:
     """Where every call of the builtins that turn text into code is, as
     ``_enclosing`` names it; ``re.compile`` and other methods do not count."""

@@ -35,6 +35,7 @@ SPACE = "tests/transcripts/space.nmb"
 R5 = "tests/transcripts/r5.nmb"
 PROBES = "tests/transcripts/probes.nmb"
 RATIONAL = "tests/transcripts/rational.nmb"
+PRODUCT = "tests/transcripts/product.nmb"
 
 # (name, argv, exit code)
 CASES = [
@@ -72,6 +73,8 @@ CASES = [
     ("modular-rational", f"modular {RATIONAL}", 0),
     ("potential-rational", f"potential {RATIONAL} --degree-bound 3", 1),
     ("delta-rational", f"delta {RATIONAL} M", 0),
+    # a cycle matrix whose row order depends on the pivot row rule
+    ("h1-top-product", f"h1-top {PRODUCT} --degree-bound 4", 0),
     # usage errors
     ("modular-lambda-overrides", f"modular {SINGULAR} nosuch --lambda L", 2),
     ("sharp-lambda-overrides", f"sharp {SINGULAR} a nosuch --lambda L", 2),
