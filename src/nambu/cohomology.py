@@ -116,7 +116,7 @@ def foliated_cohomology_dim(structure: NambuStructure, degree: int,
     The value at bound-1 is recomputed as a stabilization signal.
     """
     if not 0 <= degree <= structure.order:
-        raise ValueError("cohomology degree out of range 0..n")
+        raise ValueError(f"cohomology degree out of range 0..{structure.order}")
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
     complexes = _Complexes(structure)
@@ -154,7 +154,10 @@ class TopH1Report:
 
 
 def _top_degree(coefficient: Polynomial, bound: int) -> int:
-    """deg f, once f is non-zero and the bound at least deg f - 1, as h1-top needs."""
+    """deg f, once the bound is non-negative, f non-zero and the bound at least
+    deg f - 1, as h1-top needs."""
+    if bound < 0:
+        raise ValueError("coefficient bound must be non-negative")
     if coefficient.is_zero():
         raise ValueError("the top coefficient must be non-zero")
     deg_f = coefficient.total_degree()
@@ -231,7 +234,7 @@ def canonical_homology_dim(structure: NambuStructure, volume: VolumeSpec,
     """
     n = structure.order
     if not 0 <= degree <= n:
-        raise ValueError("homology degree out of range 0..n")
+        raise ValueError(f"homology degree out of range 0..{n}")
     return _Complexes(structure, volume).canonical(degree, bound)
 
 

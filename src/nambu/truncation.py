@@ -1,7 +1,10 @@
 """Finite-dimensional slices of form and multivector spaces.
 
-A truncated basis enumerates, in a fixed deterministic order, all pairs of a
-strictly increasing index tuple and a monomial of bounded total degree.  This
+A truncated basis is the product of two factors, and it holds the factors,
+not the product: the strictly increasing index tuples of one degree, and the
+monomials of total degree at most the bound in graded-lex order.  Elements
+run index-major, so with M monomials the position of (I, a) is
+rank(I) * M + rank(a), and position p is the pair divmod(p, M) names.  This
 turns every coefficient-polynomial operator into an exact rational matrix.
 Coordinate vectors are ``SparseVector``s of ``algebra``: a map from basis
 position to non-zero coefficient, with no stored zeros.  Converting a tensor
@@ -117,13 +120,22 @@ def _tensor_entries(components: dict[Index, Scalar]) -> Iterable[tuple[Label, Ra
 
 @dataclass(frozen=True)
 class TruncatedBasis:
-    """Ordered basis of degree-k tensors with coefficient degree <= bound."""
+    """Ordered basis of degree-k tensors with coefficient degree <= bound.
+
+    Held as its two factors: ``indices``, the increasing index tuples of the
+    degree, and ``monomials``, the exponents of total degree <= bound in
+    graded-lex order.  Element p is (indices[i], monomials[j]) with i, j =
+    divmod(p, len(monomials)), and the position of (I, a) is
+    rank(I) * len(monomials) + rank(a), read off one rank table per factor,
+    each built on first use.  No table has one entry per element.
+    """
 
     chart: Chart
     variance: str
     degree: int
     coefficient_bound: int
-    elements: tuple[tuple[Index, Exponent], ...]
+    indices: tuple[Index, ...]
+    monomials: tuple[Exponent, ...]
 
     @classmethod
     def build(cls, chart: Chart, variance: str, degree: int,
@@ -132,17 +144,20 @@ class TruncatedBasis:
             raise ValueError("tensor degree out of range for the chart")
         if coefficient_bound < 0:
             raise ValueError("coefficient bound must be non-negative")
-        indices = list(itertools.combinations(range(chart.dimension), degree))
-        monomials = monomials_up_to(chart.dimension, coefficient_bound)
-        elements = tuple((idx, mono) for idx in indices for mono in monomials)
-        return cls(chart, variance, degree, coefficient_bound, elements)
+        return cls(chart, variance, degree, coefficient_bound,
+                   tuple(itertools.combinations(range(chart.dimension), degree)),
+                   tuple(monomials_up_to(chart.dimension, coefficient_bound)))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.indices) * len(self.monomials)
 
     @cached_property
-    def positions(self) -> dict[tuple[Index, Exponent], int]:
-        return {element: i for i, element in enumerate(self.elements)}
+    def _index_ranks(self) -> dict[Index, int]:
+        return {idx: i for i, idx in enumerate(self.indices)}
+
+    @cached_property
+    def _monomial_ranks(self) -> dict[Exponent, int]:
+        return {mono: i for i, mono in enumerate(self.monomials)}
 
     def to_coordinates(self, tensor: GradedTensor) -> SparseVector:
         """Coordinate vector of a tensor; raises if it lies outside the basis."""
@@ -155,21 +170,24 @@ class TruncatedBasis:
 
     def position(self, label: Label) -> int:
         """Position of a (component, monomial) label; raises outside the basis."""
-        at = self.positions.get(label)
-        if at is None:
+        idx, mono = label
+        rank = self._index_ranks.get(idx)
+        offset = self._monomial_ranks.get(mono)
+        if rank is None or offset is None:
             raise ValueError(
-                f"component {label[0]} monomial {label[1]} exceeds the "
+                f"component {idx} monomial {mono} exceeds the "
                 f"coefficient bound {self.coefficient_bound}")
-        return at
+        return rank * len(self.monomials) + offset
 
     def from_coordinates(self, vector: SparseVector) -> GradedTensor:
-        size = len(self.elements)
+        size = len(self)
+        width = len(self.monomials)
         components: dict[Index, dict[Exponent, Rational]] = {}
         for at, coeff in vector.items():
             if not 0 <= at < size:
                 raise ValueError(f"coordinate position {at} outside 0..{size - 1}")
-            idx, mono = self.elements[at]
-            components.setdefault(idx, {})[mono] = coeff
+            rank, offset = divmod(at, width)
+            components.setdefault(self.indices[rank], {})[self.monomials[offset]] = coeff
         return GradedTensor(self.chart, self.variance, self.degree, {
             idx: Polynomial(self.chart.coordinates, terms)
             for idx, terms in components.items()})
@@ -296,6 +314,9 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
                                 Callable[[Iterable[int]], tuple[Label, ...]]]:
     """The image of each domain element in turn, assembled from the first-order
     stencil of its index (see the module docstring), and the decoder of its keys.
+    The elements come index by index, each over the monomials in order, so the
+    stencils are read in step with the domain's indices and the column plans
+    in step with its monomials.
 
     A column is the (key, coefficient) pairs of the image, listed as the
     image lists its terms: the fill (the base shifted by x^a, then a_j
@@ -309,56 +330,51 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
     before this returns.
     """
     m = domain.chart.dimension
-    stencils = {idx: mapping.stencil(domain, idx)
-                for idx in dict.fromkeys(idx for idx, _ in domain.elements)}
-    held = [label for stencil in stencils.values()
-            for part in (stencil.base, *stencil.symbols) for label in part]
-    exponents = dict.fromkeys(a for _, a in domain.elements)
-    radix = 1 + max((max(e) for _, e in held), default=0) \
-        + max((max(a) for a in exponents), default=0)
+    stencils = [mapping.stencil(domain, idx) for idx in domain.indices]
+    fills = [part for stencil in stencils for part in (stencil.base, *stencil.symbols)]
+    radix = 1 + max((max(e) for part in fills for _, e in part), default=0) \
+        + domain.coefficient_bound
     span = radix ** m
     units = [radix ** j for j in range(m)]
-    indices = sorted({idx for idx, _ in held})
+    indices = sorted({idx for part in fills for idx, _ in part})
     rank_of = {idx: r for r, idx in enumerate(indices)}
 
     def keyed(part: dict[Label, Rational]) -> list[tuple[int, Rational]]:
         return [(rank_of[idx] * span + _digits(e, radix), coeff)
                 for (idx, e), coeff in part.items()]
 
-    keyed_stencils = {
-        idx: (keyed(stencil.base), [keyed(symbol) for symbol in stencil.symbols],
-              stencil.blocked)
-        for idx, stencil in stencils.items()}
+    keyed_stencils = [
+        (keyed(stencil.base), [keyed(symbol) for symbol in stencil.symbols], stencil.blocked)
+        for stencil in stencils]
     # the code of x^a, then (j, a_j, code of x^(a - e_j)) for each a_j > 0
-    plans = {}
-    for exponent in exponents:
+    plans = []
+    for exponent in domain.monomials:
         at = _digits(exponent, radix)
-        plans[exponent] = at, [(j, power, at - units[j])
-                               for j, power in enumerate(exponent) if power]
+        plans.append((at, [(j, power, at - units[j])
+                           for j, power in enumerate(exponent) if power]))
 
     def columns() -> Iterator[Iterable[tuple[int, Rational]]]:
-        for idx, exponent in domain.elements:
-            base, symbols, blocked = keyed_stencils[idx]
-            at, steps = plans[exponent]
-            column = {key + at: coeff for key, coeff in base}
-            for j, power, shift in steps:
-                for key, coeff in symbols[j]:
-                    key += shift
-                    acc = column.get(key)
-                    column[key] = power * coeff if acc is None else acc + power * coeff
-            if blocked:
-                yield column.items()
-                continue
-            parts: dict[int, list[tuple[int, Rational]]] = {}
-            for key, coeff in column.items():
-                if not coeff:
+        for base, symbols, blocked in keyed_stencils:
+            for at, steps in plans:
+                column = {key + at: coeff for key, coeff in base}
+                for j, power, shift in steps:
+                    for key, coeff in symbols[j]:
+                        key += shift
+                        acc = column.get(key)
+                        column[key] = power * coeff if acc is None else acc + power * coeff
+                if blocked:
+                    yield column.items()
                     continue
-                part = parts.get(key // span)
-                if part is None:
-                    parts[key // span] = [(key, coeff)]
-                else:
-                    part.append((key, coeff))
-            yield [pair for part in parts.values() for pair in part]
+                parts: dict[int, list[tuple[int, Rational]]] = {}
+                for key, coeff in column.items():
+                    if not coeff:
+                        continue
+                    part = parts.get(key // span)
+                    if part is None:
+                        parts[key // span] = [(key, coeff)]
+                    else:
+                        part.append((key, coeff))
+                yield [pair for part in parts.values() for pair in part]
 
     def labels(keys: Iterable[int]) -> tuple[Label, ...]:
         decoded: dict[int, Exponent] = {}
@@ -487,7 +503,7 @@ def ker_sharp_basis(structure: NambuStructure, degree: int,
     """Exact basis of the bounded-degree kernel of the degree-k bundle map:
     ``_sharp_kernel``'s vectors, converted to forms for tensor arithmetic."""
     if not 0 <= degree <= structure.order:
-        raise ValueError("form degree out of range 0..n")
+        raise ValueError(f"form degree out of range 0..{structure.order}")
     domain = TruncatedBasis.build(structure.chart, FORM, degree, degree_bound)
     return [domain.from_coordinates(vector)
             for vector in _sharp_kernel(bundle_map(structure, degree), domain)]

@@ -87,9 +87,18 @@ def dense(rows) -> ExactMatrix:
 
 def basis_tensor(domain: TruncatedBasis, position: int) -> GradedTensor:
     """The tensor of one truncated basis element: a monomial on one index."""
-    idx, mono = domain.elements[position]
+    rank, offset = divmod(position, len(domain.monomials))
+    idx, mono = domain.indices[rank], domain.monomials[offset]
     coeff = Polynomial.monomial(domain.chart.coordinates, mono)
     return GradedTensor(domain.chart, domain.variance, domain.degree, {idx: coeff})
+
+
+def oracle_basis_elements(domain: TruncatedBasis) -> list[tuple[tuple[int, ...], ...]]:
+    """The basis elements in order, flattened from scratch: every increasing
+    index tuple of the degree, each with every monomial up to the bound."""
+    m = domain.chart.dimension
+    return [(idx, mono) for idx in itertools.combinations(range(m), domain.degree)
+            for mono in monomials_up_to(m, domain.coefficient_bound)]
 
 
 def matrix_from_columns(columns, nrows: int) -> ExactMatrix:

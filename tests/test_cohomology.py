@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -69,6 +71,7 @@ from support import (
     matmul,
     matrix_from_columns,
     oracle_apply,
+    oracle_basis_elements,
     oracle_canonical_dimension,
     oracle_complement_kernel,
     oracle_foliated_dimension,
@@ -128,6 +131,46 @@ def test_images_and_positions_outside_the_basis_are_rejected():
             constants.from_coordinates({outside: Fraction(1)})
 
 
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+       st.integers(0, 4), st.sampled_from([FORM, MULTIVECTOR]), st.integers(1, 9))
+@example((5, 2), 4, FORM, 1)
+@settings(max_examples=60, deadline=None)
+def test_basis_positions_are_the_flattened_product(shape, bound, variance, coeff):
+    # position and from_coordinates against the index x monomial product,
+    # flattened index-major, with the same errors outside the basis
+    m, degree = shape
+    chart = Chart.of([f"x{i + 1}" for i in range(m)])
+    basis = TruncatedBasis.build(chart, variance, degree, bound)
+    elements = oracle_basis_elements(basis)
+    assert len(basis) == len(elements)
+    for at, (idx, mono) in enumerate(elements):
+        assert basis.position((idx, mono)) == at
+        term = Polynomial.monomial(chart.coordinates, mono, coeff)
+        assert basis.from_coordinates({at: coeff}) == \
+            GradedTensor(chart, variance, degree, {idx: term})
+    over = (bound + 1,) + (0,) * (m - 1)
+    other_degree = tuple(range(degree + 1 if degree < m else degree - 1))
+    for idx, mono in ((elements[0][0], over), (other_degree, elements[0][1])):
+        message = f"component {idx} monomial {mono} exceeds the coefficient bound {bound}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            basis.position((idx, mono))
+    for at in (-1, len(elements)):
+        message = f"coordinate position {at} outside 0..{len(elements) - 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            basis.from_coordinates({at: coeff})
+
+
+def test_a_basis_holds_no_per_element_table():
+    # positions come from one rank table per factor, never one per element
+    basis = TruncatedBasis.build(R3, FORM, 1, 30)
+    last = len(basis) - 1
+    assert basis.position((basis.indices[-1], basis.monomials[-1])) == last
+    assert basis.from_coordinates({last: 1}).components
+    limit = len(basis.indices) + len(basis.monomials)
+    assert all(len(value) <= limit for value in vars(basis).values()
+               if hasattr(value, "__len__"))
+
+
 def _operator_oracle(domain, codomain, mapping):
     """An operator matrix assembled independently of the engine: coordinates
     of each image in a full codomain basis, one row per codomain element."""
@@ -159,7 +202,7 @@ def _per_element_oracle(domain, mapping):
     chart = domain.chart
     fills = {}
     rows = {}
-    for j, (idx, exponent) in enumerate(domain.elements):
+    for j, (idx, exponent) in enumerate(itertools.product(domain.indices, domain.monomials)):
         if idx not in fills:
             unit = GradedTensor(chart, domain.variance, domain.degree, {idx: chart.scalar(1)})
             base = mapping(unit)
@@ -251,8 +294,9 @@ def test_operator_rows_are_the_codomain_rows_its_images_hold(name):
     for bound in range(4):
         for domain, codomain, mapping in _engine_operators(structure, bound):
             full = _operator_oracle(domain, codomain, mapping).row_dicts()
+            labels = itertools.product(codomain.indices, codomain.monomials)
             _assert_rows_by_label(TruncatedOperator.build(domain, mapping), domain,
-                                  {label: row for label, row in zip(codomain.elements, full)
+                                  {label: row for label, row in zip(labels, full)
                                    if row})
             operators += 1
     assert operators == 4 * (8 if structure.is_top_order else 7 + 4)
@@ -325,7 +369,7 @@ def test_order_zero_columns_are_the_base_shifted(bound):
                   FirstOrderMap(lambda field: contract_form(annihilator, field))))
     for domain, mapping in cases:
         _assert_stencil_matches_oracle(domain, mapping)
-        assert not any(any(mapping.stencil(domain, idx).symbols) for idx, _ in domain.elements)
+        assert not any(any(mapping.stencil(domain, idx).symbols) for idx in domain.indices)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 4])
@@ -369,8 +413,7 @@ def test_a_map_shared_across_bounds_builds_what_fresh_maps_build(bounds):
             domain = TruncatedBasis.build(chart, variance, degree, bound)
             assert _numbered_rows(TruncatedOperator.build(domain, shared)) == \
                 _numbered_rows(TruncatedOperator.build(domain, fresh()))
-            probes = len(dict.fromkeys(idx for idx, _ in domain.elements)) * \
-                (1 + m + m * (m + 1) // 2)
+            probes = len(domain.indices) * (1 + m + m * (m + 1) // 2)
             assert len(calls) == (probes if step == 0 else 0)
             calls.clear()
 

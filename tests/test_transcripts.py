@@ -86,6 +86,8 @@ CASES = [
     ("modular-several-volumes", f"modular {REGULAR3}", 2),
     ("missing-model-file", "check tests/transcripts/missing.nmb", 2),
     ("duality-negative-bound", f"duality {SINGULAR} --degree-bound -1", 2),
+    ("h1-top-negative-bound", f"h1-top {SINGULAR} --degree-bound -3", 2),
+    ("foliated-degree-out-of-range", f"foliated {SINGULAR} --degree 4 --degree-bound 2", 2),
     ("duality-below-top-degree", f"duality {SINGULAR} L V --degree-bound 0", 2),
     ("duality-weighted-volume", f"duality {REGULAR3} --volume W --degree-bound 2", 2),
     ("flow-bad-start", f"flow {SINGULAR} --scalars r2,h --start 1,x,0", 2),
