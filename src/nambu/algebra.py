@@ -26,29 +26,15 @@ multivariate GCD reduction is deliberately not attempted, because equality
 is decided by cross-multiplication and is therefore independent of the
 chosen representative.
 
-The matrix layer has one elimination, ``ExactMatrix._echelon``.  It runs
-forward only and fraction-free: rows are cleared to integers, each update is
-``(p/g)*row - (f/g)*pivot`` followed by gcd content removal, and a column ->
-rows index finds the rows to update.  It takes the columns left to right, so
-whichever holder row a column pivots on, the pivot columns are the greedy
-column basis.  Rows are fixed only up to a non-zero factor each, and every
-answer is read off ratios within a row, so it takes three fast paths:
-single-entry pivot rows, unit pivots and one scan of the entry types per
-matrix.  ``rank``, ``pivot_columns`` and ``nullspace`` pivot on the holder
-with the fewest entries, which keeps the fill low.  ``solve`` eliminates
-``[A | b]``, with b as one more column, and pivots on the first holder in
-the current order, as Gauss-Jordan does, because its certificate is read off
-that order: b's column pivots on the first inconsistent leftover row.  A
-feasible ``solve`` and ``nullspace`` both back-substitute with
-``_back_substitute`` before they read the exact quotients off.  The kernel
-basis with free slots set to 1/0 and the solution with free variables zero
-are unique, and so is the infeasibility certificate (a left-kernel row ``y``
-with ``y*A = 0`` and ``y*b != 0``) of that row, because it is the only
-left-kernel vector supported on the pivot rows and that row with a 1 there.
-No row carries that transform through the elimination: ``solve`` finds its
-weights on the pivot rows with one elimination of the transposed system, and
-checks the certificate on the given rows before returning it.  So every
-answer is the one Gauss-Jordan gives.  A column or coordinate vector is a
+The matrix layer has one elimination, ``ExactMatrix._echelon``: forward
+only and fraction-free, with the columns taken left to right, so whichever
+holder row a column pivots on, the pivot columns are the greedy column basis.
+``rank``, ``pivot_columns`` and ``nullspace`` pivot on the holder with the
+fewest entries.  ``solve`` eliminates ``[A | b]`` and pivots on the first
+holder, as Gauss-Jordan does, because its certificate is read off that order.
+The kernel basis with free slots set to 1/0, the solution with free variables
+zero and the certificate are unique, so every answer is the one Gauss-Jordan
+gives (see ``_echelon`` and ``solve``).  A column or coordinate vector is a
 ``SparseVector``: a map from position to its non-zero exact coefficient;
 zeros are never stored.  Nullspace bases are returned in this format.  Three
 helpers do all sparse vector work: ``clear_denominators`` scales a vector to

@@ -7,10 +7,8 @@ bookkeeping is strict throughout: an operator's rows are the labels its
 images hold, so no image is ever clipped, coordinates in a truncated space
 raise rather than drop a term, and every quotient asserts that the
 coboundaries lie in the cocycles.  Every quotient, h1-top, foliated and
-canonical alike, is one ``_quotient`` call: it stacks the cycle maps into a
-matrix, then asks one callable for the boundary vectors, and returns
-``_complement_kernel(cycles, boundaries)``: the kernel of the cycle matrix
-on a coordinate complement of the boundaries.  Its length is the dimension,
+canonical alike, is one ``_quotient`` call: the kernel of the cycle maps on
+a coordinate complement of the boundaries.  Its length is the dimension,
 and for h1-top its vectors are the printed representatives.  ``_Complexes``
 makes the maps of one report's foliated and canonical quotients, each once.
 """
@@ -25,7 +23,7 @@ from .algebra import (ExactMatrix, InvariantError, Polynomial, Rational, SparseV
                       cleared, transpose, weighted_sums)
 from .exterior import FORM, Chart, GradedTensor, differential, ext_d, wedge
 from .modular import VolumeSpec, sharp_preimage
-from .structures import NambuStructure, sharp
+from .structures import NambuStructure
 from .truncation import (
     Certificate,
     FirstOrderMap,
@@ -33,6 +31,7 @@ from .truncation import (
     TruncatedOperator,
     _sharp_kernel,
     bundle_map,
+    composed,
     monomials_up_to,
     solve_in_span,
 )
@@ -246,13 +245,14 @@ class _Complexes:
     element at a bound to a multiple of an (m - k)-form basis element there,
     with flat(delta P) = d(flat P) and flat(i(alpha) P) = (-1)^(k-1) alpha ^
     flat(P) for a 1-form alpha.  So the maps are d, the bundle map and sharp
-    after d at each degree, and the wedge with each reduced annihilator
-    1-form.  Each map is made once and shared, with its stencils, by every
-    degree and bound of the report; each sharp kernel, as coordinate vectors
-    of the degree-k forms, and each list of reduced annihilators is made
-    once per (degree, bound).  Each d is held as vectors of its quotient's
-    domain, which the canonical side combines along its tangent chains.  A
-    report makes one and drops it with its answer.
+    after d, composed from those two, at each degree, and the wedge with
+    each reduced annihilator 1-form.  Each map is made once and shared, with
+    its stencils, by every degree and bound of the report; each sharp
+    kernel, as coordinate vectors of the degree-k forms, and each list of
+    reduced annihilators is made once per (degree, bound).  Each d is held
+    as vectors of its quotient's domain, which the canonical side combines
+    along its tangent chains.  A report makes one and drops it with its
+    answer.
     """
 
     def __init__(self, structure: NambuStructure, volume: VolumeSpec | None = None):
@@ -270,11 +270,13 @@ class _Complexes:
             made = self._made[key] = make()
         return made
 
+    def _sharp(self, degree: int) -> FirstOrderMap:
+        return self._once(("sharp", degree), lambda: bundle_map(self.structure, degree))
+
     def _kernel(self, domain: TruncatedBasis) -> list[SparseVector]:
         """The bundle map's kernel on ``domain``, as coordinate vectors of its forms."""
-        degree = domain.degree
-        return self._once(("kernel", degree, domain.coefficient_bound), lambda: _sharp_kernel(
-            self._once(("sharp", degree), lambda: bundle_map(self.structure, degree)), domain))
+        return self._once(("kernel", domain.degree, domain.coefficient_bound),
+                          lambda: _sharp_kernel(self._sharp(domain.degree), domain))
 
     def _tangency(self, bound: int) -> list[FirstOrderMap]:
         """The wedges whose common kernel is the tangent chains of every
@@ -305,12 +307,11 @@ class _Complexes:
         """Foliated cohomology at one degree: the forms that sharp after d
         kills, modulo d of the forms one degree down at bound + 1 and the
         sharp kernel."""
-        structure = self.structure
-        domain = TruncatedBasis.build(structure.chart, FORM, degree, bound)
+        domain = TruncatedBasis.build(self.structure.chart, FORM, degree, bound)
         cycles = []
-        if degree < structure.order:
-            cycles.append(self._once(("sharp after d", degree), lambda: FirstOrderMap(
-                lambda form: sharp(structure, degree + 1, ext_d(form)))))
+        if degree < self.structure.order:
+            cycles.append(self._once(("sharp after d", degree), lambda: composed(
+                self._sharp(degree + 1), self._ext_d)))
         kernel = self._kernel(domain)
 
         return len(_quotient(

@@ -3,63 +3,53 @@
 A truncated basis is the product of two factors, and it holds the factors,
 not the product: the strictly increasing index tuples of one degree, and the
 monomials of total degree at most the bound in graded-lex order.  Elements
-run index-major, so with M monomials the position of (I, a) is
-rank(I) * M + rank(a), and position p is the pair divmod(p, M) names.  This
-turns every coefficient-polynomial operator into an exact rational matrix.
-Coordinate vectors are ``SparseVector``s of ``algebra``: a map from basis
-position to non-zero coefficient, with no stored zeros.  Converting a tensor
-to coordinates is strict: it raises when any component falls outside the
-basis, so a tensor is never silently clipped to a truncated space.
+run index-major, so with M monomials the position of (I, a) is rank(I) * M +
+rank(a).  Coordinate vectors are ``SparseVector``s of ``algebra``.
+Converting a tensor to coordinates is strict: it raises when any component
+falls outside the basis, so a tensor is never silently clipped.
 
 An operator needs no codomain basis.  Its matrix has one column per domain
 element and one row per (component, monomial) label that some image holds,
-so every image fits by construction.  Rows are numbered in first-seen order:
-each image's labels in turn, as the image lists them.  Rank, pivot columns
-and the nullspace basis do not depend on the row order, nor on the all-zero
-rows a wider codomain would add.
+numbered in first-seen order over the images.  Rank, pivot columns and the
+nullspace do not depend on the row order; a certified solve's certificate
+does.
 
 Operators are assembled from a first-order stencil, not from one image per
 basis element.  The contract is that the mapping is linear and of order at
-most one in the coefficients: L(g e_I) = g L(e_I) + sum_j (d_j g) s_{I,j},
-where the symbol s_{I,j} = L(x_j e_I) - x_j L(e_I).  So the mapping is called
-on e_I and on each x_j e_I only, and the column of x^a e_I is x^a L(e_I) +
-sum_j a_j x^(a - e_j) s_{I,j}, built by shifting labels and scaling by
-integers.  A guard checks the contract on every index: the second difference
-L(x_i x_j e_I) - x_i L(x_j e_I) - x_j L(x_i e_I) + x_i x_j L(e_I) must vanish
-for all i <= j.  The second difference is function-linear for an operator of
-order two, so the guard catches every such operator; a failure is an internal
-invariant error (``InvariantError``), never a wrong matrix.  Every mapping in
-the package (the bundle map, the wedges with annihilators, d, sharp after
-d, f da - df ^ a) has order at most one.
+most one: L(g e_I) = g L(e_I) + sum_j (d_j g) s_{I,j}, with the symbol
+s_{I,j} = L(x_j e_I) - x_j L(e_I).  So the mapping runs on e_I and each x_j
+e_I only, and the column of x^a e_I is x^a L(e_I) + sum_j a_j x^(a - e_j)
+s_{I,j}.  A guard checks that the second difference L(x_i x_j e_I) - x_i
+L(x_j e_I) - x_j L(x_i e_I) + x_i x_j L(e_I) vanishes for all i <= j.  It is
+function-linear for an operator of order two, so a failure is an
+``InvariantError``, never a wrong matrix.  A stencil of order zero, all
+symbols empty (the bundle map, a wedge), gives each column as its base,
+shifted.  A ``FirstOrderMap`` keeps the stencil of each index, which does
+not depend on the bound, so one ``cohomology._Complexes`` runs each mapping
+and its guard once per index for its report, and no longer.
 
-A stencil does not depend on the coefficient bound.  A ``FirstOrderMap``
-wraps a mapping and keeps the stencil of each index it is built on, so a
-report that builds one map at several bounds calls the mapping, and runs the
-guard, once per index.  One ``cohomology._Complexes`` per report shares its
-maps so: d on the forms of both complexes and of two bounds, the degree-1
-bundle map and the wedges with its annihilators at bound and bound + 1, and
-the foliated maps at bound and bound - 1.  ``build`` re-keys the kept stencils
-for each domain and still takes a plain callable, which gets a map of its
-own.  A report makes its maps and drops them with its answer; nothing is
-cached across reports.
+Sharp after d is composed, not probed: its stencil is sharp applied term by
+term to d's, x^e e_J -> x^e sharp(e_J), off the bundle map's stencils.
+That is exact only where the outer map is function-linear, so an outer
+stencil with a symbol is an ``InvariantError``; d's guard and sharp's still
+run on their own probes.
 
-Each column lists its terms as the image itself would, because the row order
-of a certified solve picks the printed certificate (``solve_in_image``):
-component by component, in the order the components first appear in the fill
-(the base shifted by x^a, then the symbols for j ascending), and each
-component's terms in fill order.  A column's terms are a subsequence of its
-index's fill, so where the fill lists each component in one block the fill
-order is already that order.  This is decided once per index, when its stencil
-is built, and only the other indices' columns are regrouped.  On the bundled
-models only f da - df ^ a interleaves, where the base and the symbols of
-non-adjacent j share components; sharp after d can on other structures.  An
-index of order zero, all symbols zero (the bundle map on forms, a wedge), has
-the base shifted as its column, and a shift keeps the image's order.  Sharp
-after d has no base, and the image of d(x^a) also runs over j ascending, each
-j adding one probe image, shifted.  Where contributions to one term cancel
-within a column and it is added again, the image re-lists the term last and
-the stencil keeps its place; apart from that the rows, and so the
-certificates, come out as from one whole image per basis element.
+Rows are keyed by integers from the stencil to the solve.  The key of (I, a)
+is rank(I) * span + the digits of a in a radix that no shift by a domain
+exponent overflows, with span = radix ** m.  ``labels`` is decoded only when
+read; ``coordinates_in`` takes divmod and one rank table per factor.  A
+certified solve encodes its target's labels, a label that no row can hold
+being its own key, and decodes only the certificate.  ``solve_in_span``
+keys its rows by the labels themselves.
+
+Each column lists its terms as the image would, because the row order picks
+the printed certificate: by component, in the order the components first
+appear in the fill (the shifted base, then the symbols for j ascending),
+each component's terms in fill order.  Only the columns of an index whose
+fill does not list each component in one block, decided once per index, are
+regrouped.  Where contributions to one term cancel within a column and it is
+added again, the image re-lists the term last and the stencil keeps its
+place; apart from that the rows come out as from one image per element.
 """
 
 from __future__ import annotations
@@ -76,7 +66,6 @@ from .algebra import (
     Polynomial,
     Rational,
     SparseVector,
-    grlex_key,
     transpose,
 )
 from .exterior import FORM, Chart, GradedTensor, Scalar
@@ -92,21 +81,15 @@ Solution = tuple[tuple[Rational, ...] | None, Certificate | None]
 
 
 def monomials_up_to(num_vars: int, degree_bound: int) -> list[Exponent]:
-    """All exponent tuples of total degree <= bound, in graded-lex order."""
-    out: list[Exponent] = []
-
-    def extend(prefix: list[int], budget: int, slots: int):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(budget + 1):
-            prefix.append(d)
-            extend(prefix, budget - d, slots - 1)
-            prefix.pop()
-
-    extend([], degree_bound, num_vars)
-    out.sort(key=grlex_key)
-    return out
+    """All exponent tuples of total degree <= bound, in graded-lex order,
+    built one variable at a time with no sort: in lex order, the tuples of
+    degree t in k + 1 variables are (a, *rest) for a ascending, rest over
+    those of degree t - a in k variables."""
+    layers = [[()]] + [[] for _ in range(degree_bound)]
+    for _ in range(num_vars):
+        layers = [[(a,) + rest for a in range(t + 1) for rest in layers[t - a]]
+                  for t in range(degree_bound + 1)]
+    return [exponent for layer in layers for exponent in layer]
 
 
 def _tensor_entries(components: dict[Index, Scalar]) -> Iterable[tuple[Label, Rational]]:
@@ -120,14 +103,10 @@ def _tensor_entries(components: dict[Index, Scalar]) -> Iterable[tuple[Label, Ra
 
 @dataclass(frozen=True)
 class TruncatedBasis:
-    """Ordered basis of degree-k tensors with coefficient degree <= bound.
-
-    Held as its two factors: ``indices``, the increasing index tuples of the
-    degree, and ``monomials``, the exponents of total degree <= bound in
-    graded-lex order.  Element p is (indices[i], monomials[j]) with i, j =
-    divmod(p, len(monomials)), and the position of (I, a) is
-    rank(I) * len(monomials) + rank(a), read off one rank table per factor,
-    each built on first use.  No table has one entry per element.
+    """Ordered basis of degree-k tensors with coefficient degree <= bound,
+    held as its two factors (see the module docstring).  Element p is
+    (indices[i], monomials[j]) with i, j = divmod(p, len(monomials)); a
+    position is read off one rank table per factor, each built on first use.
     """
 
     chart: Chart
@@ -287,15 +266,17 @@ class FirstOrderMap:
     it has been built on (see the module docstring).
 
     The mapping, and the guard with it, runs on the first build that holds
-    an index.  A guard that fails stores nothing, so every later build fails
-    the same way.  Calling the map calls the mapping, so a map stands
-    wherever a mapping does.
+    an index; a guard that fails stores nothing.  Calling the map calls the
+    mapping, so a map stands wherever a mapping does.  A ``composed`` map
+    probes nothing itself.
     """
 
-    __slots__ = ("mapping", "_stencils")
+    __slots__ = ("mapping", "_stencils", "_parts")
 
-    def __init__(self, mapping: Callable[[GradedTensor], GradedTensor]):
+    def __init__(self, mapping: Callable[[GradedTensor], GradedTensor],
+                 parts: tuple[FirstOrderMap, FirstOrderMap] | None = None):
         self.mapping = mapping
+        self._parts = parts
         self._stencils: dict[tuple[Chart, str, Index], _Stencil] = {}
 
     def __call__(self, tensor: GradedTensor) -> GradedTensor:
@@ -305,47 +286,87 @@ class FirstOrderMap:
         key = (domain.chart, domain.variance, idx)
         stencil = self._stencils.get(key)
         if stencil is None:
-            stencil = self._stencils[key] = _first_order_stencil(domain, self.mapping, idx)
+            stencil = self._stencils[key] = _composed_stencil(domain, *self._parts, idx) \
+                if self._parts else _first_order_stencil(domain, self.mapping, idx)
         return stencil
 
 
-def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
-                     ) -> tuple[Iterator[Iterable[tuple[int, Rational]]],
-                                Callable[[Iterable[int]], tuple[Label, ...]]]:
-    """The image of each domain element in turn, assembled from the first-order
-    stencil of its index (see the module docstring), and the decoder of its keys.
-    The elements come index by index, each over the monomials in order, so the
-    stencils are read in step with the domain's indices and the column plans
-    in step with its monomials.
+def composed(outer: FirstOrderMap, inner: FirstOrderMap) -> FirstOrderMap:
+    """outer after inner, for a function-linear outer map on the inner map's
+    variance, built from both maps' stencils."""
+    return FirstOrderMap(lambda tensor: outer(inner(tensor)), (outer, inner))
 
-    A column is the (key, coefficient) pairs of the image, listed as the
-    image lists its terms: the fill (the base shifted by x^a, then a_j
-    x^(a - e_j) s_{I,j} for j ascending), regrouped by component in the
-    order the components first appear where the index's fill does not list
-    each component in one block.  A coefficient may be zero where
-    contributions cancel.  A key is the label's index rank, then its
-    exponent's digits in a radix that no shift by a domain exponent
-    overflows; ``labels`` turns keys back into (component, monomial) labels,
-    decoding each exponent once.  The stencils are built, and the guard run,
-    before this returns.
+
+def _composed_stencil(domain: TruncatedBasis, outer: FirstOrderMap, inner: FirstOrderMap,
+                      idx: Index) -> _Stencil:
+    """The inner stencil with x^e e_J mapped to outer(e_J), shifted by e."""
+    stencil = inner.stencil(domain, idx)
+    parts = []
+    for part in (stencil.base, *stencil.symbols):
+        acc: dict[Label, Rational] = {}
+        for (at, exponent), coeff in part.items():
+            image = outer.stencil(
+                TruncatedBasis.build(domain.chart, domain.variance, len(at), 0), at)
+            if any(image.symbols):
+                raise InvariantError("the outer map of a composition is not "
+                                     f"function-linear on component {at}")
+            _accumulate(acc, image.base, exponent, coeff)
+        parts.append(acc)
+    return _Stencil(parts[0], parts[1:])
+
+
+class _Keys:
+    """The integer row keys of an operator (see the module docstring)."""
+
+    __slots__ = ("indices", "radix", "m", "span", "_ranks")
+
+    def __init__(self, indices: list[Index], radix: int, m: int):
+        self.indices, self.radix, self.m, self.span = indices, radix, m, radix ** m
+        self._ranks = {idx: r for r, idx in enumerate(indices)}
+
+    def key(self, label: Label) -> int | Label:
+        """The key of a label; one that no row can hold is its own key."""
+        idx, exponent = label
+        rank = self._ranks.get(idx)
+        if rank is None or max(exponent, default=0) >= self.radix:
+            return label
+        return rank * self.span + _digits(exponent, self.radix)
+
+    def label(self, key: int) -> Label:
+        rank, code = divmod(key, self.span)
+        digits = []
+        for _ in range(self.m):
+            code, digit = divmod(code, self.radix)
+            digits.append(digit)
+        return self.indices[rank], tuple(digits)
+
+
+class _Labelled:
+    """The row keys of ``solve_in_span``: each label is its own key."""
+
+    key = label = staticmethod(lambda label: label)
+
+
+def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
+                     ) -> tuple[Iterator[Iterable[tuple[int, Rational]]], _Keys]:
+    """The image of each domain element in turn, as (key, coefficient) pairs
+    listed as the module docstring says, and their key space.  A coefficient
+    may be zero where contributions cancel.  The stencils are built, and the
+    guard run, before this returns.
     """
     m = domain.chart.dimension
     stencils = [mapping.stencil(domain, idx) for idx in domain.indices]
     fills = [part for stencil in stencils for part in (stencil.base, *stencil.symbols)]
     radix = 1 + max((max(e) for part in fills for _, e in part), default=0) \
         + domain.coefficient_bound
-    span = radix ** m
-    units = [radix ** j for j in range(m)]
-    indices = sorted({idx for part in fills for idx, _ in part})
-    rank_of = {idx: r for r, idx in enumerate(indices)}
+    space = _Keys(sorted({idx for part in fills for idx, _ in part}), radix, m)
+    span, units = space.span, [radix ** j for j in range(m)]
 
     def keyed(part: dict[Label, Rational]) -> list[tuple[int, Rational]]:
-        return [(rank_of[idx] * span + _digits(e, radix), coeff)
-                for (idx, e), coeff in part.items()]
+        return [(space.key(label), coeff) for label, coeff in part.items()]
 
-    keyed_stencils = [
-        (keyed(stencil.base), [keyed(symbol) for symbol in stencil.symbols], stencil.blocked)
-        for stencil in stencils]
+    keyed_stencils = [(keyed(stencil.base), list(map(keyed, stencil.symbols)),
+                       stencil.blocked) for stencil in stencils]
     # the code of x^a, then (j, a_j, code of x^(a - e_j)) for each a_j > 0
     plans = []
     for exponent in domain.monomials:
@@ -355,6 +376,10 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
 
     def columns() -> Iterator[Iterable[tuple[int, Rational]]]:
         for base, symbols, blocked in keyed_stencils:
+            if blocked and not any(symbols):  # order 0: the base, shifted
+                for at, _ in plans:
+                    yield [(key + at, coeff) for key, coeff in base]
+                continue
             for at, steps in plans:
                 column = {key + at: coeff for key, coeff in base}
                 for j, power, shift in steps:
@@ -376,33 +401,15 @@ def _stencil_columns(domain: TruncatedBasis, mapping: FirstOrderMap,
                         part.append((key, coeff))
                 yield [pair for part in parts.values() for pair in part]
 
-    def labels(keys: Iterable[int]) -> tuple[Label, ...]:
-        decoded: dict[int, Exponent] = {}
-        out = []
-        for key in keys:
-            rank, code = divmod(key, span)
-            exponent = decoded.get(code)
-            if exponent is None:
-                digits = []
-                rest = code
-                for _ in range(m):
-                    rest, digit = divmod(rest, radix)
-                    digits.append(digit)
-                exponent = decoded[code] = tuple(digits)
-            out.append((indices[rank], exponent))
-        return tuple(out)
-
-    return columns(), labels
+    return columns(), space
 
 
 def _numbered_operator(columns: Iterable[Iterable[tuple[Key, Rational]]],
-                       labels: Callable[[Iterable[Key]], tuple[Label, ...]],
-                       ) -> TruncatedOperator:
-    """The operator with these columns, each given as (key, coefficient)
-    pairs with distinct keys: one row per key with a non-zero coefficient,
-    numbered in first-seen order and filled in column order, and labelled by
-    ``labels`` of the keys in that order.  The columns are read once, so a
-    generator of them keeps only the rows alive."""
+                       space: _Keys | type[_Labelled]) -> TruncatedOperator:
+    """The operator with these columns of (key, coefficient) pairs, distinct
+    keys of ``space``: one row per key with a non-zero coefficient, numbered
+    in first-seen order and filled in column order.  The columns are read
+    once, so a generator of them keeps only the rows alive."""
     rows: dict[Key, dict[int, Rational]] = {}
     width = 0
     for column in columns:
@@ -414,81 +421,93 @@ def _numbered_operator(columns: Iterable[Iterable[tuple[Key, Rational]]],
                 else:
                     row[width] = coeff
         width += 1
-    return TruncatedOperator(labels(rows), ExactMatrix._of_rows(width, list(rows.values())))
+    return TruncatedOperator(tuple(rows), ExactMatrix._of_rows(width, list(rows.values())),
+                             space)
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Exact matrix of a linear first-order map on a truncated basis: column j
-    is the image of basis element j, row i holds the coefficients of label
-    ``labels[i]``, numbered in first-seen order over the images; no row is
-    all zero."""
+    is the image of basis element j, row i holds the coefficients of the label
+    that ``space`` keys ``keys[i]``, numbered in first-seen order over the
+    images; no row is all zero."""
 
-    labels: tuple[Label, ...]
+    keys: tuple[Key, ...]
     matrix: ExactMatrix
+    space: _Keys | type[_Labelled]
 
     @classmethod
     def build(cls, domain: TruncatedBasis,
               mapping: Callable[[GradedTensor], GradedTensor]) -> "TruncatedOperator":
-        """Assemble from the first-order stencil of each index (see the
-        module docstring); raises ``InvariantError`` when the guard fails.
-        A ``FirstOrderMap`` lends the stencils it already holds, and keeps
-        the ones built here."""
+        """Assemble from the stencil of each index; raises ``InvariantError``
+        when the guard fails.  A ``FirstOrderMap`` lends the stencils it
+        holds, and keeps the ones built here."""
         if not isinstance(mapping, FirstOrderMap):
             mapping = FirstOrderMap(mapping)
         return _numbered_operator(*_stencil_columns(domain, mapping))
 
+    @cached_property
+    def labels(self) -> tuple[Label, ...]:
+        """The (component, monomial) label of each row, decoded on first read."""
+        return tuple(map(self.space.label, self.keys))
+
     def coordinates_in(self, basis: TruncatedBasis) -> list[SparseVector]:
         """The image of each domain element as coordinates in ``basis``: the
-        transpose of the matrix.  The images are the engine's own, so one that
-        leaves ``basis`` is an ``InvariantError``."""
-        try:
-            positions = [basis.position(label) for label in self.labels]
-        except ValueError as error:
-            raise InvariantError(f"an operator image leaves its basis: {error}") from None
+        transpose of the matrix, each key placed by its divmod by the span and
+        one rank table per factor.  The images are the engine's own, so one
+        that leaves ``basis`` is an ``InvariantError``."""
+        space, width = self.space, len(basis.monomials)
+        ranks = [basis._index_ranks.get(idx) for idx in space.indices]
+        offsets = {_digits(a, space.radix): r for r, a in enumerate(basis.monomials)
+                   if basis.coefficient_bound < space.radix or max(a) < space.radix}
+        positions = []
+        for key in self.keys:
+            rank, code = divmod(key, space.span)
+            at, offset = ranks[rank], offsets.get(code)
+            if at is None or offset is None:
+                try:
+                    basis.position(space.label(key))
+                except ValueError as error:
+                    raise InvariantError(f"an operator image leaves its basis: {error}") \
+                        from None
+            positions.append(at * width + offset)
         return transpose(zip(positions, self.matrix.row_dicts()), self.matrix.cols)
 
 
 def _certified_solve(operator: TruncatedOperator, target: dict[Label, Rational]) -> Solution:
     """Solve target = sum c_j column_j of the operator exactly, one equation
     per label: the target's labels first, then the operator's rows in their
-    order.  Returns (coefficients, None) when solvable, else (None,
-    certificate) with a labelled left-kernel functional, its labels in that
-    order, separating the target from the span."""
-    rows: dict[Label, dict[int, Rational]] = {label: {} for label in target}
-    rows.update(zip(operator.labels, operator.matrix.row_dicts()))
-    rhs = [target.get(label, 0) for label in rows]
+    order, each keyed in the operator's key space.  Returns (coefficients,
+    None) when solvable, else (None, certificate) with a labelled left-kernel
+    functional, its labels in that order, separating the target from the
+    span."""
+    space = operator.space
+    labels = {space.key(label): label for label in target}
+    rows: dict[Key, dict[int, Rational]] = {key: {} for key in labels}
+    rows.update(zip(operator.keys, operator.matrix.row_dicts()))
+    rhs = [target.get(labels.get(key), 0) for key in rows]
     solution, certificate = ExactMatrix._of_rows(operator.matrix.cols,
                                                  list(rows.values())).solve(rhs)
     if certificate is None:
         return solution, None
-    return None, tuple((label, weight) for label, weight
-                       in zip(rows, certificate) if weight != 0)
+    return None, tuple((labels[key] if key in labels else space.label(key), weight)
+                       for key, weight in zip(rows, certificate) if weight != 0)
 
 
 def solve_in_span(images: Iterable[GradedTensor], target: GradedTensor) -> Solution:
-    """Solve target = sum c_i images_i exactly, for polynomial tensors.
-
-    The decomposition lemmas' solve: their images are a few hand-picked
-    tensors, not the images of a basis.  The images are read once, so a
-    generator of them is never held.  Returns (coefficients, None) when
-    solvable, else (None, certificate) with a labelled left-kernel
-    functional separating the target from the span.
-    """
+    """Solve target = sum c_i images_i exactly, for polynomial tensors: the
+    decomposition lemmas' few hand-picked images, read once, so a generator
+    of them is never held.  Returns as ``_certified_solve``."""
     operator = _numbered_operator(
-        (_tensor_entries(image.components) for image in images), tuple)
+        (_tensor_entries(image.components) for image in images), _Labelled)
     return _certified_solve(operator, dict(_tensor_entries(target.components)))
 
 
 def solve_in_image(domain: TruncatedBasis, mapping: Callable[[GradedTensor], GradedTensor],
                    target: GradedTensor) -> Solution:
-    """Solve target = sum c_j L(domain_j) exactly, for a linear first-order L.
-
-    The certified solves of the modular tensor run here, on the operator of
-    L; its rows come in the order that the images list their labels (see the
-    module docstring), and no image of a domain element is ever built.  The
-    target must be polynomial.
-    """
+    """Solve target = sum c_j L(domain_j) exactly, for a linear first-order L
+    and a polynomial target, on the operator of L: the certified solves of
+    the modular tensor.  No image of a domain element is ever built."""
     return _certified_solve(TruncatedOperator.build(domain, mapping),
                             dict(_tensor_entries(target.components)))
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nambu.algebra import ExactMatrix, InvariantError, Polynomial, variables
+from nambu.algebra import ExactMatrix, InvariantError, Polynomial, grlex_key, variables
 from nambu.cohomology import (
     _annihilates,
     _complement_kernel,
@@ -52,6 +52,10 @@ from nambu.truncation import (
     FirstOrderMap,
     TruncatedBasis,
     TruncatedOperator,
+    _certified_solve,
+    _first_order_stencil,
+    bundle_map,
+    composed,
     ker_sharp_basis,
     monomials_up_to,
     solve_in_span,
@@ -88,6 +92,7 @@ from support import (
     regular_r4,
     sign_flipped_d,
     singular_r3,
+    solve_labelled,
 )
 
 x1, x2, x3 = coords(R3)
@@ -105,6 +110,12 @@ def dx(chart, *indices):
 def test_monomials_up_to_counts():
     assert len(monomials_up_to(3, 2)) == 10
     assert monomials_up_to(2, 1) == [(0, 0), (0, 1), (1, 0)]
+    # every exponent of total degree <= bound, in graded-lex order, by brute force
+    for num_vars, bound in itertools.product(range(6), range(9)):
+        brute = [e for e in itertools.product(range(bound + 1), repeat=num_vars)
+                 if sum(e) <= bound]
+        assert monomials_up_to(num_vars, bound) == sorted(brute, key=grlex_key)
+        assert len(brute) == math.comb(num_vars + bound, bound)
 
 def test_basis_size_formula():
     basis = TruncatedBasis.build(R3, FORM, 1, 2)
@@ -358,6 +369,48 @@ def test_second_order_mapping_breaks_the_stencil_guard(bound):
         scalars, lambda g: GradedTensor.from_scalar(R3, FORM, x2 * x3 * g.scalar_value().diff(0)))
 
 
+def _assert_composed_matches_probed(structure):
+    # the stencil composed from d's and the bundle map's equals the probed
+    # one, term for term and in the same order, so the rows keep their order
+    chart = structure.chart
+    for k in range(structure.order):
+        domain = TruncatedBasis.build(chart, FORM, k, 0)
+        sharp_after_d = composed(bundle_map(structure, k + 1), FirstOrderMap(ext_d))
+        for idx in domain.indices:
+            built = sharp_after_d.stencil(domain, idx)
+            probed = _first_order_stencil(
+                domain, lambda form: sharp(structure, k + 1, ext_d(form)), idx)
+            for part, expected in zip((built.base, *built.symbols),
+                                      (probed.base, *probed.symbols), strict=True):
+                assert list(part.items()) == list(expected.items())
+            assert built.blocked == probed.blocked
+
+
+@pytest.mark.parametrize("name", ["regular_r3", "regular_r4", "singular_r3"])
+def test_composed_sharp_after_d_matches_the_probed_stencil(name):
+    structure = parse_model((MODELS / f"{name}.nmb").read_text(encoding="utf-8")).structure()
+    _assert_composed_matches_probed(structure)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_composed_sharp_after_d_matches_on_random_structures(seed, top_order):
+    rng = random.Random(seed)
+    if top_order:
+        tensor = GradedTensor(R3, MULTIVECTOR, 3, {
+            (0, 1, 2): rand_poly(rng, R3, max_degree=3, allow_zero=False)})
+    else:
+        tensor = rand_mv(rng, R4, 3, max_degree=0)
+    _assert_composed_matches_probed(NambuStructure(tensor))
+
+
+def test_composing_after_a_map_with_a_symbol_is_an_invariant_error():
+    # d is not function-linear, so d after d cannot be read off d's stencils
+    with pytest.raises(InvariantError, match="not function-linear"):
+        TruncatedOperator.build(TruncatedBasis.build(R3, FORM, 0, 1),
+                                composed(FirstOrderMap(ext_d), FirstOrderMap(ext_d)))
+
+
 @pytest.mark.parametrize("bound", [0, 2])
 def test_order_zero_columns_are_the_base_shifted(bound):
     # sharp and a contraction are function-linear: every symbol is zero
@@ -492,9 +545,11 @@ def test_foliated_calls_each_shared_map_once_per_probe(monkeypatch):
         assert probes and max(Counter(probes).values()) == 1
     # d runs on the 2-forms (in sharp after d) and on the 1-forms
     assert {form.degree for form in d_probes} == {1, 2}
-    # 6 two-form indices under sharp after d and the bundle map, 4 one-form
-    # indices under d
-    assert len(indices) == 16
+    # sharp after d is composed from d's stencils of the 6 two-form indices
+    # and the degree-3 bundle map's of the 4 three-form indices, and probes
+    # nothing itself; with the degree-2 bundle map's 6 and d's 4 one-form
+    # indices that is 20 (16 while sharp after d probed its own 6)
+    assert len(indices) == 20
 
 
 def test_duality_keeps_one_wedge_map_per_annihilator(monkeypatch):
@@ -511,7 +566,25 @@ def test_duality_keeps_one_wedge_map_per_annihilator(monkeypatch):
     indices = _counting_stencils(monkeypatch)
     assert duality_report(regular_r4(), STD4, 4).holds
     assert len(wedged) == len(set(wedged)) == 210
-    assert len(indices) == 55
+    # sharp after d reads the stencils of d and of the bundle maps, which the
+    # report builds anyway, so its 1 + 4 + 6 indices of the 0-, 1- and
+    # 2-forms are no longer probed: 44, not 55
+    assert len(indices) == 44
+
+
+def test_duality_maps_each_d_probe_once(monkeypatch):
+    # sharp after d reads d's stencils, so no probe goes through d twice
+    # (390 calls on 225 probes while sharp after d probed its own)
+    import nambu.cohomology as cohomology
+    probes = []
+
+    def recording_d(form):
+        probes.append(form)
+        return ext_d(form)
+
+    monkeypatch.setattr(cohomology, "ext_d", recording_d)
+    assert duality_report(regular_r4(), STD4, 4).holds
+    assert len(probes) == len(set(probes)) == 225
 
 
 @pytest.mark.parametrize("structure", [singular_r3(), regular_r4()],
@@ -732,6 +805,66 @@ def test_labelled_certificates_hold_on_bundled_models(monkeypatch):
             assert sum(w * rows.get(label, {}).get(j, 0) for label, w in weights.items()) == 0
         assert sum(w * target.get(label, 0) for label, w in weights.items()) != 0
     assert len(systems) == 16 and 0 < certified < len(systems)
+
+
+KEYED_OPERATORS = {
+    "sharp on singular_r3": (TruncatedBasis.build(R3, FORM, 1, 1),
+                             lambda form: sharp(singular_r3(), 1, form)),
+    "d on 0-forms": (TruncatedBasis.build(R3, FORM, 0, 2), ext_d),
+}
+
+
+def _aliases(operator):
+    """Labels past the key radix whose digits, carried, spell a row's key:
+    (I, a + radix e_j - e_(j+1)), and (I', a + radix e_last) for the index I'
+    ranked just below I."""
+    radix, indices = operator.space.radix, operator.space.indices
+    out = []
+    for idx, exponent in operator.labels:
+        for j in range(len(exponent) - 1):
+            if exponent[j + 1]:
+                out.append((idx, tuple(e + radix * (k == j) - (k == j + 1)
+                                       for k, e in enumerate(exponent))))
+        if indices.index(idx):
+            out.append((indices[indices.index(idx) - 1],
+                        exponent[:-1] + (exponent[-1] + radix,)))
+    return out
+
+
+@st.composite
+def keyed_systems(draw):
+    """An operator and a target: a combination of its columns plus terms at
+    labels of its rows, at labels no row holds, at an index that no image
+    holds and at exponents at or past the key radix, some of which would
+    alias a row's key."""
+    name = draw(st.sampled_from(sorted(KEYED_OPERATORS)))
+    operator = TruncatedOperator.build(*KEYED_OPERATORS[name])
+    radix = operator.space.radix
+    indices = sorted({idx for idx, _ in operator.labels})
+    exponents = st.tuples(*[st.integers(0, radix + 1)] * 3)
+    labels = st.one_of(st.sampled_from(operator.labels), st.sampled_from(_aliases(operator)),
+                       st.tuples(st.sampled_from(indices + [(0, 1, 2)]), exponents))
+    coefficients = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    target = {}
+    for j, c in draw(st.dictionaries(st.integers(0, operator.matrix.cols - 1), coefficients,
+                                     max_size=3)).items():
+        for label, row in zip(operator.labels, operator.matrix.row_dicts()):
+            if j in row:
+                target[label] = target.get(label, 0) + c * row[j]
+    target.update(draw(st.dictionaries(labels, coefficients, max_size=4)))
+    return operator, {label: c for label, c in target.items() if c}
+
+
+@given(keyed_systems())
+@settings(max_examples=60, deadline=None)
+def test_keyed_certified_solve_matches_the_labelled_oracle(system):
+    # the solution, the certificate's labels and their order are those of
+    # the system numbered by labels: the target's first, then each column's
+    operator, target = system
+    rows = list(zip(operator.labels, operator.matrix.row_dicts()))
+    columns = [{label: row[j] for label, row in rows if j in row}
+               for j in range(operator.matrix.cols)]
+    assert _certified_solve(operator, target) == solve_labelled(columns, target)
 
 
 # -- canonical homology -----------------------------------------------------------------

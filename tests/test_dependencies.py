@@ -353,3 +353,28 @@ def test_stray_quotients_are_detected(tmp_path):
     (tmp_path / "b.py").write_text("def _complement_kernel(c, bs):\n    return c, bs\n")
     assert _callers(sorted(tmp_path.glob("*.py")), "_complement_kernel") == \
         ["a", "a.Complex.by_hand", "a._quotient"]
+
+
+def _label_readers(sources: list[Path]) -> list[str]:
+    """Where every read of an attribute named ``labels`` is, outside
+    ``truncation.py``, as ``_enclosing`` names it."""
+    return _enclosing([path for path in sources if path.name != "truncation.py"],
+                      lambda node: isinstance(node, ast.Attribute) and node.attr == "labels"
+                      and isinstance(node.ctx, ast.Load))
+
+
+def test_only_truncation_decodes_operator_labels():
+    # an operator keeps integer row keys; decoding every row back into a
+    # (component, monomial) label is for the tests and the certificates only
+    assert _label_readers(SOURCES) == []
+
+
+def test_label_readers_are_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "ROWS = OPERATOR.labels\n\n\n"
+        "def rows(operator):\n    return dict(zip(operator.labels, operator.matrix))\n\n\n"
+        "class Report:\n    labels = ()\n\n"
+        "    def store(self, operator):\n        self.labels = operator.keys\n")
+    (tmp_path / "truncation.py").write_text(
+        "def certificate(operator):\n    return operator.labels[0]\n")
+    assert _label_readers(sorted(tmp_path.glob("*.py"))) == ["a", "a.rows"]
