@@ -169,11 +169,13 @@ def np_h1_top(coefficient: Polynomial, bound: int) -> TopH1Report:
     """Cocycles f da = df ^ a modulo coboundaries f dg, at one degree bound."""
     deg_f = _top_degree(coefficient, bound)
     chart = Chart(coefficient.variables)
+    # np_cocycle_check_top's residual, with df made once for all probes
+    d_coefficient = differential(chart, coefficient)
     domain = TruncatedBasis.build(chart, FORM, 1, bound)
     # f dg for every monomial g at bound + 1 - deg f; the constant's is empty
     generators = TruncatedBasis.build(chart, FORM, 0, bound + 1 - deg_f)
     boundary_rank, kernel = _quotient(
-        domain, [lambda form: np_cocycle_check_top(coefficient, form)],
+        domain, [lambda form: ext_d(form).scale(coefficient) - wedge(d_coefficient, form)],
         lambda: TruncatedOperator.build(
             generators, lambda g: ext_d(g).scale(coefficient)).coordinates_in(domain))
     return TopH1Report(

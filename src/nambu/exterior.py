@@ -23,7 +23,7 @@ pins the whole sign scheme; see tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import Polynomial, RationalFunction, signed_sum
 
@@ -444,29 +444,52 @@ def lie_form(field: GradedTensor, form: GradedTensor) -> GradedTensor:
     return ext_d(interior_form(field, form)) + interior_form(field, ext_d(form))
 
 
-def lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
-    """Lie derivative of a multivector along a vector field.
+def lie_mv_of(tensor: GradedTensor) -> Callable[[GradedTensor], GradedTensor]:
+    """The Lie derivative X -> L_X P of one multivector P along vector fields.
 
     L_X P = sum_I X(P^I) e_I - sum_j (d_j X) ^ i(dx^j) P, where d_j X is the
     field of j-th partials of the components of X; on degree 1 it reduces to
-    the commutator of vector fields.
+    the commutator of vector fields.  The parts that depend on P alone, d of
+    each component P^I and each non-zero slice i(dx^j) P, are made here once,
+    so each field costs only its pairings, partials and wedges.
     """
-    if field.variance != MULTIVECTOR or field.degree != 1:
-        raise ValueError("lie_mv expects a degree-1 multivector as first argument")
     if tensor.variance != MULTIVECTOR:
         raise ValueError("lie_mv expects a multivector as second argument")
     chart = tensor.chart
-    if field.chart != chart:
-        raise ValueError("tensors live on different charts")
-    out = GradedTensor(chart, MULTIVECTOR, tensor.degree,
-                       {index: apply_vector(field, value)
-                        for index, value in tensor.components.items()})
-    if tensor.degree == 0:
+    gradients = [(index, differential(chart, value))
+                 for index, value in tensor.components.items()]
+    slices = []
+    if tensor.degree:
+        for j in range(chart.dimension):
+            piece = contract_form(GradedTensor.coordinate_differential(chart, j), tensor)
+            if not piece.is_zero():
+                slices.append((j, piece))
+
+    def along(field: GradedTensor) -> GradedTensor:
+        if field.variance != MULTIVECTOR or field.degree != 1:
+            raise ValueError("lie_mv expects a degree-1 multivector as first argument")
+        if field.chart != chart:
+            raise ValueError("tensors live on different charts")
+        transported = {}
+        for index, gradient in gradients:
+            value = pair(gradient, field)
+            if not value.is_zero():
+                transported[index] = value
+        out = _raw(chart, MULTIVECTOR, tensor.degree, transported)
+        for j, piece in slices:
+            partial = {}
+            for index, value in field.components.items():
+                derivative = value.diff(j)
+                if not derivative.is_zero():
+                    partial[index] = derivative
+            if partial:
+                out = out - wedge(_raw(chart, MULTIVECTOR, 1, partial), piece)
         return out
-    for j in range(chart.dimension):
-        partial = GradedTensor(chart, MULTIVECTOR, 1,
-                               {index: value.diff(j) for index, value in field.components.items()})
-        if not partial.is_zero():
-            dxj = GradedTensor.coordinate_differential(chart, j)
-            out = out - wedge(partial, contract_form(dxj, tensor))
-    return out
+
+    return along
+
+
+def lie_mv(field: GradedTensor, tensor: GradedTensor) -> GradedTensor:
+    """Lie derivative L_X P of a multivector along a vector field: ``lie_mv_of``
+    applied once.  To apply it to many fields, hold ``lie_mv_of(P)``."""
+    return lie_mv_of(tensor)(field)

@@ -9,12 +9,18 @@ a pass certifies the named family only (a necessary condition, not a
 decision procedure for all smooth functions).  Pointwise decomposability is
 checked through Plucker-type contraction identities, which is a complete
 algebraic test.  Reports always name the family that was used.
+
+The identity check makes what depends only on Lambda or on the family once
+per call, not once per subset: df of each member, and the automorphism test
+``check_automorphism(structure)``, which holds Lambda's part of L_X Lambda.
+Nothing is kept across calls.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import Polynomial
 from .exterior import (
@@ -26,7 +32,7 @@ from .exterior import (
     differential,
     ext_d,
     lie_form,
-    lie_mv,
+    lie_mv_of,
     pair,
     wedge,
     wedge_all,
@@ -113,16 +119,12 @@ class NambuStructure:
         return f"NambuStructure(order={self.order}, {self.tensor})"
 
 
-def _differentials(chart: Chart, scalars) -> GradedTensor:
-    """The form df_1 ^ ... ^ df_k."""
-    return wedge_all([differential(chart, f) for f in scalars])
-
-
 def nambu_bracket(structure: NambuStructure, *scalars) -> Polynomial:
     """The n-ary bracket <df_1 ^ ... ^ df_n, Lambda>."""
     if len(scalars) != structure.order:
         raise ValueError(f"bracket arity is {structure.order}, got {len(scalars)}")
-    return pair(_differentials(structure.chart, scalars), structure.tensor)
+    return pair(wedge_all([differential(structure.chart, f) for f in scalars]),
+                structure.tensor)
 
 
 def sharp(structure: NambuStructure, degree: int, form: GradedTensor) -> GradedTensor:
@@ -134,12 +136,29 @@ def sharp(structure: NambuStructure, degree: int, form: GradedTensor) -> GradedT
     return contract_form(form, structure.tensor)
 
 
+def _hamiltonian(structure: NambuStructure, differentials) -> GradedTensor:
+    """The field sharp(df_1 ^ ... ^ df_{n-1}) of the differentials of n-1 functions."""
+    n = structure.order
+    if len(differentials) != n - 1:
+        raise ValueError(f"expected {n - 1} Hamiltonian functions, got {len(differentials)}")
+    return sharp(structure, n - 1, wedge_all(differentials))
+
+
 def hamiltonian_vf(structure: NambuStructure, *scalars) -> GradedTensor:
     """Hamiltonian vector field of n-1 scalar functions."""
-    n = structure.order
-    if len(scalars) != n - 1:
-        raise ValueError(f"expected {n - 1} Hamiltonian functions, got {len(scalars)}")
-    return sharp(structure, n - 1, _differentials(structure.chart, scalars))
+    return _hamiltonian(structure, [differential(structure.chart, f) for f in scalars])
+
+
+def check_automorphism(structure: NambuStructure) -> Callable[..., GradedTensor]:
+    """The automorphism test of the structure: df_1, ..., df_{n-1} -> L_X Lambda
+    for the Hamiltonian field X = sharp(df_1 ^ ... ^ df_{n-1}).
+
+    A zero residual certifies that X is an infinitesimal automorphism.  The
+    parts of L_X Lambda that depend on Lambda alone are made here, once, by
+    ``lie_mv_of``; each call of the test builds one field and applies them.
+    """
+    lie = lie_mv_of(structure.tensor)
+    return lambda *differentials: lie(_hamiltonian(structure, differentials))
 
 
 # check_fundamental_identity stops after this many failures
@@ -158,6 +177,11 @@ def check_fundamental_identity(structure: NambuStructure,
     L_X df = d(X f).  The identity is multilinear and skew, so subsets (rather
     than tuples) cover all cases up to sign.  A pass certifies the named
     family only.  Stops after ``MAX_VIOLATIONS`` failures.
+
+    What depends only on Lambda or on the family is made once per call: df of
+    each member, from which every X_I and df_J is wedged, and the automorphism
+    test, which holds d of each component of Lambda and each slice
+    i(dx^j) Lambda.
     """
     n = structure.order
     if family is None:
@@ -165,18 +189,19 @@ def check_fundamental_identity(structure: NambuStructure,
     if not family:
         raise ValueError("the checking family must be non-empty")
     names = tuple(str(f) for f in family)
+    differentials = [differential(structure.chart, f) for f in family]
+    defect_of = check_automorphism(structure)
     violations: list[IdentityViolation] = []
     # each inner form df_J is built at most once, and only if some defect needs it
     forms: dict[tuple[int, ...], GradedTensor] = {}
     for outer in itertools.combinations(range(len(family)), n - 1):
-        defect = check_automorphism(structure, *(family[i] for i in outer))
+        defect = defect_of(*(differentials[i] for i in outer))
         if defect.is_zero():
             continue
         for inner in itertools.combinations(range(len(family)), n):
             form = forms.get(inner)
             if form is None:
-                form = forms[inner] = _differentials(structure.chart,
-                                                     [family[i] for i in inner])
+                form = forms[inner] = wedge_all([differentials[i] for i in inner])
             residual = pair(form, defect)
             if not residual.is_zero():
                 violations.append(IdentityViolation(
@@ -223,12 +248,3 @@ def leibniz_bracket(structure: NambuStructure, left: GradedTensor,
     if n % 2:
         factor = -factor
     return main + right.scale(factor)
-
-
-def check_automorphism(structure: NambuStructure, *scalars) -> GradedTensor:
-    """Residual of L_X Lambda for the Hamiltonian field X of the scalars.
-
-    The zero tensor certifies that the field is an infinitesimal automorphism.
-    """
-    x = hamiltonian_vf(structure, *scalars)
-    return lie_mv(x, structure.tensor)

@@ -741,6 +741,18 @@ def test_np_h1_top_df_never_a_coboundary():
         assert solution is None
         assert certificate
 
+def test_np_h1_top_makes_df_once(monkeypatch):
+    import nambu.cohomology as cohomology
+    made = []
+
+    def counting(chart, scalar):
+        made.append(scalar)
+        return differential(chart, scalar)
+
+    monkeypatch.setattr(cohomology, "differential", counting)
+    assert np_h1_top(R2SQ, 4).dimension == 1
+    assert made == [R2SQ]
+
 def test_np_h1_top_bound_precondition():
     with pytest.raises(ValueError):
         np_h1_top(R2SQ, 0)

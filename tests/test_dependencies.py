@@ -80,6 +80,8 @@ KEEP = {
     "conservation_report": "the benchmark's tracer wraps it and the acceptance gates import it",
     "to_coordinates": "public API of the exported TruncatedBasis; the tests' oracles use it "
                       "and the benchmark's tracer wraps it",
+    "lie_mv": "the one-field form of lie_mv_of, as conservation_report is of "
+              "conservation_check; the benchmark's tracer wraps it and the tests use it",
 }
 
 

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nambu.exterior import (
     FORM,
@@ -19,6 +21,7 @@ from nambu.exterior import (
     interior_form,
     lie_form,
     lie_mv,
+    lie_mv_of,
     pair,
     wedge,
     wedge_all,
@@ -252,6 +255,35 @@ def test_derived_operators_match_coordinate_oracles(chart):
             assert lie_mv(x, p) == oracle_lie_mv(x, p)
             assert pair(alpha, p) == oracle_pair(alpha, p)
             assert apply_vector(x, f) == oracle_apply_vector(x, f)
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([R3, R4]), st.integers(0, 4), st.integers(1, 6),
+       st.randoms(use_true_random=False))
+def test_held_lie_derivative_matches_the_oracle_on_many_fields(chart, degree, count, rng):
+    """One held L_. P applied to several fields in turn, then to the first
+    again: state changed by one application would show in a later one."""
+    p = rand_mv(rng, chart, min(degree, chart.dimension))
+    along = lie_mv_of(p)
+    fields = [rand_vector_field(rng, chart) for _ in range(count)]
+    results = [along(x) for x in fields]
+    assert results == [oracle_lie_mv(x, p) for x in fields]
+    assert along(fields[0]) == results[0]
+    assert lie_mv(fields[-1], p) == results[-1]
+
+def test_held_lie_derivative_keeps_the_errors_of_lie_mv():
+    along = lie_mv_of(ee(R3, 1, 2).scale(x1))
+    with pytest.raises(ValueError, match="lie_mv expects a degree-1 multivector as first"):
+        along(ee(R3, 1, 2))
+    with pytest.raises(ValueError, match="lie_mv expects a degree-1 multivector as first"):
+        along(dx(R3, 1))
+    with pytest.raises(ValueError, match="tensors live on different charts"):
+        along(ee(R4, 1))
+    with pytest.raises(ValueError, match="lie_mv expects a multivector as second"):
+        lie_mv_of(dx(R3, 1, 2))
+    with pytest.raises(ValueError, match="lie_mv expects a degree-1 multivector as first"):
+        lie_mv(ee(R3, 1, 2), ee(R3, 3))
+    with pytest.raises(ValueError, match="tensors live on different charts"):
+        lie_mv(ee(R4, 1), ee(R3, 3))
 
 @pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
 def test_derived_operators_on_zero_tensors(chart):

@@ -8,7 +8,15 @@ import random
 import pytest
 
 from nambu.algebra import Polynomial
-from nambu.exterior import FORM, MULTIVECTOR, GradedTensor, apply_vector, lie_mv, wedge
+from nambu.exterior import (
+    FORM,
+    MULTIVECTOR,
+    GradedTensor,
+    apply_vector,
+    differential,
+    lie_mv,
+    wedge,
+)
 from nambu.structures import (
     FundamentalIdentityReport,
     IdentityViolation,
@@ -198,19 +206,37 @@ def test_fundamental_identity_violated_nondecomposable():
     assert all(not violation.residual.is_zero() for violation in report.violations)
     assert report == _bracket_expansion_report(structure, default_function_family(R5))
 
+@pytest.mark.parametrize("make, calls", [(regular_r4, 15), (singular_r3, 10)],
+                         ids=["regular_r4", "singular_r3"])
+def test_fundamental_identity_makes_each_differential_once(monkeypatch, make, calls):
+    # d of each member of the default family, and d of Lambda's one component
+    import nambu.exterior as exterior
+    structure = make()
+    ext_d = exterior.ext_d
+    probes = []
+
+    def counting(form):
+        probes.append(form)
+        return ext_d(form)
+
+    monkeypatch.setattr(exterior, "ext_d", counting)
+    assert check_fundamental_identity(structure).passed
+    assert len(probes) == calls == len(default_function_family(structure.chart)) + 1
+
 def test_fundamental_identity_unlimited_builds_each_inner_form_once(monkeypatch):
     import nambu.structures as structures
     structure = nondecomposable_r5()
     family = list(coords(R5)) + default_function_family(R5)[5:8]
-    differentials = structures._differentials
+    wedge_all = structures.wedge_all
     inner_calls = []
 
-    def counting(chart, scalars):
-        if len(scalars) == structure.order:
-            inner_calls.append(tuple(scalars))
-        return differentials(chart, scalars)
+    def counting(factors):
+        factors = list(factors)
+        if len(factors) == structure.order:
+            inner_calls.append(tuple(factors))
+        return wedge_all(factors)
 
-    monkeypatch.setattr(structures, "_differentials", counting)
+    monkeypatch.setattr(structures, "wedge_all", counting)
     monkeypatch.setattr(structures, "MAX_VIOLATIONS", 10 ** 9)
     report = check_fundamental_identity(structure, family)
     monkeypatch.undo()
@@ -252,22 +278,42 @@ def test_fundamental_identity_matches_bracket_expansion(monkeypatch):
 
 # -- automorphisms --------------------------------------------------------------
 
+def _d(*scalars):
+    return [differential(R3, f) for f in scalars]
+
 def test_hamiltonian_fields_are_automorphisms():
-    structure = singular_r3()
-    assert check_automorphism(structure, x1, x2).is_zero()
-    assert check_automorphism(structure, x1 * x1 + x2 * x2, x3).is_zero()
+    defect_of = check_automorphism(singular_r3())
+    assert defect_of(*_d(x1, x2)).is_zero()
+    assert defect_of(*_d(x1 * x1 + x2 * x2, x3)).is_zero()
 
 def test_constant_hamiltonians_give_zero_field():
     one = Polynomial.constant(R3.coordinates, 1)
-    assert check_automorphism(singular_r3(), one, one).is_zero()
+    assert check_automorphism(singular_r3())(*_d(one, one)).is_zero()
 
 def test_automorphism_random_family():
     rng = random.Random(31)
     structure = singular_r3()
+    defect_of = check_automorphism(structure)
     for _ in range(15):
         f = rand_poly(rng, R3, max_degree=2)
         g = rand_poly(rng, R3, max_degree=2)
-        assert check_automorphism(structure, f, g).is_zero()
+        assert defect_of(*_d(f, g)).is_zero()
+
+def test_automorphism_test_is_lie_mv_of_the_hamiltonian_field():
+    """One held test over many fields equals the one-field Lie derivative,
+    on a structure that fails the identity; its arity error is the field's."""
+    rng = random.Random(37)
+    structure = nondecomposable_r5()
+    defect_of = check_automorphism(structure)
+    for _ in range(6):
+        f, g = rand_poly(rng, R5, max_degree=2), rand_poly(rng, R5, max_degree=2)
+        defect = defect_of(differential(R5, f), differential(R5, g))
+        assert defect == lie_mv(hamiltonian_vf(structure, f, g), structure.tensor)
+    y1, y2, y3 = coords(R5)[:3]
+    assert defect_of(differential(R5, y1 * y1), differential(R5, y2)) == \
+        GradedTensor.basis(R5, MULTIVECTOR, (2, 3, 4)).scale(-2)
+    with pytest.raises(ValueError, match="expected 2 Hamiltonian functions, got 3"):
+        defect_of(*(differential(R5, y) for y in (y1, y2, y3)))
 
 
 # -- the algebroid bracket -------------------------------------------------------

@@ -54,6 +54,7 @@ CASES = [
     # the other subcommands and verdicts
     ("bracket", f"bracket {SINGULAR} a b", 0),
     ("check-violated", f"check {R5} L", 1),
+    ("check-regular-r4", f"check {REGULAR4}", 0),
     ("basic-volume-regular", f"basic-volume {REGULAR4}", 0),
     ("basic-volume-singular", f"basic-volume {SINGULAR}", 1),
     ("delta", f"delta {SPACE} M", 0),
